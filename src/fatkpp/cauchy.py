@@ -7,15 +7,20 @@ instead of trusting the scheme blindly.  Runs abort (with partial output
 retained) once the solution meaningfully touches the truncated boundary,
 because zero-padded convolution is only faithful while the boundary
 density is negligible.
+
+`_march` is the one time-marching loop of the package: `run` and the
+constrained Hamilton-Jacobi solver (`hj.solve_constrained_hj`) both go
+through it, so both hit every requested time exactly.
 """
 
+import math
 import time as _time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BoundaryContamination, GridMismatch, InvalidParams,
-                     StabilityViolation)
+from .errors import (BoundaryContamination, FatKppError, GridMismatch,
+                     InvalidParams, StabilityViolation)
 from .gridops import DiscreteKernel, Field, Grid1D, discretize_kernel
 
 _METHODS = ("Euler", "RK4")
@@ -23,13 +28,39 @@ _METHODS = ("Euler", "RK4")
 # hard explicit-stability ceiling: 0.9/(2 + sup|1-2n|) with 0 <= n <= 1
 DT_MAX = 0.3
 
+# per-state diagnostics of a run, in monitors.csv column order
+MONITORS = ("t", "n_min", "n_max", "boundary_density", "clamp_total")
+
+# slack on time comparisons: a snapshot time this close to [0, t_end]
+# counts as inside it, and a lookup this close to a recorded time hits it
+TIME_TOL = 1e-9
+
+
+def _is_num(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def times_within(times, t_end):
+    """True when every time lies in [0, t_end] (to TIME_TOL)."""
+    return all(-TIME_TOL <= t <= t_end + TIME_TOL for t in times)
+
+
+def find_record(records, t):
+    """The first (t, ...) record of a time-ordered list recorded at t."""
+    for rec in records:
+        if abs(rec[0] - t) <= TIME_TOL:
+            return rec
+    raise KeyError("no snapshot at t=%g" % t)
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-stepping parameters.
 
-    snapshot_times=None defaults to a single snapshot at t_end.  Times are
-    matched to the nearest step, so exact capture needs dt dividing them.
+    snapshot_times=None defaults to a single snapshot at t_end.  Snapshot
+    times are hit exactly: each gap between them is crossed in equal
+    sub-steps no longer than dt.  Every violated rule is listed in one
+    InvalidParams, each message starting with its config key.
     """
 
     dt: float = 0.05
@@ -39,43 +70,88 @@ class SolverConfig:
     method: str = "RK4"
 
     def __post_init__(self):
-        if not (0.0 < self.dt <= DT_MAX + 1e-12):
-            raise InvalidParams("dt must lie in (0, %g], got %g"
-                                % (DT_MAX, self.dt))
-        if self.t_end < 0.0:
-            raise InvalidParams("t_end must be nonnegative")
+        issues = []
+        if not (_is_num(self.dt) and 0.0 < self.dt <= DT_MAX + 1e-12):
+            issues.append("dt: must lie in (0, %g], got %r"
+                          % (DT_MAX, self.dt))
+        t_end_ok = _is_num(self.t_end) and self.t_end >= 0.0
+        if not t_end_ok:
+            issues.append("t_end: must be a nonnegative number")
         if self.method not in _METHODS:
-            raise InvalidParams("method must be one of %s" % (_METHODS,))
-        if self.boundary_guard <= 0.0:
-            raise InvalidParams("boundary_guard must be positive")
+            issues.append("method: must be one of %s" % ", ".join(_METHODS))
+        if not (_is_num(self.boundary_guard) and self.boundary_guard > 0.0):
+            issues.append("boundary_guard: must be positive")
         snaps = self.snapshot_times
         if snaps is None:
             snaps = (self.t_end,)
-        snaps = tuple(float(s) for s in snaps)
         if any(b < a for a, b in zip(snaps, snaps[1:])):
-            raise InvalidParams("snapshot_times must be sorted")
-        if snaps and (snaps[0] < -1e-12 or snaps[-1] > self.t_end + 1e-9):
-            raise InvalidParams("snapshot_times must lie in [0, t_end]")
-        object.__setattr__(self, "snapshot_times", snaps)
+            issues.append("snapshots: must be sorted")
+        elif t_end_ok and not times_within(snaps, self.t_end):
+            issues.append("snapshots: every time must lie in [0, t_end]")
+        if issues:
+            raise InvalidParams(*issues)
+        for name in ("dt", "t_end", "boundary_guard"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "snapshot_times",
+                           tuple(float(s) for s in snaps))
 
 
 @dataclass
-class SimulationRun:
+class Trajectory:
+    """States recorded by a march, in time order."""
+
+    snapshots: list                 # [(t, Field), ...]
+
+    def snapshot_at(self, t):
+        return find_record(self.snapshots, t)[1]
+
+
+@dataclass
+class SimulationRun(Trajectory):
     """One completed (or aborted) integration with its diagnostics."""
 
     kernel: object
     grid: Grid1D
     config: SolverConfig
-    snapshots: list                 # [(t_requested, Field), ...]
-    monitors: dict                  # arrays: t, n_min, n_max, boundary, clamp
+    monitors: dict                  # MONITORS name -> array over states
     manifest: dict
     contaminated: bool = False
 
-    def snapshot_at(self, t, tol=1e-9):
-        for s, fld in self.snapshots:
-            if abs(s - t) <= tol:
-                return fld
-        raise KeyError("no snapshot at t=%g" % t)
+
+def _march(grid, values, times, t_end, dt_max, advance, observe, finish):
+    """March values through the sorted times, then on to t_end unless the
+    last time is within TIME_TOL of it.
+
+    Each positive gap between stops is crossed in ceil(gap/dt_max) equal
+    sub-steps h, so every stop is hit exactly.  advance(v, h) returns the
+    state h later; observe(v, t) sees the initial state and the state
+    after each step, labelled t_prev + j*h and exactly the stop on a gap's
+    last step.  One (t, Field) copy is kept per requested time;
+    finish(records, steps) builds the result, which a FatKppError raised
+    meanwhile carries as ``.run``.
+    """
+    stops = tuple(times)
+    if not stops or t_end - stops[-1] > TIME_TOL:
+        stops += (t_end,)
+    records, steps, t_now = [], 0, 0.0
+    try:
+        observe(values, 0.0)
+        for k, t_req in enumerate(stops):
+            gap = t_req - t_now
+            if gap > 0.0:
+                n = max(1, int(math.ceil(gap / dt_max - 1e-9)))
+                h = gap / n
+                for j in range(1, n + 1):
+                    values = advance(values, h)
+                    steps += 1
+                    observe(values, t_req if j == n else t_now + j * h)
+                t_now = t_req
+            if k < len(times):
+                records.append((t_req, Field(grid, values.copy())))
+    except FatKppError as exc:
+        exc.run = finish(records, steps)
+        raise
+    return finish(records, steps)
 
 
 def initial_condition(kernel, grid, C):
@@ -91,7 +167,12 @@ def _rhs(dk, v):
 
 
 def _advance(dk, v, dt, method, rate_scale):
-    """One explicit step; returns (pre-clamp values, overshoot)."""
+    """One explicit step clamped to [0,1]; returns (values, overshoot).
+
+    Raises StabilityViolation when the pre-clamp excursion outside [0,1]
+    exceeds 1e-6 (a symptom of dt past the explicit-stability bound, or of
+    inconsistent inputs), rather than silently clamping real dynamics.
+    """
     r = rate_scale
     if method == "Euler":
         out = v + (dt * r) * _rhs(dk, v)
@@ -102,26 +183,29 @@ def _advance(dk, v, dt, method, rate_scale):
         k4 = r * _rhs(dk, v + dt * k3)
         out = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     overshoot = max(float(out.max()) - 1.0, -float(out.min()), 0.0)
-    return out, overshoot
-
-
-def step(dk, state, dt, method="RK4", rate_scale=1.0):
-    """Advance a field one step and clamp to [0,1].
-
-    Raises StabilityViolation when the pre-clamp excursion outside [0,1]
-    exceeds 1e-6 (a symptom of dt past the explicit-stability bound, or of
-    inconsistent inputs), rather than silently clamping real dynamics.
-    """
-    if not isinstance(dk, DiscreteKernel):
-        raise InvalidParams("step needs a DiscreteKernel")
-    if state.grid != dk.grid:
-        raise GridMismatch("state grid does not match kernel grid")
-    out, overshoot = _advance(dk, state.values, dt, method, rate_scale)
     if overshoot > 1e-6:
         raise StabilityViolation("pre-clamp overshoot %.3e exceeds 1e-6"
                                  % overshoot)
     np.clip(out, 0.0, 1.0, out=out)
+    return out, overshoot
+
+
+def step(dk, state, dt, method="RK4", rate_scale=1.0):
+    """Advance a field one step of `run` and clamp to [0,1]."""
+    if not isinstance(dk, DiscreteKernel):
+        raise InvalidParams("step needs a DiscreteKernel")
+    if state.grid != dk.grid:
+        raise GridMismatch("state grid does not match kernel grid")
+    out, _ = _advance(dk, state.values, dt, method, rate_scale)
     return Field(state.grid, out)
+
+
+def check_rate(dt, rate_scale):
+    """Refuse an effective step dt*rate_scale past the stability ceiling."""
+    if dt * rate_scale > DT_MAX + 1e-12:
+        raise InvalidParams(
+            "effective step dt*rate_scale = %g exceeds the stability "
+            "ceiling %g" % (dt * rate_scale, DT_MAX))
 
 
 def run(kernel, grid, config, n0, dk=None, rate_scale=1.0):
@@ -138,88 +222,41 @@ def run(kernel, grid, config, n0, dk=None, rate_scale=1.0):
         dk = discretize_kernel(kernel, grid)
     elif dk.grid != grid:
         raise GridMismatch("sampled kernel lives on a different grid")
-    if config.dt * rate_scale > DT_MAX + 1e-12:
-        raise InvalidParams(
-            "effective step dt*rate_scale = %g exceeds the stability "
-            "ceiling %g" % (config.dt * rate_scale, DT_MAX))
+    check_rate(config.dt, rate_scale)
 
     t0 = _time.perf_counter()
-    dt = config.dt
-    n_steps = int(np.ceil(config.t_end / dt - 1e-9)) if config.t_end > 0 else 0
-    # map each requested snapshot time to its nearest step index
-    want = {}
-    for s in config.snapshot_times:
-        idx = min(n_steps, int(round(s / dt)))
-        want.setdefault(idx, []).append(s)
-
-    v = np.clip(n0.values, 0.0, 1.0)
-    mon_t, mon_min, mon_max, mon_bd, mon_clamp = [], [], [], [], []
-    snapshots = []
+    rows = []                       # one row of MONITORS per observed state
     clamp_total = 0.0
-    snap_time_err = 0.0
-    contaminated = False
-    abort_msg = None
 
-    def record(k, t_now):
-        nonlocal snap_time_err
-        mon_t.append(t_now)
-        mon_min.append(float(v.min()))
-        mon_max.append(float(v.max()))
-        mon_bd.append(max(float(v[0]), float(v[-1])))
-        mon_clamp.append(clamp_total)
-        for s in want.get(k, ()):
-            snapshots.append((s, Field(grid, v.copy())))
-            snap_time_err = max(snap_time_err, abs(s - t_now))
-
-    record(0, 0.0)
-    if mon_bd[-1] >= config.boundary_guard:
-        contaminated = True
-        abort_msg = "initial data already exceeds the boundary guard"
-
-    k = 0
-    while k < n_steps and not contaminated:
-        step_dt = min(dt, config.t_end - k * dt)
-        out, overshoot = _advance(dk, v, step_dt, config.method, rate_scale)
-        if overshoot > 1e-6:
-            raise StabilityViolation(
-                "pre-clamp overshoot %.3e at t=%g exceeds 1e-6"
-                % (overshoot, (k + 1) * dt))
-        np.clip(out, 0.0, 1.0, out=out)
+    def advance(v, h):
+        nonlocal clamp_total
+        out, overshoot = _advance(dk, v, h, config.method, rate_scale)
         clamp_total += overshoot
-        v = out
-        k += 1
-        record(k, min(k * dt, config.t_end))
-        if mon_bd[-1] >= config.boundary_guard:
-            contaminated = True
-            abort_msg = ("boundary density %.3e reached the guard %.3e at "
-                         "t=%g" % (mon_bd[-1], config.boundary_guard, k * dt))
+        return out
 
-    manifest = {
-        "family": kernel.family,
-        "params": dict(kernel.params),
-        "Z": kernel.Z,
-        "mu": kernel.mu,
-        "grid": {"L": grid.L, "N": grid.N},
-        "dt": dt,
-        "t_end": config.t_end,
-        "method": config.method,
-        "rate_scale": rate_scale,
-        "steps_taken": k,
-        "kernel_tail_mass": dk.lost_mass,
-        "clamp_total": clamp_total,
-        "snapshot_time_error": snap_time_err,
-        "contaminated": contaminated,
-        "wall_time_s": _time.perf_counter() - t0,
-    }
-    monitors = {
-        "t": np.asarray(mon_t),
-        "n_min": np.asarray(mon_min),
-        "n_max": np.asarray(mon_max),
-        "boundary_density": np.asarray(mon_bd),
-        "clamp_total": np.asarray(mon_clamp),
-    }
-    result = SimulationRun(kernel, grid, config, snapshots, monitors,
-                           manifest, contaminated)
-    if contaminated:
-        raise BoundaryContamination(abort_msg, run=result)
-    return result
+    def observe(v, t):
+        bd = max(float(v[0]), float(v[-1]))
+        rows.append((t, float(v.min()), float(v.max()), bd, clamp_total))
+        if bd >= config.boundary_guard:
+            raise BoundaryContamination(
+                "boundary density %.3e reached the guard %.3e at t=%g"
+                % (bd, config.boundary_guard, t))
+
+    def finish(snapshots, steps):
+        # the observer raises on the first state past the guard, so only
+        # the last row can be contaminated
+        contaminated = rows[-1][3] >= config.boundary_guard
+        manifest = dict(
+            kernel.manifest(), grid={"L": grid.L, "N": grid.N},
+            dt=config.dt, t_end=config.t_end, method=config.method,
+            rate_scale=rate_scale, steps_taken=steps,
+            kernel_tail_mass=dk.lost_mass, clamp_total=clamp_total,
+            contaminated=contaminated,
+            wall_time_s=_time.perf_counter() - t0)
+        monitors = dict(zip(MONITORS, np.array(rows).T))
+        return SimulationRun(snapshots, kernel, grid, config, monitors,
+                             manifest, contaminated)
+
+    return _march(grid, np.clip(n0.values, 0.0, 1.0),
+                  config.snapshot_times, config.t_end, config.dt, advance,
+                  observe, finish)

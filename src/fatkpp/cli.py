@@ -24,8 +24,9 @@ from .errors import (BoundaryContamination, CFLViolation, DomainError,
                      OutOfDomain, ParseError, StabilityViolation,
                      ValidationError)
 from .gridops import Field
-from .hj import (Hamiltonian, hamiltonian_profile, inclusion_curves,
-                 cross_validate, solve_constrained_hj, zero_set_boundary)
+from .hj import (HJSolution, Hamiltonian, hamiltonian_profile,
+                 inclusion_curves, cross_validate, solve_constrained_hj,
+                 zero_set_boundary)
 from .kernels import validate_hypotheses
 from .mutation import classify_limit_sets, mutation_initial_data, \
     mutation_run
@@ -35,8 +36,8 @@ from . import output as out_io
 
 _VALIDATION_ERRORS = (InvalidParams, DomainError, OutOfDomain,
                       GridTooCoarse, NonIntegrableTail, ValidationError)
-_RUNTIME_ERRORS = (StabilityViolation, CFLViolation, GradientOutOfRange,
-                   NoConvergence)
+_RUNTIME_ERRORS = (BoundaryContamination, StabilityViolation, CFLViolation,
+                   GradientOutOfRange, NoConvergence)
 
 
 def _simulate(cfg):
@@ -44,23 +45,24 @@ def _simulate(cfg):
     return run_cauchy(cfg.kernel, cfg.grid, cfg.solver, n0)
 
 
-def _plot_snapshots(path, run, max_series=5):
-    snaps = run.snapshots
+def _plot(cfg, out, name, series, title, xlabel, ylabel, logy=False):
+    if cfg.plot:
+        out_io.emit_svg_plot(os.path.join(out, name), series, title=title,
+                             xlabel=xlabel, ylabel=ylabel, logy=logy)
+
+
+def _snapshot_series(snaps, max_series=5):
+    """At most max_series snapshots, spread evenly from first to last."""
     if len(snaps) > max_series:
         idx = [round(i * (len(snaps) - 1) / (max_series - 1))
                for i in range(max_series)]
         snaps = [snaps[i] for i in sorted(set(idx))]
-    series = [("t=%g" % t, fld.grid.x, fld.values) for t, fld in snaps]
-    out_io.emit_svg_plot(path, series, title="density snapshots",
-                         xlabel="x", ylabel="n")
+    return [("t=%g" % t, fld.grid.x, fld.values) for t, fld in snaps]
 
 
 def _do_kernel_validate(cfg, out):
     report = validate_hypotheses(cfg.kernel)
-    manifest = {"family": cfg.kernel.family,
-                "params": dict(cfg.kernel.params),
-                "Z": cfg.kernel.Z, "mu": cfg.kernel.mu,
-                "hypotheses_passed": report.passed}
+    manifest = dict(cfg.kernel.manifest(), hypotheses_passed=report.passed)
     return manifest, {"report": asdict(report)}
 
 
@@ -68,8 +70,8 @@ def _do_simulate(cfg, out):
     sim = _simulate(cfg)
     out_io.write_snapshots(out, sim, cfg.stride)
     out_io.write_monitors(out, sim)
-    if cfg.plot:
-        _plot_snapshots(os.path.join(out, "density.svg"), sim)
+    _plot(cfg, out, "density.svg", _snapshot_series(sim.snapshots),
+          "density snapshots", "x", "n")
     return sim.manifest, None
 
 
@@ -79,14 +81,11 @@ def _do_front(cfg, out):
     out_io.write_front_csv(out, tracks, cfg.kernel)
     rows = envelope_sandwich_report(sim, C=cfg.C)
     out_io.write_envelope_csv(out, rows)
-    if cfg.plot:
-        series = [("level %g" % tr.level, tr.times, tr.positions)
-                  for tr in tracks]
-        tr = tracks[0]
-        series.append(("f_inv(t)", tr.times, tr.predicted))
-        out_io.emit_svg_plot(os.path.join(out, "front.svg"), series,
-                             title="front position vs the dispersal law",
-                             xlabel="t", ylabel="x", logy=True)
+    series = [("level %g" % tr.level, tr.times, tr.positions)
+              for tr in tracks]
+    series.append(("f_inv(t)", tracks[0].times, tracks[0].predicted))
+    _plot(cfg, out, "front.svg", series,
+          "front position vs the dispersal law", "t", "x", logy=True)
     manifest = dict(sim.manifest)
     manifest["levels"] = list(cfg.levels)
     return manifest, None
@@ -94,43 +93,41 @@ def _do_front(cfg, out):
 
 def _do_hopf_cole(cfg, out):
     sim = _simulate(cfg)
-    x_lo, x_hi, t_lo, t_hi = cfg.compact
     sup = {}
-    for eps in sorted(cfg.eps_list, reverse=True):
-        hc = hopf_cole_field(sim, eps, (x_lo, x_hi), (t_lo, t_hi))
+    es = sorted(cfg.eps_list, reverse=True)
+    for eps in es:
+        hc = hopf_cole_field(sim, eps, cfg.compact[:2], cfg.compact[2:])
         out_io.write_hopfcole_csv(out, hc)
         sup["%g" % eps] = hc.sup_error()
-    if cfg.plot:
-        es = sorted(cfg.eps_list, reverse=True)
-        out_io.emit_svg_plot(
-            os.path.join(out, "hopfcole.svg"),
-            [("sup |u_eps - u|", es, [sup["%g" % e] for e in es])],
-            title="rescaled density vs its limit", xlabel="eps",
-            ylabel="sup error")
+    _plot(cfg, out, "hopfcole.svg",
+          [("sup |u_eps - u|", es, [sup["%g" % e] for e in es])],
+          "rescaled density vs its limit", "eps", "sup error")
     manifest = dict(sim.manifest)
     manifest["hopf_cole_sup_errors"] = sup
     return manifest, None
 
 
-def _do_mutation(cfg, out):
-    init = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
+def _mutation_runs(cfg, out, init):
+    """One rescaled run per eps, largest first, each written as it ends."""
     runs = []
     for eps in sorted(cfg.eps_list, reverse=True):
         mr = mutation_run(cfg.kernel, cfg.grid, eps, cfg.solver, init)
         out_io.write_mutation_csv(out, mr, cfg.stride)
         runs.append(mr)
-    small = runs[-1]
+    return runs
+
+
+def _do_mutation(cfg, out):
+    init = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
+    small = _mutation_runs(cfg, out, init)[-1]
     tol = 2.0 * small.eps * math.log(4.0)
     labelled = [(t, classify_limit_sets(u, tol))
                 for t, u, _ in small.potentials]
     out_io.write_limits_csv(out, cfg.grid, labelled, cfg.stride)
-    if cfg.plot:
-        t_last, u_last, _ = small.potentials[-1]
-        series = [("u_eps%g, t=%g" % (small.eps, t_last), cfg.grid.x,
-                   u_last)]
-        out_io.emit_svg_plot(os.path.join(out, "mutation.svg"), series,
-                             title="rescaled potential", xlabel="x",
-                             ylabel="u")
+    t_last, u_last, _ = small.potentials[-1]
+    _plot(cfg, out, "mutation.svg",
+          [("u_eps%g, t=%g" % (small.eps, t_last), cfg.grid.x, u_last)],
+          "rescaled potential", "x", "u")
     manifest = dict(small.run.manifest)
     manifest["eps_list"] = sorted(cfg.eps_list, reverse=True)
     manifest["limits_eps"] = small.eps
@@ -138,35 +135,22 @@ def _do_mutation(cfg, out):
     return manifest, None
 
 
-def _hj_solution(cfg, H):
-    u0 = Field(cfg.grid, cfg.A * cfg.kernel.f(cfg.grid.x))
-    dt = None
-    if "dt" in cfg.raw.get("solver", {}):
-        dt = cfg.solver.dt
-    return solve_constrained_hj(H, cfg.grid, u0, cfg.solver.t_end,
-                                snapshots=cfg.solver.snapshot_times,
-                                dt=dt)
-
-
 def _do_hj(cfg, out):
     H = Hamiltonian(cfg.kernel)
-    sol = _hj_solution(cfg, H)
+    u0 = Field(cfg.grid, cfg.A * cfg.kernel.f(cfg.grid.x))
+    # the HJ scheme picks its own CFL step unless the config sets dt
+    dt = cfg.solver.dt if "dt" in cfg.raw.get("solver", {}) else None
+    sol = solve_constrained_hj(H, cfg.grid, u0, cfg.solver.t_end,
+                               snapshots=cfg.solver.snapshot_times, dt=dt)
     out_io.write_hj_solution_csv(out, sol, cfg.stride)
-    rows = []
-    for t, fld in sol.snapshots:
-        left, right = zero_set_boundary(fld)
-        lo, hi = inclusion_curves(H, cfg.A, t) if t > 0.0 else (0.0, 0.0)
-        rows.append((t, left, right, lo, hi))
+    rows = [(t,) + zero_set_boundary(fld)
+            + (inclusion_curves(H, cfg.A, t) if t > 0.0 else (0.0, 0.0))
+            for t, fld in sol.snapshots]
     out_io.write_zeroset_csv(out, rows)
-    if cfg.plot:
-        series = [("t=%g" % t, fld.grid.x, fld.values)
-                  for t, fld in sol.snapshots[:5]]
-        out_io.emit_svg_plot(os.path.join(out, "hj.svg"), series,
-                             title="constrained Hamilton-Jacobi solution",
-                             xlabel="x", ylabel="u")
-    manifest = {"family": cfg.kernel.family,
-                "params": dict(cfg.kernel.params),
-                "Z": cfg.kernel.Z, "mu": cfg.kernel.mu, "A": cfg.A}
+    _plot(cfg, out, "hj.svg", [("t=%g" % t, fld.grid.x, fld.values)
+                               for t, fld in sol.snapshots[:5]],
+          "constrained Hamilton-Jacobi solution", "x", "u")
+    manifest = dict(cfg.kernel.manifest(), A=cfg.A)
     manifest.update(sol.meta)
     return manifest, None
 
@@ -176,44 +160,41 @@ def _do_hamiltonian(cfg, out):
     ps, Hs, lower, upper = hamiltonian_profile(H, cfg.A)
     out_io.write_hamiltonian_csv(out, ps, Hs, lower, upper)
     k_lo, k_hi = H.kappa_bounds(cfg.A)
-    if cfg.plot:
-        series = [("H", ps, Hs), ("1+k_lo p^2", ps, lower),
-                  ("1+k_hi p^2", ps, upper)]
-        out_io.emit_svg_plot(os.path.join(out, "hamiltonian.svg"),
-                             series, title="effective Hamiltonian",
-                             xlabel="p", ylabel="H")
-    manifest = {"family": cfg.kernel.family,
-                "params": dict(cfg.kernel.params),
-                "Z": cfg.kernel.Z, "mu": cfg.kernel.mu, "A": cfg.A,
-                "p_max": H.p_max, "p_table": H.p_table,
-                "kappa_lower": k_lo, "kappa_upper": k_hi}
+    _plot(cfg, out, "hamiltonian.svg",
+          [("H", ps, Hs), ("1+k_lo p^2", ps, lower),
+           ("1+k_hi p^2", ps, upper)], "effective Hamiltonian", "p", "H")
+    manifest = dict(cfg.kernel.manifest(), A=cfg.A, p_max=H.p_max,
+                    p_table=H.p_table, kappa_lower=k_lo, kappa_upper=k_hi)
     return manifest, None
 
 
 def _do_cross_validate(cfg, out):
     H = Hamiltonian(cfg.kernel)
     init = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
-    runs = []
-    for eps in sorted(cfg.eps_list, reverse=True):
-        mr = mutation_run(cfg.kernel, cfg.grid, eps, cfg.solver, init)
-        out_io.write_mutation_csv(out, mr, cfg.stride)
-        runs.append(mr)
+    runs = _mutation_runs(cfg, out, init)
     sol = solve_constrained_hj(H, cfg.grid, init.u0, cfg.solver.t_end,
                                snapshots=cfg.solver.snapshot_times)
     out_io.write_hj_solution_csv(out, sol, cfg.stride)
     rows = cross_validate(runs, sol, cfg.compact)
-    if cfg.plot:
-        es = [e for e, _ in rows]
-        vs = [v for _, v in rows]
-        out_io.emit_svg_plot(
-            os.path.join(out, "crossval.svg"),
-            [("sup |u_eps - u|", es, vs)],
-            title="mutation runs vs the limit equation", xlabel="eps",
-            ylabel="sup error")
+    _plot(cfg, out, "crossval.svg",
+          [("sup |u_eps - u|", [e for e, _ in rows], [v for _, v in rows])],
+          "mutation runs vs the limit equation", "eps", "sup error")
     manifest = dict(runs[-1].run.manifest)
     manifest.update(sol.meta)
     return manifest, {"cross_validation": [
         {"eps": e, "sup_error": v} for e, v in rows]}
+
+
+def _write_partial(out, partial, stride):
+    """Write what an aborted march recorded; returns its manifest."""
+    if partial is None:
+        return {}
+    if isinstance(partial, HJSolution):
+        out_io.write_hj_solution_csv(out, partial, stride)
+        return partial.meta
+    out_io.write_snapshots(out, partial, stride)
+    out_io.write_monitors(out, partial)
+    return partial.manifest
 
 
 _DISPATCH = {
@@ -241,10 +222,6 @@ def main(argv=None):
                     help="suppress the progress line on stdout")
     args = ap.parse_args(argv)
 
-    def say(msg):
-        if not args.quiet:
-            print(msg)
-
     try:
         cfg = parse_config(args.config)
     except IoError as exc:
@@ -270,27 +247,15 @@ def main(argv=None):
     t0 = time.perf_counter()
     try:
         manifest, extra = _DISPATCH[cfg.experiment](cfg, out)
-    except BoundaryContamination as exc:
-        partial = exc.run
-        manifest = {}
+        out_io.write_run_json(out, cfg.raw, manifest, extra=extra)
+    except _RUNTIME_ERRORS as exc:
         try:
-            if partial is not None:
-                out_io.write_snapshots(out, partial, cfg.stride)
-                out_io.write_monitors(out, partial)
-                manifest = partial.manifest
+            manifest = _write_partial(out, exc.run, cfg.stride)
             out_io.write_run_json(out, cfg.raw, manifest, aborted=True,
                                   abort_reason=str(exc))
         except IoError as io_exc:
             print("fatkpp: %s" % io_exc, file=sys.stderr)
             return 4
-        print("fatkpp: aborted: %s" % exc, file=sys.stderr)
-        return 3
-    except _RUNTIME_ERRORS as exc:
-        try:
-            out_io.write_run_json(out, cfg.raw, {}, aborted=True,
-                                  abort_reason=str(exc))
-        except IoError:
-            pass
         print("fatkpp: aborted: %s" % exc, file=sys.stderr)
         return 3
     except _VALIDATION_ERRORS as exc:
@@ -299,14 +264,9 @@ def main(argv=None):
     except IoError as exc:
         print("fatkpp: %s" % exc, file=sys.stderr)
         return 4
-
-    try:
-        out_io.write_run_json(out, cfg.raw, manifest, extra=extra)
-    except IoError as exc:
-        print("fatkpp: %s" % exc, file=sys.stderr)
-        return 4
-    say("fatkpp: %s finished in %.1fs, outputs in %s"
-        % (cfg.experiment, time.perf_counter() - t0, out))
+    if not args.quiet:
+        print("fatkpp: %s finished in %.1fs, outputs in %s"
+              % (cfg.experiment, time.perf_counter() - t0, out))
     return 0
 
 

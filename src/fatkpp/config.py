@@ -9,9 +9,8 @@ raising a single ValidationError, so a bad config is fixed in one pass.
 """
 
 import json
-import math
 
-from .cauchy import DT_MAX, SolverConfig
+from .cauchy import DT_MAX, SolverConfig, _is_num
 from .errors import InvalidParams, IoError, ParseError, ValidationError
 from .gridops import Grid1D
 from .kernels import KernelSpec, build_kernel
@@ -32,14 +31,10 @@ _KERNEL_KEYS = {"family", "alpha", "beta", "b", "sigma"}
 _GRID_KEYS = {"L", "N"}
 _SOLVER_KEYS = {"dt", "t_end", "snapshots", "snapshot_count", "method",
                 "C", "boundary_guard"}
-_ANALYSIS_KEYS = {"levels", "eps", "A", "theta1_alpha", "compact"}
+_ANALYSIS_KEYS = {"levels", "eps", "A", "compact"}
 _OUTPUT_KEYS = {"directory", "plot", "stride"}
 _TOP_KEYS = {"experiment", "kernel", "grid", "solver", "analysis",
              "output"}
-
-
-def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 class RunConfig:
@@ -50,11 +45,9 @@ class RunConfig:
     parsed JSON for the manifest.
     """
 
-    def __init__(self, experiment, spec, kernel, grid, solver, C,
-                 levels, eps_list, A, theta1_alpha, compact, out_dir,
-                 plot, stride, raw):
+    def __init__(self, experiment, kernel, grid, solver, C,
+                 levels, eps_list, A, compact, out_dir, plot, stride, raw):
         self.experiment = experiment
-        self.spec = spec
         self.kernel = kernel
         self.grid = grid
         self.solver = solver
@@ -62,7 +55,6 @@ class RunConfig:
         self.levels = levels
         self.eps_list = eps_list
         self.A = A
-        self.theta1_alpha = theta1_alpha
         self.compact = compact
         self.out_dir = out_dir
         self.plot = plot
@@ -94,16 +86,39 @@ def parse_config(path):
     return validate_config(raw)
 
 
-def _block(raw, name, allowed, issues):
+def _block(raw, name, allowed, issues, needed_by=None):
+    """raw[name] with its unknown keys reported; {} when it is absent or
+    not an object, which is an issue when experiment needed_by needs it."""
     v = raw.get(name)
-    if v is None:
-        return {}
-    if not isinstance(v, dict):
+    if v is not None and not isinstance(v, dict):
         issues.append("%s: must be an object" % name)
-        return {}
+    v = v if isinstance(v, dict) else {}
     for key in sorted(set(v) - allowed):
         issues.append("%s.%s: unknown key" % (name, key))
+    if needed_by and not v:
+        issues.append("%s: block is required for %s" % (name, needed_by))
     return v
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _num_list(ok=lambda c: True):
+    """Acceptor of nonempty lists of numbers that each pass ok."""
+    return lambda v: (isinstance(v, list) and bool(v)
+                      and all(_is_num(c) and ok(c) for c in v))
+
+
+def _take(block, name, key, ok, rule, issues, default=None):
+    """block[key] when ok accepts it, else default; a given value that ok
+    rejects adds the issue "<name>.<key>: <rule>"."""
+    if key not in block:
+        return default
+    if ok(block[key]):
+        return block[key]
+    issues.append("%s.%s: %s" % (name, key, rule))
+    return default
 
 
 def validate_config(raw):
@@ -120,7 +135,6 @@ def validate_config(raw):
 
     # ---- kernel (required for every experiment) ----
     kernel = None
-    spec = None
     kb = raw.get("kernel")
     if not isinstance(kb, dict):
         issues.append("kernel: block is required and must be an object")
@@ -131,34 +145,27 @@ def validate_config(raw):
         if not isinstance(family, str):
             issues.append("kernel.family: must be a string")
         else:
-            kwargs = {}
-            ok = True
-            for key in ("alpha", "beta", "b", "sigma"):
-                if key in kb:
-                    if not _is_num(kb[key]):
-                        issues.append("kernel.%s: must be a number" % key)
-                        ok = False
-                    else:
-                        kwargs[key] = float(kb[key])
-            if ok:
+            kwargs = {key: kb[key] for key in ("alpha", "beta", "b", "sigma")
+                      if key in kb}
+            bad = [key for key, v in kwargs.items() if not _is_num(v)]
+            issues.extend("kernel.%s: must be a number" % key for key in bad)
+            if not bad:
+                kwargs = {key: float(v) for key, v in kwargs.items()}
                 try:
-                    spec = KernelSpec(family=family, **kwargs)
-                    kernel = build_kernel(spec)
+                    kernel = build_kernel(KernelSpec(family=family, **kwargs))
                 except InvalidParams as exc:
                     issues.append("kernel: %s" % exc)
 
     # ---- grid ----
     grid = None
-    needs_grid = experiment in _NEEDS_GRID
-    gb = _block(raw, "grid", _GRID_KEYS, issues)
-    if needs_grid and not gb:
-        issues.append("grid: block is required for %s" % experiment)
+    needed_by = experiment if experiment in _NEEDS_GRID else None
+    gb = _block(raw, "grid", _GRID_KEYS, issues, needed_by)
     if gb:
         L = gb.get("L")
         N = gb.get("N")
         if not _is_num(L):
             issues.append("grid.L: must be a number")
-        elif not (isinstance(N, int) and not isinstance(N, bool)):
+        elif not _is_int(N):
             issues.append("grid.N: must be an integer")
         else:
             try:
@@ -169,35 +176,14 @@ def validate_config(raw):
     # ---- analysis (validated before solver so eps can gate dt) ----
     ab = _block(raw, "analysis", _ANALYSIS_KEYS, issues)
 
-    levels = (0.5,)
-    if "levels" in ab:
-        v = ab["levels"]
-        if (not isinstance(v, list) or not v
-                or not all(_is_num(c) and 0.0 < c < 1.0 for c in v)):
-            issues.append("analysis.levels: must be a nonempty list of "
-                          "numbers in (0, 1)")
-        else:
-            levels = tuple(float(c) for c in v)
-
-    eps_list = ()
-    if "eps" in ab:
-        v = ab["eps"]
-        if (not isinstance(v, list) or not v
-                or not all(_is_num(c) and 0.0 < c <= 1.0 for c in v)):
-            issues.append("analysis.eps: must be a nonempty list of "
-                          "numbers in (0, 1]")
-        else:
-            eps_list = tuple(float(c) for c in v)
-    elif experiment in _NEEDS_EPS:
+    levels = tuple(float(c) for c in _take(
+        ab, "analysis", "levels", _num_list(lambda c: 0.0 < c < 1.0),
+        "must be a nonempty list of numbers in (0, 1)", issues, (0.5,)))
+    eps_list = tuple(float(c) for c in _take(
+        ab, "analysis", "eps", _num_list(lambda c: 0.0 < c <= 1.0),
+        "must be a nonempty list of numbers in (0, 1]", issues, ()))
+    if "eps" not in ab and experiment in _NEEDS_EPS:
         issues.append("analysis.eps: required for %s" % experiment)
-
-    theta1_alpha = 0.5
-    if "theta1_alpha" in ab:
-        v = ab["theta1_alpha"]
-        if not (_is_num(v) and 0.0 < v < 1.0):
-            issues.append("analysis.theta1_alpha: must lie in (0, 1)")
-        else:
-            theta1_alpha = float(v)
 
     compact = None
     want = _NEEDS_COMPACT.get(experiment)
@@ -216,13 +202,9 @@ def validate_config(raw):
     elif want is not None:
         issues.append("analysis.compact: required for %s" % experiment)
 
-    A = None
-    if "A" in ab:
-        v = ab["A"]
-        if not (_is_num(v) and v > 0.0):
-            issues.append("analysis.A: must be a positive number")
-        else:
-            A = float(v)
+    A = _take(ab, "analysis", "A", lambda v: _is_num(v) and v > 0.0,
+              "must be a positive number", issues)
+    A = None if A is None else float(A)
 
     # ---- eligibility and A range (need the built kernel) ----
     if kernel is not None:
@@ -232,7 +214,7 @@ def validate_config(raw):
                 "and mu = %g (needs fat tail, f'(0) > 0, mu > 1)"
                 % (experiment, kernel.family, kernel.fprime0, kernel.mu))
         elif experiment in _NEEDS_ELIGIBLE:
-            hi = 1.0 - 1.0 / kernel.mu if math.isfinite(kernel.mu) else 1.0
+            hi = 1.0 - 1.0 / kernel.mu       # 1 when mu is infinite
             if A is None:
                 A = default_A(kernel)
             elif not (0.0 < A < hi):
@@ -241,69 +223,32 @@ def validate_config(raw):
 
     # ---- solver ----
     solver = None
-    C = 1.0
-    sb = _block(raw, "solver", _SOLVER_KEYS, issues)
-    if needs_grid and not sb:
-        issues.append("solver: block is required for %s" % experiment)
+    sb = _block(raw, "solver", _SOLVER_KEYS, issues, needed_by)
+    C = float(_take(sb, "solver", "C", lambda v: _is_num(v) and v > 0.0,
+                    "must be a positive number", issues, 1.0))
     if sb:
-        bad = False
-        dt = sb.get("dt", 0.05)
         t_end = sb.get("t_end")
-        method = sb.get("method", "RK4")
-        guard = sb.get("boundary_guard", 1e-4)
-        if not (_is_num(dt) and 0.0 < dt <= DT_MAX + 1e-12):
-            issues.append("solver.dt: must lie in (0, %g]" % DT_MAX)
-            bad = True
-        if not (_is_num(t_end) and t_end >= 0.0):
-            issues.append("solver.t_end: must be a nonnegative number")
-            t_end = None
-        if method not in ("Euler", "RK4"):
-            issues.append("solver.method: must be Euler or RK4")
-            bad = True
-        if "C" in sb:
-            if not (_is_num(sb["C"]) and sb["C"] > 0.0):
-                issues.append("solver.C: must be a positive number")
-            else:
-                C = float(sb["C"])
-        if not (_is_num(guard) and guard > 0.0):
-            issues.append("solver.boundary_guard: must be positive")
-            bad = True
-
         times = None
         if "snapshots" in sb and "snapshot_count" in sb:
             issues.append("solver: give snapshots or snapshot_count, "
                           "not both")
-        elif "snapshots" in sb:
-            v = sb["snapshots"]
-            if (not isinstance(v, list) or not v
-                    or not all(_is_num(c) for c in v)):
-                issues.append("solver.snapshots: must be a nonempty list "
-                              "of numbers")
-            else:
-                times = tuple(float(c) for c in v)
-        elif "snapshot_count" in sb:
-            v = sb["snapshot_count"]
-            if not (isinstance(v, int) and not isinstance(v, bool)
-                    and v >= 1):
-                issues.append("solver.snapshot_count: must be a positive "
-                              "integer")
-            elif t_end is not None:
-                times = tuple(t_end * i / v for i in range(1, v + 1))
+        else:
+            times = _take(sb, "solver", "snapshots", _num_list(),
+                          "must be a nonempty list of numbers", issues)
+            count = _take(sb, "solver", "snapshot_count",
+                          lambda v: _is_int(v) and v >= 1,
+                          "must be a positive integer", issues)
+            if count is not None and _is_num(t_end):
+                times = tuple(t_end * i / count for i in range(1, count + 1))
 
-        if t_end is not None:
-            if times is not None and any(
-                    not (0.0 <= s <= t_end + 1e-12) for s in times):
-                issues.append("solver.snapshots: every time must lie in "
-                              "[0, t_end]")
-                times = None
-            if not bad:
-                try:
-                    solver = SolverConfig(dt=float(dt), t_end=float(t_end),
-                                          snapshot_times=times,
-                                          method=str(method),
-                                          boundary_guard=float(guard))
-                except InvalidParams as exc:
-                    issues.append("solver: %s" % exc)
+        dt = sb.get("dt", 0.05)
+        try:
+            solver = SolverConfig(dt=dt, t_end=t_end, snapshot_times=times,
+                                  method=sb.get("method", "RK4"),
+                                  boundary_guard=sb.get("boundary_guard",
+                                                        1e-4))
+        except InvalidParams as exc:
+            issues.extend("solver.%s" % msg for msg in exc.issues)
 
         if (eps_list and _is_num(dt)
                 and experiment in ("Mutation", "CrossValidate")
@@ -313,29 +258,16 @@ def validate_config(raw):
                           % (DT_MAX, min(eps_list) * DT_MAX, dt))
 
     # ---- output ----
-    out_dir = "."
-    plot = True
-    stride = 1
     ob = _block(raw, "output", _OUTPUT_KEYS, issues)
-    if "directory" in ob:
-        if not isinstance(ob["directory"], str) or not ob["directory"]:
-            issues.append("output.directory: must be a nonempty string")
-        else:
-            out_dir = ob["directory"]
-    if "plot" in ob:
-        if not isinstance(ob["plot"], bool):
-            issues.append("output.plot: must be true or false")
-        else:
-            plot = ob["plot"]
-    if "stride" in ob:
-        v = ob["stride"]
-        if not (isinstance(v, int) and not isinstance(v, bool) and v >= 1):
-            issues.append("output.stride: must be a positive integer")
-        else:
-            stride = v
+    out_dir = _take(ob, "output", "directory",
+                    lambda v: isinstance(v, str) and bool(v),
+                    "must be a nonempty string", issues, ".")
+    plot = _take(ob, "output", "plot", lambda v: isinstance(v, bool),
+                 "must be true or false", issues, True)
+    stride = _take(ob, "output", "stride", lambda v: _is_int(v) and v >= 1,
+                   "must be a positive integer", issues, 1)
 
     if issues:
-        raise ValidationError(issues)
-    return RunConfig(experiment, spec, kernel, grid, solver, C, levels,
-                     eps_list, A, theta1_alpha, compact, out_dir, plot,
-                     stride, raw)
+        raise ValidationError(*issues)
+    return RunConfig(experiment, kernel, grid, solver, C, levels,
+                     eps_list, A, compact, out_dir, plot, stride, raw)

@@ -7,11 +7,22 @@ from numpy/scipy.
 
 
 class FatKppError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    An error raised during a time march carries the partially completed
+    run as ``.run`` (see `cauchy.march`), so callers can still write out
+    what was computed before the abort; elsewhere ``.run`` is None.
+    """
+
+    run = None
 
 
 class InvalidParams(FatKppError):
-    """Kernel family parameters outside their admissible range."""
+    """Parameters outside their admissible range; ``.issues`` lists each."""
+
+    def __init__(self, *issues):
+        self.issues = list(issues)
+        super().__init__("; ".join(self.issues))
 
 
 class DomainError(FatKppError):
@@ -55,23 +66,12 @@ class GradientOutOfRange(FatKppError):
 
 
 class BoundaryContamination(FatKppError):
-    """Solution mass reached the truncated domain boundary.
-
-    The partially completed run is attached as ``.run`` so callers can
-    still write out what was computed before the abort.
-    """
-
-    def __init__(self, message, run=None):
-        super().__init__(message)
-        self.run = run
+    """Solution mass reached the truncated domain boundary."""
 
 
-class ValidationError(FatKppError):
-    """Configuration rejected; ``.issues`` lists every problem found."""
-
-    def __init__(self, issues):
-        self.issues = list(issues)
-        super().__init__("; ".join(self.issues))
+class ValidationError(InvalidParams):
+    """Configuration (or a cross-check) rejected; ``.issues`` lists every
+    problem found."""
 
 
 class OutOfDomain(FatKppError):

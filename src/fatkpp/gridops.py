@@ -30,6 +30,19 @@ def _quad(g, a, b, epsabs, epsrel):
     return val, err
 
 
+def first_doubling(ok, R=1.0, what="doubling search"):
+    """Smallest R * 2^k (k >= 0) at which ok holds.
+
+    Radii stop at 1e300, past which doubling would overflow; NoConvergence
+    names `what` when ok fails there too.
+    """
+    while not ok(R):
+        if R >= 1e300:
+            raise NoConvergence("%s failed up to R=%g" % (what, R))
+        R = min(2.0 * R, 1e300)
+    return R
+
+
 def adaptive_integrate(g, a, b, tail=None, epsabs=1e-10, epsrel=1e-8):
     """Integrate g over (a, b) to absolute error <= epsabs + epsrel*|result|.
 
@@ -55,16 +68,10 @@ def adaptive_integrate(g, a, b, tail=None, epsabs=1e-10, epsrel=1e-8):
     a = float(a)
     rem = 0.0
     if np.isinf(b) and tail is not None:
-        R = max(a, 1.0)
         budget = 0.25 * epsabs
-        for _ in range(600):
-            rem = tail(R)
-            if rem <= budget:
-                break
-            R *= 2.0
-        else:
-            raise NoConvergence("analytic tail bound never fit the error "
-                                "budget %g (last R=%g)" % (budget, R))
+        R = first_doubling(lambda r: tail(r) <= budget, max(a, 1.0),
+                           "fitting the tail bound in %g" % budget)
+        rem = tail(R)
         # R can be enormous for slow power-law tails; one decade per panel
         # keeps each piece trivial for the Gauss-Kronrod rule
         edges = [a]
@@ -95,13 +102,8 @@ def invert_monotone(g, y, lo=0.0, hi=None, rtol=1e-10, maxiter=200):
     closed form, and as the independent route when testing the ones that do.
     """
     if hi is None:
-        hi = max(2.0 * max(lo, 1.0), 1.0)
-        for _ in range(300):
-            if g(hi) >= y:
-                break
-            hi *= 2.0
-        else:
-            raise NoConvergence("no upper bracket for inverse at y=%g" % y)
+        hi = first_doubling(lambda h: g(h) >= y, 2.0 * max(lo, 1.0),
+                            "bracketing the inverse at y=%g" % y)
     glo = g(lo)
     if glo > y:
         raise InvalidParams("g(lo)=%g already exceeds target y=%g" % (glo, y))
@@ -163,9 +165,6 @@ class Field:
         self.grid = grid
         self.values = values
 
-    def copy(self):
-        return Field(self.grid, self.values.copy())
-
 
 # ----------------------------------------------------------------------
 # discrete kernels
@@ -224,7 +223,7 @@ class DiscreteKernel:
 
 
 def discretize_kernel(kernel, grid, tail_tol=1e-6):
-    """Sample a continuum kernel's normalized density on grid offsets.
+    """Sample a continuum kernel's normalized density J_hat on grid offsets.
 
     The truncation radius R is the smallest one whose analytic two-sided
     tail bound is below tail_tol, capped at 2L (a kernel wider than that
@@ -237,8 +236,3 @@ def discretize_kernel(kernel, grid, tail_tol=1e-6):
     w = kernel.J_hat(off) * grid.dx
     lost = 1.0 - float(w.sum())
     return DiscreteKernel(grid, w, half_support=K * grid.dx, lost_mass=lost)
-
-
-def convolve(dk, field):
-    """Module-level alias for DiscreteKernel.convolve."""
-    return dk.convolve(field)

@@ -24,50 +24,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cauchy import TIME_TOL, Trajectory, _march, find_record, times_within
 from .errors import (CFLViolation, GradientOutOfRange, GridMismatch,
                      InvalidParams, NoConvergence, NonIntegrableTail,
                      NotMutationEligible, ThinTailedKernel, ValidationError)
-from .gridops import Field, adaptive_integrate
-
-_R_CAP = 1e300
+from .gridops import adaptive_integrate, first_doubling
 
 
 def _tail_log(kernel, lam, R, quad_factor=False):
     """ln of an upper bound on int_R^inf (f/f'(0))^k e^{-lam f} dh, k=0 or 2.
 
-    Uses f(h) >= f(R) + c ln(h/R) with c = R f'(R) (x f'(x) is
-    nondecreasing for every built-in family); substituting and
-    integrating the bound gives R e^{-lam f(R)} / (lam c - 1), and for
-    the quadratic factor (k=2, the kappa integrand) the Gamma-type
-    moments of the induced weight, valid once s^2 e^{-lam s} is past its
-    peak, i.e. lam f(R) >= 2.  Returns +inf while not yet applicable.
+    k=0 is `Kernel.log_tail`.  For the quadratic factor (k=2, the kappa
+    integrand) the same lower bound f(h) >= f(R) + c ln(h/R), c = R f'(R),
+    gives the Gamma-type moments of the induced weight, valid once
+    s^2 e^{-lam s} is past its peak, i.e. lam f(R) >= 2.  Returns +inf
+    while not yet applicable.
     """
-    c = R * float(kernel.f_prime(R))
-    d = lam * c - 1.0
-    if d <= 1e-12:
-        return math.inf
-    fR = float(kernel.f(R))
-    base = -lam * fR + math.log(R) - math.log(d)
-    if not quad_factor:
+    base = kernel.log_tail(R, lam)
+    if not quad_factor or math.isinf(base):
         return base
+    fR = float(kernel.f(R))
     if lam * fR < 2.0:
         return math.inf
+    c = R * float(kernel.f_prime(R))
+    d = lam * c - 1.0
     poly = fR * fR + 2.0 * fR * c / d + 2.0 * c * c / (d * d)
     return base + math.log(poly) - 2.0 * math.log(kernel.fprime0)
 
 
 def _certified_radius(kernel, lam, log_budget, quad_factor=False):
     """Smallest doubling radius whose tilted-tail bound is below budget."""
-    R = 1.0
-    for _ in range(1100):
-        if _tail_log(kernel, lam, R, quad_factor) <= log_budget:
-            return R
-        if R >= _R_CAP:
-            raise NoConvergence(
-                "tilted tail with decay rate %g cannot be certified below "
-                "exp(%g) in double precision" % (lam, log_budget))
-        R = min(2.0 * R, _R_CAP)
-    raise NoConvergence("tilted tail certification did not terminate")
+    return first_doubling(
+        lambda R: _tail_log(kernel, lam, R, quad_factor) <= log_budget,
+        what="certifying the tilted tail with decay rate %g below exp(%g)"
+        % (lam, log_budget))
 
 
 class Hamiltonian:
@@ -95,13 +85,10 @@ class Hamiltonian:
             raise NotMutationEligible(
                 "the limit Hamiltonian needs f'(0) finite positive: %r"
                 % (kernel,))
-        inv_mu = 0.0 if math.isinf(kernel.mu) else 1.0 / kernel.mu
-        if inv_mu >= 1.0:
-            raise NotMutationEligible(
-                "tail index mu = %g must exceed 1" % kernel.mu)
         self.kernel = kernel
-        self._inv_mu = inv_mu
-        self.p_max = kernel.fprime0 * (1.0 - inv_mu)
+        # 0 for the infinite-mu sentinel; build_kernel refuses mu <= 1
+        self._inv_mu = 1.0 / kernel.mu
+        self.p_max = kernel.fprime0 * (1.0 - self._inv_mu)
         self._kappa_cache = {}
         self._build_table()
 
@@ -147,7 +134,6 @@ class Hamiltonian:
         H[0] = 1.0              # the z = 0 integrand vanishes identically
         self._ptab = ptab
         self._Htab = H
-        self._table_R = R
 
     # -- evaluation -----------------------------------------------------
 
@@ -260,28 +246,18 @@ def hamiltonian_profile(H, A, n=257):
 
 
 @dataclass
-class HJSolution:
+class HJSolution(Trajectory):
     """Snapshots of the obstacle problem plus the scheme's audit trail."""
 
     hamiltonian: Hamiltonian
     grid: object
-    snapshots: list                 # [(t, Field), ...]
     sigma: float
     meta: dict
-
-    def snapshot_at(self, t, tol=1e-9):
-        for s, fld in self.snapshots:
-            if abs(s - t) <= tol:
-                return fld
-        raise KeyError("no snapshot at t=%g" % t)
 
 
 def _lf_step(H, u, dx, dt, sigma):
     """One obstacle-projected Lax-Friedrichs update with linear ghosts."""
-    upad = np.empty(u.size + 2)
-    upad[1:-1] = u
-    upad[0] = 2.0 * u[0] - u[1]
-    upad[-1] = 2.0 * u[-1] - u[-2]
+    upad = np.concatenate(([2.0 * u[0] - u[1]], u, [2.0 * u[-1] - u[-2]]))
     d = np.diff(upad) / dx
     pm = d[:-1]
     pp = d[1:]
@@ -336,40 +312,34 @@ def solve_constrained_hj(H, grid, u0, t_end, snapshots=None, dt=None,
     if snapshots is None:
         snapshots = (t_end,)
     times = sorted({float(t) for t in snapshots})
-    if times and (times[0] < 0.0 or times[-1] > t_end + 1e-12):
+    if not times_within(times, t_end):
         raise InvalidParams("snapshot times must lie within [0, t_end]")
-    if not times or times[-1] < t_end - 1e-12:
+    if not times or times[-1] < t_end - TIME_TOL:
         times.append(float(t_end))
 
-    u = u.copy()
-    recorded = []
-    t_now = 0.0
-    steps = 0
-    for t_req in times:
-        gap = t_req - t_now
-        if gap > 1e-12:
-            n = max(1, int(math.ceil(gap / min(dt_cap, gap) - 1e-9)))
-            h = gap / n
-            for _ in range(n):
-                u = _lf_step(H, u, dx, h, sigma)
-                steps += 1
-                lip = float(np.max(np.abs(np.diff(u)))) / dx
-                if lip > H.p_max:
-                    raise GradientOutOfRange(
-                        "discrete slope %g exceeded p_max = %g before t=%g; "
-                        "the a-priori Lipschitz bound failed, aborting"
-                        % (lip, H.p_max, t_req))
-            t_now = t_req
-        recorded.append((t_req, Field(grid, u.copy())))
-    meta = {
-        "sigma": sigma,
-        "lip0": lip0,
-        "dt_cap": None if math.isinf(dt_cap) else dt_cap,
-        "safety": safety,
-        "steps": steps,
-        "p_table": H.p_table,
-    }
-    return HJSolution(H, grid, recorded, sigma, meta)
+    def advance(v, h):
+        return _lf_step(H, v, dx, h, sigma)
+
+    def observe(v, t):
+        lip = float(np.max(np.abs(np.diff(v)))) / dx
+        if lip > H.p_max:
+            raise GradientOutOfRange(
+                "discrete slope %g exceeded p_max = %g at t=%g; the "
+                "a-priori Lipschitz bound failed, aborting"
+                % (lip, H.p_max, t))
+
+    def finish(records, steps):
+        meta = {
+            "sigma": sigma,
+            "lip0": lip0,
+            "dt_cap": None if math.isinf(dt_cap) else dt_cap,
+            "safety": safety,
+            "steps": steps,
+            "p_table": H.p_table,
+        }
+        return HJSolution(records, H, grid, sigma, meta)
+
+    return _march(grid, u, times, t_end, dt_cap, advance, observe, finish)
 
 
 # ----------------------------------------------------------------------
@@ -407,11 +377,10 @@ def inclusion_curves(H, A, t, n_r=101):
     """
     if t < 0.0:
         raise InvalidParams("t must be nonnegative")
-    kap_lo, kap_hi = H.kappa_bounds(A)
     r = np.linspace(0.0, 1.0, int(n_r))
     y = H.kernel.f_inv(t * (1.0 - r * r) / A)
-    lo = float(np.max(2.0 * math.sqrt(kap_lo) * r * t + y))
-    hi = float(np.max(2.0 * math.sqrt(kap_hi) * r * t + y))
+    lo, hi = (float(np.max(2.0 * math.sqrt(kap) * r * t + y))
+              for kap in H.kappa_bounds(A))
     return lo, hi
 
 
@@ -453,17 +422,15 @@ def cross_validate(mutation_runs, hj, x_window, times=None, min_cells=10):
     for mr in sorted(mutation_runs, key=lambda m: -m.eps):
         worst = 0.0
         for t in times:
-            ue, _ = mr.potential_at(t)
+            _, ue, _ = find_record(mr.potentials, t)
             ui = np.interp(xs, mr.run.grid.x, ue)
             gap = float(np.max(np.abs(ui - hj.snapshot_at(t).values[sel])))
             worst = max(worst, gap)
         rows.append((mr.eps, worst))
-    issues = []
-    for (e_big, v_big), (e_small, v_small) in zip(rows[:-1], rows[1:]):
-        if v_small > v_big:
-            issues.append(
-                "sup error grew from %g (eps=%g) to %g (eps=%g)"
-                % (v_big, e_big, v_small, e_small))
+    issues = ["sup error grew from %g (eps=%g) to %g (eps=%g)"
+              % (v_big, e_big, v_small, e_small)
+              for (e_big, v_big), (e_small, v_small) in zip(rows, rows[1:])
+              if v_small > v_big]
     if issues:
-        raise ValidationError(issues)
+        raise ValidationError(*issues)
     return rows

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import (DomainError, InvalidParams, NoConvergence,
                      NonIntegrableTail)
-from .gridops import adaptive_integrate
+from .gridops import adaptive_integrate, first_doubling
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def _build_subexponential(spec):
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
                 fprime0=0.0, fprime_sup=float(fp(np.asarray(x_star))),
                 x_peak=x_star, x_conc=x_star,
-                mu=math.inf, ratio_limit=a, fat_tailed=True,
+                mu=math.inf, fat_tailed=True,
                 params={"alpha": a})
 
 
@@ -99,7 +99,7 @@ def _build_polynomial(spec):
 
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
                 fprime0=0.0, fprime_sup=q, x_peak=1.0, x_conc=1.0,
-                mu=1.0 + a, ratio_limit=0.0, fat_tailed=True,
+                mu=1.0 + a, fat_tailed=True,
                 params={"alpha": a})
 
 
@@ -121,7 +121,7 @@ def _build_loglinear(spec):
 
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
                 fprime0=b, fprime_sup=b, x_peak=0.0, x_conc=0.0,
-                mu=b, ratio_limit=0.0, fat_tailed=True,
+                mu=b, fat_tailed=True,
                 params={"beta": b})
 
 
@@ -145,7 +145,7 @@ def _build_powershift(spec):
 
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
                 fprime0=b * a, fprime_sup=b * a, x_peak=0.0, x_conc=0.0,
-                mu=math.inf, ratio_limit=a, fat_tailed=True,
+                mu=math.inf, fat_tailed=True,
                 params={"b": b, "alpha": a})
 
 
@@ -170,7 +170,7 @@ def _build_gaussian(spec):
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
                 fprime0=0.0, fprime_sup=math.inf,
                 x_peak=math.inf, x_conc=math.inf,
-                mu=math.inf, ratio_limit=2.0, fat_tailed=False,
+                mu=math.inf, fat_tailed=False,
                 params={"sigma": s})
 
 
@@ -205,7 +205,6 @@ class Kernel:
     """
 
     def __init__(self, spec, impl, Z):
-        self.spec = spec
         self.family = spec.family
         self.params = impl["params"]
         self._fr = impl["f"]
@@ -213,17 +212,18 @@ class Kernel:
         self._fppr = impl["fpp"]
         self._finv = impl["finv"]
         self.fprime0 = float(impl["fprime0"])
-        self.fprime_sup = impl["fprime_sup"]
-        self.x_peak = impl["x_peak"]
-        self.x_conc = impl["x_conc"]
-        self.mu = impl["mu"]
-        self.ratio_limit = impl["ratio_limit"]
-        self.fat_tailed = impl["fat_tailed"]
+        for name in ("fprime_sup", "x_peak", "x_conc", "mu", "fat_tailed"):
+            setattr(self, name, impl[name])
         self.Z = float(Z)
 
     def __repr__(self):
         ps = ", ".join("%s=%g" % kv for kv in sorted(self.params.items()))
         return "Kernel(%s, %s)" % (self.family, ps)
+
+    def manifest(self):
+        """The {family, params, Z, mu} block every run manifest starts with."""
+        return {"family": self.family, "params": dict(self.params),
+                "Z": self.Z, "mu": self.mu}
 
     @property
     def mutation_eligible(self):
@@ -260,44 +260,42 @@ class Kernel:
 
     def J(self, x):
         """Shape kernel exp(-f(|x|)); J(0) = 1."""
-        arr = np.abs(np.asarray(x, dtype=float))
-        out = np.exp(-self._fr(arr))
-        return float(out) if np.ndim(x) == 0 else out
+        return self._radial(lambda r: np.exp(-self._fr(r)), x)
 
     def J_hat(self, x):
         """Probability-normalized density J(x)/Z."""
-        arr = np.abs(np.asarray(x, dtype=float))
-        out = np.exp(-self._fr(arr)) / self.Z
-        return float(out) if np.ndim(x) == 0 else out
+        return self.J(x) / self.Z
 
     def J_inv(self, v):
         """Inverse of J on [0, inf) for v in (0, 1]."""
         arr = np.asarray(v, dtype=float)
         if np.any(arr <= 0.0) or np.any(arr > 1.0):
             raise DomainError("J_inv needs v in (0, 1]")
-        out = self._finv(-np.log(arr))
-        return float(out) if np.ndim(v) == 0 else out
+        return self.f_inv(-np.log(arr))
 
     # -- tails --
 
-    def _shape_tail(self, R):
-        """Upper bound on the one-sided unnormalized tail int_R^inf e^-f.
+    def log_tail(self, R, lam=1.0):
+        """ln of an upper bound on the tilted tail int_R^inf e^{-lam f(h)} dh.
 
         Uses that x f'(x) is nondecreasing for every built-in family, so
         f(h) >= f(R) + c ln(h/R) with c = R f'(R) for h >= R, giving
-        tail <= e^{-f(R)} R/(c-1) once c > 1.  Returns inf while c <= 1.
+        tail <= R e^{-lam f(R)}/(lam c - 1) once lam c > 1.  Returns +inf
+        while lam c <= 1.  Log space keeps slow tails (lam c barely above
+        1, f(R) in the hundreds) from overflowing before they are small.
         """
         R = float(R)
         if R <= 0.0:
             return math.inf
-        c = R * self._fpr(np.asarray(R))
-        if c <= 1.0 + 1e-12:
+        d = lam * R * float(self._fpr(np.asarray(R))) - 1.0
+        if d <= 1e-12:
             return math.inf
-        return math.exp(-float(self._fr(np.asarray(R)))) * R / (c - 1.0)
+        return -lam * float(self._fr(np.asarray(R))) + math.log(R) \
+            - math.log(d)
 
     def tail_bound(self, R):
         """Upper bound on the one-sided normalized tail int_R^inf Jhat."""
-        return self._shape_tail(R) / self.Z
+        return math.exp(self.log_tail(R)) / self.Z
 
     def half_support(self, tail_tol):
         """Smallest radius R with two-sided tail mass bound <= tail_tol.
@@ -309,13 +307,8 @@ class Kernel:
         if tail_tol <= 0.0:
             raise InvalidParams("tail_tol must be positive")
         side = 0.5 * tail_tol
-        R = 1.0
-        for _ in range(240):
-            if self.tail_bound(R) <= side:
-                break
-            R *= 2.0
-        else:
-            raise NoConvergence("tail bound never reached %g" % side)
+        R = first_doubling(lambda r: self.tail_bound(r) <= side,
+                           what="bounding the tail by %g" % side)
         lo, hi = 0.5 * R, R
         if R == 1.0:
             lo = 1e-9
@@ -347,33 +340,9 @@ def build_kernel(spec):
                                 "diverges" % impl["mu"])
     probe = Kernel(spec, impl, Z=1.0)    # Z placeholder to reuse the bound
     Z = 2.0 * adaptive_integrate(lambda h: math.exp(-impl["f"](np.asarray(h))),
-                                 0.0, np.inf, tail=probe._shape_tail,
+                                 0.0, np.inf, tail=probe.tail_bound,
                                  epsabs=1e-12, epsrel=1e-12)
     return Kernel(spec, impl, Z=Z)
-
-
-# ----------------------------------------------------------------------
-# operation-style wrappers (the names the rest of the package talks about)
-
-
-def eval_J(kernel, x):
-    return kernel.J(x)
-
-
-def eval_f(kernel, x):
-    return kernel.f(x)
-
-
-def eval_f_prime(kernel, x):
-    return kernel.f_prime(x)
-
-
-def inv_f(kernel, y):
-    return kernel.f_inv(y)
-
-
-def inv_J(kernel, v):
-    return kernel.J_inv(v)
 
 
 # ----------------------------------------------------------------------
@@ -452,9 +421,8 @@ def validate_hypotheses(kernel, mass_tol=1e-8, roundtrip_tol=1e-9):
         concavity_ok = not k.fat_tailed   # thin-tailed control: vacuous
 
     xt = np.geomspace(1e3, 1e8, 120)
-    ratio = xt * k.f_prime(xt) / k.f(xt)
-    ratio_tail_max = float(np.max(ratio))
     index = xt * k.f_prime(xt)
+    ratio_tail_max = float(np.max(index / k.f(xt)))
     tail_index_min = float(np.min(index))
 
     fat_ok = (ratio_tail_max < 1.0) == k.fat_tailed

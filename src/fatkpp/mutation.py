@@ -8,15 +8,18 @@ the ordinary stepper with a 1/eps rate factor, and the potential
 u = -eps ln n is the quantity the Hamilton-Jacobi limit speaks about.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import binary_erosion
 
-from .cauchy import DT_MAX, run as cauchy_run
+from .cauchy import check_rate, run as cauchy_run
 from .errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
                      NotMutationEligible)
-from .gridops import DiscreteKernel, Field, adaptive_integrate, invert_monotone
+from .gridops import (Field, adaptive_integrate, discretize_kernel,
+                      invert_monotone)
+from .propagation import dilation, potential_of
 
 _JUMP_MAPS = ("contraction", "linearized")
 
@@ -29,15 +32,21 @@ def _require_eligible(kernel):
 
 
 def contraction(kernel, eps, h):
-    """m_eps(h) = sign(h) f_inv(eps f(|h|)); odd, and m_1 = identity."""
+    """m_eps(h) = sign(h) f_inv(eps f(|h|)); odd, and m_1 = identity.
+
+    This is the inverse of the long-range dilation Psi_eps."""
     _require_eligible(kernel)
-    if not (0.0 < eps <= 1.0):
-        raise InvalidParams("contraction needs eps in (0, 1]")
-    h = np.asarray(h, dtype=float)
-    if eps == 1.0:
-        out = h.copy()
-    else:
-        out = np.sign(h) * kernel.f_inv(eps * kernel.f(np.abs(h)))
+    return dilation(kernel, eps).inverse(h)
+
+
+def _pushforward(kernel, eps, h, at_pos):
+    """A jump density: its h = 0 limit 1/(Z eps), at_pos(|h|) elsewhere."""
+    a = np.abs(np.asarray(h, dtype=float))
+    out = np.empty_like(a)
+    zero = a == 0.0
+    out[zero] = 1.0 / (kernel.Z * eps)
+    if not zero.all():
+        out[~zero] = at_pos(a[~zero])
     return out if out.ndim else float(out)
 
 
@@ -51,18 +60,13 @@ def rescaled_density(kernel, eps, h):
     _require_eligible(kernel)
     if not (0.0 < eps <= 1.0):
         raise InvalidParams("rescaled_density needs eps in (0, 1]")
-    h = np.asarray(h, dtype=float)
-    a = np.abs(h)
-    out = np.empty_like(a)
-    zero = a == 0.0
-    out[zero] = 1.0 / (kernel.Z * eps)
-    pos = ~zero
-    if pos.any():
-        ap = a[pos]
+
+    def at_pos(ap):
         psi = kernel.f_inv(kernel.f(ap) / eps)
-        out[pos] = (kernel.f_prime(ap) / kernel.f_prime(psi)
-                    * np.exp(-kernel.f(ap) / eps)) / (kernel.Z * eps)
-    return out if out.ndim else float(out)
+        return (kernel.f_prime(ap) / kernel.f_prime(psi)
+                * np.exp(-kernel.f(ap) / eps)) / (kernel.Z * eps)
+
+    return _pushforward(kernel, eps, h, at_pos)
 
 
 def _linearized_jump(kernel, eps, h):
@@ -75,18 +79,13 @@ def _linearized_jump(kernel, eps, h):
 
 
 def _linearized_density(kernel, eps, h):
-    h = np.asarray(h, dtype=float)
-    a = np.abs(h)
-    out = np.empty_like(a)
-    zero = a == 0.0
-    out[zero] = 1.0 / (kernel.Z * eps)      # f'(g(0)) = f'(0) cancels
-    pos = ~zero
-    if pos.any():
-        g = kernel.f_inv(kernel.fprime0 * a[pos] / eps)
-        out[pos] = (kernel.fprime0 / (kernel.Z * eps)
-                    * np.exp(-kernel.fprime0 * a[pos] / eps)
-                    / kernel.f_prime(g))
-    return out if out.ndim else float(out)
+    # at h = 0, f'(g(0)) = f'(0) cancels against the prefactor
+    def at_pos(ap):
+        g = kernel.f_inv(kernel.fprime0 * ap / eps)
+        return (kernel.fprime0 / (kernel.Z * eps)
+                * np.exp(-kernel.fprime0 * ap / eps) / kernel.f_prime(g))
+
+    return _pushforward(kernel, eps, h, at_pos)
 
 
 @dataclass
@@ -109,7 +108,8 @@ class MutationKernel:
             return contraction(self.base, self.eps, h)
         return _linearized_jump(self.base, self.eps, h)
 
-    def density(self, h):
+    def J_hat(self, h):
+        """Normalized density of the rescaled jumps."""
         if self.jump_map == "contraction":
             return rescaled_density(self.base, self.eps, h)
         return _linearized_density(self.base, self.eps, h)
@@ -128,7 +128,7 @@ class MutationKernel:
         return float(self.m(base_R))
 
     def mass(self):
-        val = adaptive_integrate(lambda h: self.density(h), 0.0, np.inf,
+        val = adaptive_integrate(self.J_hat, 0.0, np.inf,
                                  tail=self.tail_bound)
         return 2.0 * val
 
@@ -136,7 +136,7 @@ class MutationKernel:
         """int f(|h|)^2 dJ_eps by direct quadrature on this density."""
         f = self.base.f
         val = adaptive_integrate(
-            lambda h: f(h) ** 2 * self.density(h), 0.0, np.inf,
+            lambda h: f(h) ** 2 * self.J_hat(h), 0.0, np.inf,
             epsabs=1e-12)
         return 2.0 * val
 
@@ -165,12 +165,7 @@ def discretize_mutation_kernel(mk, grid, tail_tol=1e-6):
         raise GridTooCoarse(
             "dx = %g cannot resolve the rescaled kernel: need dx <= "
             "m_eps(h0)/4 = %g (h0 = %g)" % (grid.dx, scale / 4.0, h0))
-    R = min(mk.half_support(tail_tol), 2.0 * grid.L)
-    K = max(1, int(np.ceil(R / grid.dx)))
-    off = grid.dx * np.arange(-K, K + 1)
-    w = mk.density(off) * grid.dx
-    lost = 1.0 - float(w.sum())
-    return DiscreteKernel(grid, w, half_support=K * grid.dx, lost_mass=lost)
+    return discretize_kernel(mk, grid, tail_tol)
 
 
 # ----------------------------------------------------------------------
@@ -180,9 +175,7 @@ def discretize_mutation_kernel(mk, grid, tail_tol=1e-6):
 def default_A(kernel):
     """Midpoint of the admissible interval (0, 1 - 1/mu)."""
     _require_eligible(kernel)
-    if not np.isfinite(kernel.mu):
-        return 0.5
-    return 0.5 * (1.0 - 1.0 / kernel.mu)
+    return 0.5 * (1.0 - 1.0 / kernel.mu)      # 0.5 when mu is infinite
 
 
 def growth_bound(kernel, A):
@@ -194,31 +187,20 @@ def growth_bound(kernel, A):
             "A = %g outside (0, 1 - 1/mu) = (0, %g): e^{A f} Jhat has a "
             "divergent tail" % (A, 1.0 - 1.0 / kernel.mu))
     lam = 1.0 - A
-
-    def tail(R):
-        c = lam * R * kernel.f_prime(R)
-        if c <= 1.0 + 1e-12:
-            return np.inf
-        return np.exp(-lam * kernel.f(R)) * R / (c - 1.0)
-
     val = adaptive_integrate(lambda h: np.exp(-lam * kernel.f(h)),
-                             0.0, np.inf, tail=tail)
+                             0.0, np.inf,
+                             tail=lambda R: math.exp(kernel.log_tail(R, lam)))
     return 2.0 * val / kernel.Z
 
 
-def fd_condition(kernel, u0, A, grid=None, pairs=10_000, seed=0):
+def fd_condition(kernel, u0, A, pairs=10_000, seed=0):
     """Worst violation of u(x+h) - u(x) >= -A f(|h|) over random pairs.
 
-    Returns the max over sampled pairs of -A f(|x_j - x_i|) - (u_j - u_i);
-    nonpositive (up to roundoff) means the condition holds.
+    u0 is a Field.  Returns the max over sampled pairs of
+    -A f(|x_j - x_i|) - (u_j - u_i); nonpositive (up to roundoff) means
+    the condition holds.
     """
-    if isinstance(u0, Field):
-        grid = u0.grid
-        u = u0.values
-    else:
-        u = np.asarray(u0, dtype=float)
-        if grid is None:
-            raise InvalidParams("fd_condition needs a grid for raw arrays")
+    grid, u = u0.grid, u0.values
     rng = np.random.default_rng(seed)
     i = rng.integers(0, grid.N, size=pairs)
     j = rng.integers(0, grid.N, size=pairs)
@@ -251,7 +233,7 @@ def mutation_initial_data(kernel, grid, A=None, u0_values=None,
     _require_eligible(kernel)
     if A is None:
         A = default_A(kernel)
-    hi = 1.0 - 1.0 / kernel.mu if np.isfinite(kernel.mu) else 1.0
+    hi = 1.0 - 1.0 / kernel.mu           # 1 when mu is infinite
     if not (0.0 < A < hi):
         raise InvalidParams("A = %g outside the admissible (0, %g)"
                             % (A, hi))
@@ -282,19 +264,6 @@ class MutationRun:
     potentials: list                # [(t, u values, floored mask), ...]
     jump_map: str
 
-    def potential_at(self, t, tol=1e-9):
-        for s, u, m in self.potentials:
-            if abs(s - t) <= tol:
-                return u, m
-        raise KeyError("no potential snapshot at t=%g" % t)
-
-
-def potential_of(field_values, eps):
-    """u = -eps ln n with the documented 1e-300 floor and its mask."""
-    floored = field_values < 1e-300
-    u = -eps * np.log(np.maximum(field_values, 1e-300))
-    return u, floored
-
 
 def discrete_lipschitz(u, grid, margin=0):
     """max |u(x+dx) - u(x)|/dx over nodes at least margin cells from the
@@ -315,23 +284,18 @@ def mutation_run(kernel, grid, eps, config, init, jump_map="contraction",
     """Integrate eps dn/dt = J_eps*n - n + n(1-n) from n0 = e^{-u0/eps}.
 
     config.dt is slow time; the effective fast step dt/eps must respect
-    the usual stability ceiling, enforced here as dt <= eps*dt_max.
+    the usual stability ceiling, checked before the rescaled kernel is
+    built so that a too-large step is reported as such.
     """
     _require_eligible(kernel)
     if not (0.0 < eps <= 1.0):
         raise InvalidParams("eps must lie in (0, 1]")
-    if config.dt > eps * DT_MAX + 1e-15:
-        raise InvalidParams(
-            "dt = %g too large for eps = %g: need dt <= eps*%g"
-            % (config.dt, eps, DT_MAX))
+    check_rate(config.dt, 1.0 / eps)
     mk = build_mutation_kernel(kernel, eps, jump_map)
     dk = discretize_mutation_kernel(mk, grid, tail_tol)
     n0 = init.n0(eps)
     sim = cauchy_run(kernel, grid, config, n0, dk=dk, rate_scale=1.0 / eps)
-    pots = []
-    for t, fld in sim.snapshots:
-        u, mask = potential_of(fld.values, eps)
-        pots.append((t, u, mask))
+    pots = [(t,) + potential_of(fld.values, eps) for t, fld in sim.snapshots]
     sim.manifest["eps"] = eps
     sim.manifest["A"] = init.A
     sim.manifest["jump_map"] = jump_map

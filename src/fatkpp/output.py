@@ -7,6 +7,7 @@ text assembled from the same formatting rules, so a repeated run
 produces byte-identical files.
 """
 
+import itertools
 import json
 import math
 import os
@@ -32,6 +33,16 @@ def _cell(v):
     return FLOAT_FMT % float(v)
 
 
+def _write_lines(path, lines):
+    """Write an iterable of text lines; OS failures raise IoError."""
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.writelines(lines)
+    except OSError as exc:
+        raise IoError("cannot write %s: %s" % (path, exc))
+    return path
+
+
 def write_csv(path, header, columns):
     """Write equal-length columns under a comma-separated header."""
     columns = [np.asarray(c) for c in columns]
@@ -40,14 +51,15 @@ def write_csv(path, header, columns):
         if len(c) != n:
             raise IoError("column lengths disagree: %d vs %d"
                           % (len(c), n))
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for i in range(n):
-                fh.write(",".join(_cell(c[i]) for c in columns) + "\n")
-    except OSError as exc:
-        raise IoError("cannot write %s: %s" % (path, exc))
-    return path
+    rows = (",".join(_cell(c[i]) for c in columns) + "\n" for i in range(n))
+    return _write_lines(path, itertools.chain([",".join(header) + "\n"],
+                                              rows))
+
+
+def write_rows(path, header, rows):
+    """Write a table given row by row (an empty table keeps its header)."""
+    columns = list(zip(*rows)) if rows else [[]] * len(header)
+    return write_csv(path, header, columns)
 
 
 def write_field_csv(path, field, value_name="value", stride=1):
@@ -58,104 +70,83 @@ def write_field_csv(path, field, value_name="value", stride=1):
 
 def write_snapshots(outdir, run, stride=1):
     """snapshot_t<time>.csv per stored snapshot; returns the paths."""
-    paths = []
-    for t, fld in run.snapshots:
-        path = os.path.join(outdir, "snapshot_t%g.csv" % t)
-        paths.append(write_field_csv(path, fld, value_name="n",
-                                     stride=stride))
-    return paths
+    return [write_field_csv(os.path.join(outdir, "snapshot_t%g.csv" % t),
+                            fld, value_name="n", stride=stride)
+            for t, fld in run.snapshots]
 
 
 def write_monitors(outdir, run):
-    m = run.monitors
-    names = ("t", "n_min", "n_max", "boundary_density", "clamp_total")
-    return write_csv(os.path.join(outdir, "monitors.csv"), names,
-                     tuple(m[k] for k in names))
+    return write_csv(os.path.join(outdir, "monitors.csv"),
+                     tuple(run.monitors), tuple(run.monitors.values()))
 
 
 def write_front_csv(outdir, tracks, kernel):
     """All level tracks in one table against the front law columns."""
-    cols = {k: [] for k in ("t", "level", "x_level", "f_inv_t",
-                            "ratio_f_over_t", "garnier_lo", "garnier_hi")}
+    rows = []
     for tr in tracks:
         for i, t in enumerate(tr.times):
             x = tr.positions[i]
-            cols["t"].append(t)
-            cols["level"].append(tr.level)
-            cols["x_level"].append(x)
-            cols["f_inv_t"].append(tr.predicted[i])
-            if math.isfinite(x) and t > 0.0:
-                cols["ratio_f_over_t"].append(kernel.f(x) / t)
-            else:
-                cols["ratio_f_over_t"].append(float("nan"))
-            cols["garnier_lo"].append(tr.garnier_lo[i])
-            cols["garnier_hi"].append(tr.garnier_hi[i])
-    return write_csv(os.path.join(outdir, "front.csv"), tuple(cols),
-                     tuple(cols.values()))
+            ratio = (kernel.f(x) / t if math.isfinite(x) and t > 0.0
+                     else float("nan"))
+            rows.append((t, tr.level, x, tr.predicted[i], ratio,
+                         tr.garnier_lo[i], tr.garnier_hi[i]))
+    return write_rows(os.path.join(outdir, "front.csv"),
+                      ("t", "level", "x_level", "f_inv_t", "ratio_f_over_t",
+                       "garnier_lo", "garnier_hi"), rows)
 
 
 def write_envelope_csv(outdir, rows):
     """rows: (t, theta_hat, lo_violation, hi_violation) per snapshot."""
-    names = ("t", "theta_hat", "sandwich_lo_violation",
-             "sandwich_hi_violation")
-    cols = list(zip(*rows)) if rows else [[], [], [], []]
-    return write_csv(os.path.join(outdir, "envelope.csv"), names, cols)
+    return write_rows(os.path.join(outdir, "envelope.csv"),
+                      ("t", "theta_hat", "sandwich_lo_violation",
+                       "sandwich_hi_violation"), rows)
+
+
+def write_long_csv(path, names, xs, rows):
+    """Long-format table: a (t, x, values...) row per time and x.
+
+    rows holds one (t, value arrays over xs) pair per time, the arrays in
+    the order of names; rows keep time order, then x order.
+    """
+    ts = np.repeat([t for t, _ in rows], len(xs))
+    values = [np.concatenate(col) for col in zip(*(v for _, v in rows))]
+    return write_csv(path, ("t", "x") + tuple(names),
+                     [ts, np.tile(xs, len(rows))] + values)
 
 
 def write_hopfcole_csv(outdir, hc):
     """One rescaled field: rows are the (t, x) product in grid order."""
-    nt, nx = hc.u.shape
-    tt = np.repeat(hc.times, nx)
-    xx = np.tile(hc.xs, nt)
     err = np.abs(hc.u - hc.limit)
-    path = os.path.join(outdir, "hopfcole_eps%g.csv" % hc.eps)
-    return write_csv(path, ("t", "x", "u_eps", "u_limit", "abs_err"),
-                     (tt, xx, hc.u.ravel(), hc.limit.ravel(),
-                      err.ravel()))
+    return write_long_csv(os.path.join(outdir, "hopfcole_eps%g.csv" % hc.eps),
+                          ("u_eps", "u_limit", "abs_err"), hc.xs,
+                          list(zip(hc.times, zip(hc.u, hc.limit, err))))
 
 
 def write_mutation_csv(outdir, mrun, stride=1):
     """Density and potential per snapshot of one small-eps run."""
-    g = mrun.run.grid
-    xs = g.x[::stride]
-    cols = {k: [] for k in ("t", "x", "n_eps", "u_eps", "floored_flag")}
-    for (t, fld), (_, u, floored) in zip(mrun.run.snapshots,
-                                         mrun.potentials):
-        cols["t"].append(np.full(xs.size, t))
-        cols["x"].append(xs)
-        cols["n_eps"].append(fld.values[::stride])
-        cols["u_eps"].append(u[::stride])
-        cols["floored_flag"].append(floored[::stride].astype(int))
-    path = os.path.join(outdir, "mutation_eps%g.csv" % mrun.eps)
-    return write_csv(path, tuple(cols),
-                     tuple(np.concatenate(v) for v in cols.values()))
+    rows = [(t, (fld.values[::stride], u[::stride],
+                 floored[::stride].astype(int)))
+            for (t, fld), (_, u, floored) in zip(mrun.run.snapshots,
+                                                 mrun.potentials)]
+    return write_long_csv(os.path.join(outdir, "mutation_eps%g.csv"
+                                       % mrun.eps),
+                          ("n_eps", "u_eps", "floored_flag"),
+                          mrun.run.grid.x[::stride], rows)
 
 
 def write_limits_csv(outdir, grid, labelled, stride=1):
     """labelled: (t, regions) pairs, regions a length-N character array."""
-    xs = grid.x[::stride]
-    ts, xcol, rcol = [], [], []
-    for t, regions in labelled:
-        ts.append(np.full(xs.size, t))
-        xcol.append(xs)
-        rcol.append(np.asarray(regions)[::stride])
-    return write_csv(os.path.join(outdir, "limits.csv"),
-                     ("t", "x", "region"),
-                     (np.concatenate(ts), np.concatenate(xcol),
-                      np.concatenate(rcol)))
+    return write_long_csv(os.path.join(outdir, "limits.csv"), ("region",),
+                          grid.x[::stride],
+                          [(t, (np.asarray(r)[::stride],))
+                           for t, r in labelled])
 
 
 def write_hj_solution_csv(outdir, sol, stride=1):
-    xs = sol.grid.x[::stride]
-    ts, xcol, ucol = [], [], []
-    for t, fld in sol.snapshots:
-        ts.append(np.full(xs.size, t))
-        xcol.append(xs)
-        ucol.append(fld.values[::stride])
-    return write_csv(os.path.join(outdir, "hj_solution.csv"),
-                     ("t", "x", "u"),
-                     (np.concatenate(ts), np.concatenate(xcol),
-                      np.concatenate(ucol)))
+    return write_long_csv(os.path.join(outdir, "hj_solution.csv"), ("u",),
+                          sol.grid.x[::stride],
+                          [(t, (fld.values[::stride],))
+                           for t, fld in sol.snapshots])
 
 
 def write_hamiltonian_csv(outdir, ps, Hs, lower, upper):
@@ -166,21 +157,14 @@ def write_hamiltonian_csv(outdir, ps, Hs, lower, upper):
 
 def write_zeroset_csv(outdir, rows):
     """rows: (t, left, right, example_lo, example_hi) per snapshot."""
-    names = ("t", "x_boundary_left", "x_boundary_right", "example_lo",
-             "example_hi")
-    cols = list(zip(*rows)) if rows else [[]] * 5
-    return write_csv(os.path.join(outdir, "zeroset.csv"), names, cols)
+    return write_rows(os.path.join(outdir, "zeroset.csv"),
+                      ("t", "x_boundary_left", "x_boundary_right",
+                       "example_lo", "example_hi"), rows)
 
 
 def _json_default(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
+    if isinstance(v, (np.generic, np.ndarray)):
+        return v.tolist()           # numpy scalars become Python scalars
     raise TypeError("not JSON serializable: %r" % type(v))
 
 
@@ -196,15 +180,9 @@ def write_run_json(outdir, config_raw, manifest, aborted=False,
     }
     if extra:
         doc.update(extra)
-    path = os.path.join(outdir, "run.json")
-    try:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True,
-                      default=_json_default)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError("cannot write %s: %s" % (path, exc))
-    return path
+    return _write_lines(os.path.join(outdir, "run.json"),
+                        [json.dumps(doc, indent=2, sort_keys=True,
+                                    default=_json_default), "\n"])
 
 
 # ----------------------------------------------------------------------
@@ -215,16 +193,25 @@ _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 64, 16, 28, 44
 
 
-def _ticks(lo, hi, n=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    return np.linspace(lo, hi, n)
-
-
 def _scale(v, lo, hi, a, b):
-    if hi <= lo:
-        return 0.5 * (a + b)
     return a + (v - lo) * (b - a) / (hi - lo)
+
+
+def _thin(xs, ys, cols, width):
+    """Keep the min and the max point of each pixel column, in x order.
+
+    cols are the points' pixel offsets from the plot's left edge; a series
+    of at most two points per column of the plot width passes unchanged.
+    """
+    if xs.size <= 2 * width:
+        return xs, ys
+    col = np.clip(cols.astype(int), 0, width - 1)
+    order = np.lexsort((ys, col))           # by column, then by y
+    first = np.flatnonzero(np.diff(col[order], prepend=-1))
+    last = np.append(first[1:], order.size) - 1
+    keep = np.unique(order[np.concatenate((first, last))])
+    keep = keep[np.argsort(xs[keep], kind="stable")]
+    return xs[keep], ys[keep]
 
 
 def emit_svg_plot(path, series, title="", xlabel="", ylabel="",
@@ -233,8 +220,10 @@ def emit_svg_plot(path, series, title="", xlabel="", ylabel="",
 
     Non-finite points are dropped per series (with logy, so are y <= 0).
     A series left with a single point draws a circle marker instead of a
-    line.  If nothing at all survives, IoError is raised and no file is
-    created.  Output depends only on the inputs, never on the clock.
+    line; a longer one is thinned to the lowest and highest point of each
+    pixel column.  If nothing at all survives, IoError is raised and no
+    file is created.  Output depends only on the inputs, never on the
+    clock.
     """
     clean = []
     for label, xs, ys in series:
@@ -283,13 +272,13 @@ def emit_svg_plot(path, series, title="", xlabel="", ylabel="",
                % (x0, y0, x1, y0))
     out.append('<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="black"/>'
                % (x0, y0, x0, y1))
-    for tv in _ticks(xlo, xhi):
+    for tv in np.linspace(xlo, xhi, 5):
         xpix = px(tv)
         out.append('<line x1="%.2f" y1="%d" x2="%.2f" y2="%d" '
                    'stroke="black"/>' % (xpix, y0, xpix, y0 + 5))
         out.append('<text x="%.2f" y="%d" text-anchor="middle">%s</text>'
                    % (xpix, y0 + 18, "%.4g" % tv))
-    for tv in _ticks(ylo, yhi):
+    for tv in np.linspace(ylo, yhi, 5):
         ypix = py(tv)
         out.append('<line x1="%d" y1="%.2f" x2="%d" y2="%.2f" '
                    'stroke="black"/>' % (x0 - 5, ypix, x0, ypix))
@@ -311,6 +300,7 @@ def emit_svg_plot(path, series, title="", xlabel="", ylabel="",
             out.append('<circle cx="%.2f" cy="%.2f" r="3" fill="%s"/>'
                        % (px(xs[0]), py(ys[0]), color))
         else:
+            xs, ys = _thin(xs, ys, px(xs) - x0, x1 - x0)
             pts = " ".join("%.2f,%.2f" % (px(a), py(b))
                            for a, b in zip(xs, ys))
             out.append('<polyline fill="none" stroke="%s" '
@@ -323,13 +313,7 @@ def emit_svg_plot(path, series, title="", xlabel="", ylabel="",
                    % (x1 - 124, ly, _esc(label)))
     out.append('</g>')
     out.append('</svg>')
-
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(out) + "\n")
-    except OSError as exc:
-        raise IoError("cannot write %s: %s" % (path, exc))
-    return path
+    return _write_lines(path, (line + "\n" for line in out))
 
 
 def _esc(s):

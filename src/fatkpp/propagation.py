@@ -145,17 +145,13 @@ def envelope_sandwich_report(run, C=1.0, dk=None, t_early=1e-3, x_cut=None):
         sel &= np.abs(grid.x) <= x_cut
     absx = np.abs(grid.x[sel])
 
-    times = [t for t, _ in run.snapshots]
-    thetas = {}
-    for t in times:
-        thetas[t] = envelope_residual(kernel, grid, max(t, t_early), dk=dk)
-    th0 = envelope_residual(kernel, grid, t_early, dk=dk)
-
+    thetas = [envelope_residual(kernel, grid, max(t, t_early), dk=dk)
+              for t, _ in run.snapshots]
+    prev_th = envelope_residual(kernel, grid, t_early, dk=dk)
     rows = []
     acc = 0.0
-    prev_t, prev_th = 0.0, th0
-    for t, fld in run.snapshots:
-        th = thetas[t]
+    prev_t = 0.0
+    for (t, fld), th in zip(run.snapshots, thetas):
         if t > prev_t:
             acc += 0.5 * (th + prev_th) * (t - prev_t)
         prev_t, prev_th = t, th
@@ -205,15 +201,10 @@ def track_level(run, level, delta=0.2, rho=2.0):
         raise InvalidParams("refusing to track fronts of a contaminated run")
     kernel = run.kernel
     x = run.grid.x
-    ts, pos, pred, glo, ghi = [], [], [], [], []
-    for t, fld in run.snapshots:
-        ts.append(t)
-        pos.append(_rightmost_crossing(x, fld.values, level))
-        pred.append(kernel.f_inv(t))
-        glo.append(kernel.J_inv(np.exp(-(1.0 - delta) * t)))
-        ghi.append(kernel.J_inv(np.exp(-rho * t)))
-    return FrontTrack(level, np.asarray(ts), np.asarray(pos),
-                      np.asarray(pred), np.asarray(glo), np.asarray(ghi))
+    rows = [(t, _rightmost_crossing(x, fld.values, level), kernel.f_inv(t),
+             kernel.J_inv(np.exp(-(1.0 - delta) * t)),
+             kernel.J_inv(np.exp(-rho * t))) for t, fld in run.snapshots]
+    return FrontTrack(level, *(np.asarray(c) for c in zip(*rows)))
 
 
 # ----------------------------------------------------------------------
@@ -228,21 +219,19 @@ class RescalingMap:
     eps: float
 
     def forward(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.eps == 1.0:
-            out = x.copy()
-        else:
-            out = np.sign(x) * self.kernel.f_inv(
-                self.kernel.f(np.abs(x)) / self.eps)
-        return out if out.ndim else float(out)
+        return self._map(x, lambda y: y / self.eps)
 
     def inverse(self, x):
+        return self._map(x, lambda y: self.eps * y)
+
+    def _map(self, x, scale):
+        """sign(x) f_inv(scale(f(|x|))); the identity when eps = 1."""
         x = np.asarray(x, dtype=float)
         if self.eps == 1.0:
             out = x.copy()
         else:
             out = np.sign(x) * self.kernel.f_inv(
-                self.eps * self.kernel.f(np.abs(x)))
+                scale(self.kernel.f(np.abs(x))))
         return out if out.ndim else float(out)
 
 
@@ -254,6 +243,13 @@ def dilation(kernel, eps):
 
 # ----------------------------------------------------------------------
 # rescaled potential u_eps = -eps ln n(t/eps, Psi_eps(x))
+
+
+def potential_of(field_values, eps):
+    """u = -eps ln n with the documented 1e-300 floor and its mask."""
+    floored = field_values < 1e-300
+    u = -eps * np.log(np.maximum(field_values, 1e-300))
+    return u, floored
 
 
 @dataclass
@@ -274,9 +270,10 @@ class HopfColeField:
 def hopf_cole_field(run, eps, x_span, t_span, nx=101):
     """Sample u_eps = -eps ln n(t/eps, Psi_eps(x)) over a compact window.
 
-    Times are the rescaled snapshot times eps*s falling inside t_span (the
-    snapshot schedule is expected to be laid out so the interesting t/eps
-    are hit exactly); x interpolates linearly between grid nodes.
+    Times are the rescaled snapshot times eps*s falling inside t_span;
+    runs hit every snapshot time exactly, so a schedule holding the
+    interesting t/eps samples them there.  x interpolates linearly
+    between grid nodes.
     """
     if not (0.0 < eps <= 1.0):
         raise InvalidParams("hopf_cole_field needs eps in (0, 1]")
@@ -296,20 +293,11 @@ def hopf_cole_field(run, eps, x_span, t_span, nx=101):
             "dilated coordinate %.6g exceeds the usable grid |x| <= %.6g"
             % (float(np.max(np.abs(ys))), usable))
 
-    times, rows, floored = [], [], []
-    for s, fld in run.snapshots:
-        t = eps * s
-        if t < t_lo - 1e-12 or t > t_hi + 1e-12:
-            continue
-        n = np.interp(ys, grid.x, fld.values)
-        mask = n < 1e-300
-        u = -eps * np.log(np.maximum(n, 1e-300))
-        times.append(t)
-        rows.append(u)
-        floored.append(mask)
-    if not times:
+    kept = [(eps * s,) + potential_of(np.interp(ys, grid.x, fld.values), eps)
+            for s, fld in run.snapshots
+            if t_lo - 1e-12 <= eps * s <= t_hi + 1e-12]
+    if not kept:
         raise InvalidParams("no snapshot maps into the requested t window")
-    times = np.asarray(times)
-    u = np.vstack(rows)
+    times, u, floored = (np.array(c) for c in zip(*kept))
     limit = np.maximum(kernel.f(np.abs(xs))[None, :] - times[:, None], 0.0)
-    return HopfColeField(eps, times, xs, u, limit, np.vstack(floored))
+    return HopfColeField(eps, times, xs, u, limit, floored)

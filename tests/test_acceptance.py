@@ -93,6 +93,7 @@ def test_criterion_02_convolution_oracle():
         assert np.max(np.abs(dk.apply(v) - direct)) <= 1e-10
 
 
+@pytest.mark.slow
 def test_criterion_03_accelerating_front(poly_run):
     k, run = poly_run
     tr = track_level(run, 0.5)
@@ -104,6 +105,7 @@ def test_criterion_03_accelerating_front(poly_run):
             assert x >= glo, t
 
 
+@pytest.mark.slow
 def test_criterion_04_envelope_sandwich(poly_run):
     k, run = poly_run
     # where f > ~41 the true density sits below the e^t-amplified
@@ -129,6 +131,7 @@ def test_criterion_05_gradient_bound():
             assert np.max(grad - th * phi) <= 1e-10, (family, t)
 
 
+@pytest.mark.slow
 def test_criterion_06_hopf_cole_convergence(subexp_run):
     """Rescaled log-density against max(f - t, 0) on [0.5, 3] x [0.5, 2].
 
@@ -141,21 +144,19 @@ def test_criterion_06_hopf_cole_convergence(subexp_run):
     inside the certified e^(int theta) corridor), not numerical error:
     the three sups agree to 5 digits for dt = 0.05, 0.025 and 0.0125,
     for N = 2^16, 2^17, 2^18 and 2^21, and for L = 1000 and 2000.  A
-    coarser step does not damp it either: the sups are 0.25461, 0.10515,
-    0.14709 at dt = 0.1 and 0.25461, 0.11262, 0.14709 at dt = 0.2, so
-    the eps=0.1 sup stays put and only the eps=0.4 and eps=0.2 sups
-    move, upwards, because the run rounds snapshot times to the nearest
-    step.  On the same window [0.5, 3] x [0.5, 1.5] a run to t = 30
-    gives 0.1139 at eps=0.05, again at the corner (t=0.5, x~2.9), so the
-    corner term rises and then falls as eps shrinks, the way an
-    eps*ln(prefactor) term does.  eps=0.05 stops at t = 30 because a
-    run to t = 40 on L = 4000 aborts before t = 35 (t = 34.65 at
-    N = 2^18), where convolution noise of order 1e-16*e^t reaches the
-    boundary guard.  The paper proves convergence as eps -> 0, not a
-    monotone gap along this eps list, so the strict monotone check is
-    kept rather than loosened to fit the measurement: this test fails
-    at the eps=0.2 -> 0.1 step.  The absolute gate at eps=0.1 holds
-    with a wide margin.
+    coarser step does not damp it either: with snapshot times hit
+    exactly, N = 2^16 gives 0.24788, 0.10515, 0.14709 at dt = 0.1 and
+    0.24788, 0.10516, 0.14709 at dt = 0.2.  On the same window
+    [0.5, 3] x [0.5, 1.5] a run to t = 30 gives 0.1139 at eps=0.05,
+    again at the corner (t=0.5, x~2.9), so the corner term rises and
+    then falls as eps shrinks, the way an eps*ln(prefactor) term does.
+    eps=0.05 stops at t = 30 because a run to t = 40 on L = 4000 aborts
+    before t = 35 (t = 34.65 at N = 2^18), where convolution noise of
+    order 1e-16*e^t reaches the boundary guard.  The paper proves
+    convergence as eps -> 0, not a monotone gap along this eps list, so
+    the strict monotone check is kept rather than loosened to fit the
+    measurement: this test fails at the eps=0.2 -> 0.1 step.  The
+    absolute gate at eps=0.1 holds with a wide margin.
     """
     _, run = subexp_run
     sups = []

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fatkpp.cauchy import (SolverConfig, initial_condition, run, step)
-from fatkpp.errors import (BoundaryContamination, InvalidParams,
-                           StabilityViolation)
+from fatkpp.cauchy import (SolverConfig, _march, initial_condition, run,
+                           step)
+from fatkpp.errors import (BoundaryContamination, GradientOutOfRange,
+                           InvalidParams, StabilityViolation)
 from fatkpp.gridops import Field, Grid1D, discretize_kernel
 from fatkpp.kernels import KernelSpec, build_kernel
 
@@ -46,6 +47,13 @@ def test_config_rejects(kw):
     base.update(kw)
     with pytest.raises(InvalidParams):
         SolverConfig(**base)
+
+
+def test_config_lists_every_violation_at_once():
+    with pytest.raises(InvalidParams) as exc:
+        SolverConfig(dt=0.0, t_end=-1.0, method="Heun", boundary_guard=0.0)
+    keys = [issue.split(":")[0] for issue in exc.value.issues]
+    assert keys == ["dt", "t_end", "method", "boundary_guard"]
 
 
 # ----------------------------------------------------------------------
@@ -226,3 +234,69 @@ def test_monotone_in_initial_data(lo, bump):
 _CMP_G = Grid1D(L=10.0, N=64)
 _CMP_K = build_kernel(KernelSpec("Polynomial", alpha=4.0))
 _CMP = (_CMP_K, _CMP_G, discretize_kernel(_CMP_K, _CMP_G))
+
+
+# ----------------------------------------------------------------------
+# the marching driver
+
+
+_DRV_G = Grid1D(L=60.0, N=512)
+_DRV_K = build_kernel(KernelSpec("Polynomial", alpha=4.0))
+_DRV_DK = discretize_kernel(_DRV_K, _DRV_G)
+_DRV_N0 = initial_condition(_DRV_K, _DRV_G, C=1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(snaps=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5)
+       .map(sorted),
+       method=st.sampled_from(["Euler", "RK4"]))
+def test_driver_hits_snapshot_times_exactly(snaps, method):
+    """Snapshot times off the dt lattice are reached exactly: each one is
+    a monitor time, and the snapshot there is the monitored state."""
+    dt = 0.1
+    cfg = SolverConfig(dt=dt, t_end=2.0, snapshot_times=tuple(snaps),
+                       method=method, boundary_guard=2.0)
+    r = run(_DRV_K, _DRV_G, cfg, _DRV_N0, dk=_DRV_DK)
+    again = run(_DRV_K, _DRV_G, cfg, _DRV_N0, dk=_DRV_DK)
+    mon_t = list(r.monitors["t"])
+    assert [t for t, _ in r.snapshots] == list(cfg.snapshot_times)
+    K, N = _DRV_DK.K, _DRV_G.N
+    for (t, fld), (t2, fld2) in zip(r.snapshots, again.snapshots):
+        v = fld.values
+        assert t in mon_t
+        assert v.max() == r.monitors["n_max"][mon_t.index(t)]
+        assert v.min() >= 0.0 and v.max() <= 1.0
+        err = np.abs(v[1:] - v[1:][::-1])  # band as in the symmetry test
+        assert np.max(err[K - 1:N - K]) <= 1e-10
+        assert t2 == t and np.array_equal(fld2.values, v)
+    assert np.array_equal(r.monitors["t"], again.monitors["t"])
+    # the march ends at t_end, or at a last snapshot within 1e-9 of it
+    assert abs(mon_t[-1] - 2.0) <= 1e-9
+
+
+def test_driver_error_carries_the_snapshots_recorded_before_it():
+    """A FatKppError raised by the observer mid-march leaves with the
+    partial result: the snapshots up to the last completed stop."""
+    g = Grid1D(L=1.0, N=16)
+    seen = []
+
+    def advance(v, h):
+        return v + h
+
+    def observe(v, t):
+        seen.append(t)
+        if t > 0.55:
+            raise GradientOutOfRange("slope blew up at t=%g" % t)
+
+    def finish(records, steps):
+        return records, steps
+
+    with pytest.raises(GradientOutOfRange) as exc:
+        _march(g, np.zeros(g.N), (0.0, 0.25, 0.5, 0.75), 1.0, 0.1,
+               advance, observe, finish)
+    records, steps = exc.value.run
+    assert [t for t, _ in records] == [0.0, 0.25, 0.5]
+    for t, fld in records:
+        np.testing.assert_allclose(fld.values, t, atol=1e-15)
+    assert steps == 7 and len(seen) == 8
+    assert seen[3] == 0.25 and seen[6] == 0.5

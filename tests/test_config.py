@@ -32,7 +32,6 @@ def test_minimal_simulate_fills_defaults(tmp_path):
     assert cfg.solver.snapshot_times == (30.0,)
     assert cfg.solver.method == "RK4"
     assert cfg.levels == (0.5,)
-    assert cfg.theta1_alpha == 0.5
     assert cfg.C == 1.0
     assert cfg.out_dir == "." and cfg.plot is True and cfg.stride == 1
     assert cfg.raw == MINIMAL

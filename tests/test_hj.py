@@ -389,7 +389,7 @@ def test_inclusion_curves_frozen_values(H3):
 def _fake_pair(g, shift_by_eps):
     """Limit solution u(x) = |x| wedge and runs offset by given amounts."""
     u = np.abs(g.x)
-    hj = HJSolution(None, g, [(0.0, Field(g, u)), (1.0, Field(g, u))],
+    hj = HJSolution([(0.0, Field(g, u)), (1.0, Field(g, u))], None, g,
                     0.5, {})
     runs = []
     for eps, off in shift_by_eps.items():

@@ -11,8 +11,7 @@ from scipy.special import gammaincc
 
 from fatkpp.errors import DomainError, InvalidParams
 from fatkpp.gridops import invert_monotone
-from fatkpp.kernels import (KernelSpec, build_kernel, eval_f, eval_f_prime,
-                            eval_J, inv_f, inv_J, validate_hypotheses)
+from fatkpp.kernels import KernelSpec, build_kernel, validate_hypotheses
 
 
 def K(family, **p):
@@ -93,38 +92,38 @@ def test_Z_subexponential_simpson(subexp):
 
 
 def test_polynomial_point_values(poly4):
-    assert eval_J(poly4, 0.0) == 1.0
-    assert abs(eval_J(poly4, 2.0) - 5.0 ** -2.5) < 1e-15
-    assert abs(eval_f(poly4, 1.0) - 2.5 * math.log(2.0)) < 1e-15
-    # front-location inverse: inv_J(e^-t) = sqrt(e^{2t/5} - 1)
+    assert poly4.J(0.0) == 1.0
+    assert abs(poly4.J(2.0) - 5.0 ** -2.5) < 1e-15
+    assert abs(poly4.f(1.0) - 2.5 * math.log(2.0)) < 1e-15
+    # front-location inverse: J_inv(e^-t) = sqrt(e^{2t/5} - 1)
     for t in (1.0, 5.0, 20.0):
-        assert abs(inv_J(poly4, math.exp(-t))
+        assert abs(poly4.J_inv(math.exp(-t))
                    - math.sqrt(math.expm1(2.0 * t / 5.0))) < 1e-9 * (1 + t)
 
 
 def test_subexponential_point_values(subexp):
-    assert abs(eval_f(subexp, 2.0) - (5.0 ** 0.25 - 1.0)) < 1e-15
-    assert eval_f(subexp, 0.0) == 0.0
-    assert eval_f_prime(subexp, 0.0) == 0.0
-    assert abs(inv_f(subexp, 1.0) - math.sqrt(15.0)) < 1e-14
+    assert abs(subexp.f(2.0) - (5.0 ** 0.25 - 1.0)) < 1e-15
+    assert subexp.f(0.0) == 0.0
+    assert subexp.f_prime(0.0) == 0.0
+    assert abs(subexp.f_inv(1.0) - math.sqrt(15.0)) < 1e-14
 
 
 def test_loglinear_point_values(loglin2):
-    assert abs(eval_f(loglin2, 3.0) - 2.0 * math.log(4.0)) < 1e-15
+    assert abs(loglin2.f(3.0) - 2.0 * math.log(4.0)) < 1e-15
     assert loglin2.fprime0 == 2.0
-    assert eval_f_prime(loglin2, 0.0) == 2.0
+    assert loglin2.f_prime(0.0) == 2.0
 
 
 def test_symmetry_exact(poly4, subexp, loglin2, powershift):
     xs = np.array([0.3, 1.7, 42.0, 1e5])
     for k in (poly4, subexp, loglin2, powershift):
-        assert np.all(eval_J(k, xs) == eval_J(k, -xs))
+        assert np.all(k.J(xs) == k.J(-xs))
 
 
 def test_evaluators_accept_arrays(poly4):
     xs = np.linspace(-3, 3, 7)
-    assert eval_J(poly4, xs).shape == xs.shape
-    assert isinstance(eval_J(poly4, 1.0), float)
+    assert poly4.J(xs).shape == xs.shape
+    assert isinstance(poly4.J(1.0), float)
 
 
 # ----------------------------------------------------------------------
@@ -173,9 +172,9 @@ def test_f_second_matches_second_differences(family, params):
 def test_inverse_roundtrip_dense(family, params):
     k = K(family, **params)
     xs = np.geomspace(1e-6, 1e8, 300)
-    assert np.max(np.abs(inv_f(k, k.f(xs)) - xs) / xs) < 1e-9
+    assert np.max(np.abs(k.f_inv(k.f(xs)) - xs) / xs) < 1e-9
     vs = np.geomspace(1e-12, 1.0, 150)
-    assert np.max(np.abs(eval_J(k, inv_J(k, vs)) - vs) / vs) < 1e-9
+    assert np.max(np.abs(k.J(k.J_inv(vs)) - vs) / vs) < 1e-9
 
 
 def test_inv_f_against_generic_bracketing(subexp, loglin2):
@@ -188,16 +187,16 @@ def test_inv_f_against_generic_bracketing(subexp, loglin2):
 
 def test_inverse_domain_errors(poly4):
     with pytest.raises(DomainError):
-        inv_f(poly4, -0.5)
+        poly4.f_inv(-0.5)
     with pytest.raises(DomainError):
-        inv_J(poly4, 0.0)
+        poly4.J_inv(0.0)
     with pytest.raises(DomainError):
-        inv_J(poly4, 1.0 + 1e-12)
+        poly4.J_inv(1.0 + 1e-12)
 
 
 def test_inv_f_zero_is_zero(poly4, subexp, loglin2, powershift):
     for k in (poly4, subexp, loglin2, powershift):
-        assert inv_f(k, 0.0) == 0.0
+        assert k.f_inv(0.0) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -276,6 +275,22 @@ def test_tail_bound_dominates_true_tail(family, params, R):
     bound = k.tail_bound(R)
     assert true_tail <= bound
     assert bound < 50 * true_tail    # and not be uselessly loose
+
+
+@pytest.mark.parametrize("family,params,R,lam", [
+    ("Polynomial", dict(alpha=4.0), 10.0, 0.7),
+    ("LogLinear", dict(beta=3.0), 30.0, 0.5),
+    ("PowerShift", dict(b=1.0, alpha=0.5), 80.0, 0.9),
+])
+def test_log_tail_bounds_the_tilted_tail(family, params, R, lam):
+    """ln of the bound on int_R^inf e^{-lam f} sits above the brute-force
+    log of that integral, and is +inf while lam R f'(R) <= 1."""
+    from scipy.integrate import quad
+    k = K(family, **params)
+    true_tail, _ = quad(lambda h: math.exp(-lam * k.f(h)), R, np.inf)
+    bound = k.log_tail(R, lam)
+    assert math.log(true_tail) <= bound < math.log(50 * true_tail)
+    assert k.log_tail(1e-3, lam) == math.inf
 
 
 def test_half_support_is_tight(poly4):

@@ -141,7 +141,7 @@ def test_pushforward_identity(loglin2):
     """int g dJ_eps = int g(m_eps(h)) dJhat(h) for g = e^{-y^2}."""
     eps = 0.5
     mk = build_mutation_kernel(loglin2, eps)
-    lhs, _ = quad(lambda y: math.exp(-y * y) * mk.density(y), 0, np.inf)
+    lhs, _ = quad(lambda y: math.exp(-y * y) * mk.J_hat(y), 0, np.inf)
     rhs, _ = quad(lambda h: math.exp(-contraction(loglin2, eps, h) ** 2)
                   * loglin2.J_hat(h), 0, np.inf)
     assert abs(lhs - rhs) <= 1e-6
@@ -154,7 +154,7 @@ def test_linearized_density_is_exponential(loglin3):
     mk = build_mutation_kernel(loglin3, eps, jump_map="linearized")
     hs = np.array([0.0, 0.1, 0.5, 2.0])
     expect = ((3.0 - 1.0) / (2 * eps)) * np.exp(-(3.0 - 1.0) * hs / eps)
-    np.testing.assert_allclose(mk.density(hs), expect, rtol=1e-12)
+    np.testing.assert_allclose(mk.J_hat(hs), expect, rtol=1e-12)
     assert abs(mk.mass() - 1.0) <= 1e-6
 
 

@@ -162,3 +162,32 @@ def test_svg_escapes_markup_in_labels(tmp_path):
                          title="x<y", xlabel="a&b")
     text = open(path).read()
     assert "a&lt;b &amp; c" in text and "x&lt;y" in text
+
+
+def _polyline_points(path):
+    text = open(path).read()
+    pts = text.split('points="')[1].split('"')[0].split()
+    return np.array([[float(c) for c in p.split(",")] for p in pts])
+
+
+def test_svg_thins_long_series_per_pixel_column(tmp_path):
+    """A dense series keeps the lowest and highest point of each of the
+    560 pixel columns, in x order, so its envelope survives."""
+    xs = np.linspace(-5.0, 5.0, 20001)
+    ys = np.sin(7.0 * xs) + 0.001 * xs
+    pts = _polyline_points(emit_svg_plot(str(tmp_path / "d.svg"),
+                                         [("s", xs, ys)]))
+    assert 560 <= len(pts) <= 1120
+    assert np.all(np.diff(pts[:, 0]) >= 0.0)
+    full = _polyline_points(emit_svg_plot(str(tmp_path / "f.svg"),
+                                          [("s", xs[::20], ys[::20])]))
+    # pixel y grows downwards: the extremes of both plots coincide
+    assert pts[:, 1].min() == pytest.approx(full[:, 1].min(), abs=0.05)
+    assert pts[:, 1].max() == pytest.approx(full[:, 1].max(), abs=0.05)
+
+
+def test_svg_short_series_pass_unthinned(tmp_path):
+    xs = np.linspace(0.0, 1.0, 1120)
+    pts = _polyline_points(emit_svg_plot(str(tmp_path / "s.svg"),
+                                         [("s", xs, xs * xs)]))
+    assert len(pts) == 1120

@@ -33,7 +33,7 @@ def loglin2():
 def synthetic_run(kernel, grid, times, fn):
     """A SimulationRun whose snapshots are analytic fields, no dynamics."""
     snaps = [(t, Field(grid, fn(t, grid.x))) for t in times]
-    return SimulationRun(kernel, grid, None, snaps, {}, {}, False)
+    return SimulationRun(snaps, kernel, grid, None, {}, {}, False)
 
 
 # ----------------------------------------------------------------------
