@@ -239,7 +239,9 @@ def validate_config(raw):
                           lambda v: _is_int(v) and v >= 1,
                           "must be a positive integer", issues)
             if count is not None and _is_num(t_end):
-                times = tuple(t_end * i / count for i in range(1, count + 1))
+                # end on t_end itself: t_end * count / count can round below
+                times = tuple(t_end * i / count
+                              for i in range(1, count)) + (t_end,)
 
         dt = sb.get("dt", 0.05)
         try:

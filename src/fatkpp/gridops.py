@@ -6,6 +6,13 @@ renormalized sample vector with a cached spectrum, and convolution is
 linear (zero exterior), never circular.  Wraparound would let the fat
 tail of the kernel feed a spurious incoming front from the far side of
 the domain, which is exactly the artifact this code exists to avoid.
+
+Convolution is block convolution by overlap-save (Oppenheim & Schafer,
+Discrete-Time Signal Processing): blocks of length B ~ 8K, or one block
+when that would make at most two.  The rounding error at a node is
+about 1e-16 of the max of the data within its block, not of the global
+max, so far tails stay resolved wherever the blocks are short next to
+the decay of the data.  With one block it is the global max.
 """
 
 import numpy as np
@@ -122,7 +129,10 @@ class Grid1D:
     """Equispaced nodes x_i = -L + i*dx on [-L, L), dx = 2L/N.
 
     N must be a power of two (>= 16) so padded transforms stay fast and
-    the node x = 0 always exists (index N/2).
+    the node x = 0 always exists (index N/2).  The node x = -L has no
+    mirror, so a run from even data is even only up to what reaches
+    that node: max |n(x_i) - n(x_{N-i})| is 8.9e-12 at t = 2 for
+    SubExponential alpha=0.5 on L=500, N=2^15.
     """
 
     def __init__(self, L, N):
@@ -197,19 +207,39 @@ class DiscreteKernel:
         self.K = K
         self.half_support = float(half_support)
         self.lost_mass = float(lost_mass)
-        self._P = sfft.next_fast_len(grid.N + len(w) - 1, real=True)
-        self._spectrum = sfft.rfft(w, self._P)
+        # overlap-save blocks of length B ~ 8K, each yielding B - 2K
+        # outputs, or one padded block where that makes at most two: the
+        # block holding x = 0 then spans most of the grid, so two resolve
+        # the tail no better than one, and they were slower in a sweep of
+        # B (snapshots kernel 1.02 vs 0.80 ms, criterion 6's 291 vs 197 ms)
+        B = sfft.next_fast_len(max(8 * K, 4096), real=True)
+        if -(-grid.N // (B - 2 * K)) <= 2:
+            B = sfft.next_fast_len(grid.N + 2 * K, real=True)
+        step = B - 2 * K
+        self._nb = -(-grid.N // step)
+        # the block length; perfbench/tracing.py reads _P to count flops
+        self._P = B
+        # apply rounds a node to ~1e-16 of its largest input within reach
+        self.reach = B - K
+        self._spectrum = sfft.rfft(w, B)
+        self._buf = np.zeros((self._nb - 1) * step + B)
 
     def apply(self, values, nonneg=False):
         """Linear convolution (sum_j w_j v_{i-j}) with zero exterior.
 
-        With nonneg=True, roundoff negatives (magnitude ~1e-16 of the data
-        scale, never worse than the documented -1e-13 floor) are clamped
-        to zero so downstream positivity monitors see clean data.
+        Returns a fresh array and leaves `values` unmodified.  With
+        nonneg=True, roundoff negatives (magnitude ~1e-16 of the block's
+        data scale) are clamped to zero so downstream positivity monitors
+        see clean data.
         """
-        F = sfft.rfft(values, self._P)
-        full = sfft.irfft(F * self._spectrum, self._P)
-        out = full[self.K:self.K + self.grid.N].copy()
+        K, N, B = self.K, self.grid.N, self._P
+        buf = self._buf
+        buf[K:K + N] = values
+        blocks = np.lib.stride_tricks.sliding_window_view(buf, B)[::B - 2 * K]
+        F = sfft.rfft(blocks, axis=1)
+        F *= self._spectrum
+        # columns before 2K of each block hold wrapped (circular) sums
+        out = sfft.irfft(F, B, axis=1)[:, 2 * K:].reshape(-1)[:N].copy()
         if nonneg:
             np.maximum(out, 0.0, out=out)
         return out

@@ -166,6 +166,15 @@ def test_snapshot_count_expands_to_even_times():
     assert cfg.solver.snapshot_times == (2.5, 5.0, 7.5, 10.0)
 
 
+def test_snapshot_count_ends_exactly_at_t_end():
+    """0.7 * 3 / 3 is 0.6999999999999998 in floating point."""
+    doc = dict(MINIMAL)
+    doc["solver"] = {"t_end": 0.7, "snapshot_count": 3}
+    times = validate_config(doc).solver.snapshot_times
+    assert times[-1] == 0.7
+    assert times[:2] == (0.7 * 1 / 3, 0.7 * 2 / 3)
+
+
 def test_snapshots_and_count_conflict():
     doc = dict(MINIMAL)
     doc["solver"] = {"t_end": 10, "snapshots": [5], "snapshot_count": 2}

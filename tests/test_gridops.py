@@ -12,6 +12,7 @@ from fatkpp.errors import (GridMismatch, InvalidParams, NoConvergence)
 from fatkpp.gridops import (DiscreteKernel, Field, Grid1D, adaptive_integrate,
                             discretize_kernel, invert_monotone)
 from fatkpp.kernels import KernelSpec, build_kernel
+from fatkpp.propagation import phi_envelope
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,55 @@ def test_fft_matches_direct_sum(poly4):
         # literal zero-padded sum; same slice of the full convolution
         direct = np.convolve(v, dk.samples)[dk.K:dk.K + N]
         assert np.max(np.abs(fft_out - direct)) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def front_dk(poly4):
+    """The front workload's grid: K=406 cells, overlap-save in 10 blocks."""
+    return discretize_kernel(poly4, Grid1D(L=1000.0, N=2 ** 15))
+
+
+def test_blocked_matches_direct_sum(front_dk):
+    dk = front_dk
+    assert dk._nb == 10
+    v = np.random.default_rng(11).uniform(0.0, 1.0, size=dk.grid.N)
+    direct = np.convolve(v, dk.samples)[dk.K:dk.K + dk.grid.N]
+    assert np.max(np.abs(dk.apply(v) - direct)) <= 1e-10
+
+
+def test_blocked_resolves_the_deep_tail(poly4, front_dk):
+    """phi(t=0.001) falls to ~1e-15 of its peak at the edges; blocks keep
+    the relative error small there, where one global transform gives
+    about 2e-2."""
+    dk, g = front_dk, front_dk.grid
+    phi = phi_envelope(poly4, 0.001, g.x)
+    direct = np.convolve(phi, dk.samples)[dk.K:dk.K + g.N]
+    assert np.max(np.abs(dk.apply(phi) - direct) / direct) <= 1e-4
+
+
+@pytest.mark.parametrize("L, N, K, nb", [(1000.0, 2 ** 15, 4680, 1),
+                                          (4000.0, 2 ** 18, 9360, 5)])
+def test_block_count_of_wide_kernels(L, N, K, nb):
+    """The snapshots workload's kernel takes one block: 8K-blocks would be
+    two.  On the wider grid of the boundary-contamination setup they are
+    five, and blocks are used."""
+    k = build_kernel(KernelSpec("SubExponential", alpha=0.5))
+    dk = discretize_kernel(k, Grid1D(L=L, N=N))
+    assert (dk.K, dk._nb) == (K, nb)
+
+
+def test_apply_returns_fresh_arrays(front_dk):
+    dk = front_dk
+    rng = np.random.default_rng(3)
+    v, w = rng.random(dk.grid.N), rng.random(dk.grid.N)
+    v0 = v.copy()
+    a = dk.apply(v)
+    a0 = a.copy()
+    b = dk.apply(w)
+    assert np.array_equal(v, v0)
+    assert np.array_equal(a, a0)
+    assert not np.shares_memory(a, b)
+    assert not np.shares_memory(a, v)
 
 
 def test_convolve_preserves_symmetry(poly4):

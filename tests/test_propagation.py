@@ -175,6 +175,22 @@ def test_residual_decays_in_time(poly4):
     assert 0.0 < r30 < r5
 
 
+@pytest.mark.parametrize("N, nb", [(2 ** 12, 1), (2 ** 14, 5)])
+def test_residual_matches_direct_sums_in_the_deep_tail(subexp, N, nb):
+    """phi(1, x) falls to ~1e-26 at the innermost residual node on L=4000.
+    Read verbatim from one transform, |conv - phi| / phi is ~4e8 of noise
+    there; the residual must still be the sup of exact window sums."""
+    g = Grid1D(L=4000.0, N=N)
+    dk = discretize_kernel(subexp, g)
+    assert dk._nb == nb
+    K = dk.K
+    phi = phi_envelope(subexp, 1.0, g.x)
+    exact = np.convolve(phi, dk.samples)[2 * K:N]
+    want = np.max(np.abs(exact - phi[K:N - K]) / phi[K:N - K])
+    assert envelope_residual(subexp, g, 1.0, dk=dk) == pytest.approx(
+        want, rel=1e-9)
+
+
 def test_residual_rejects_oversized_kernel(poly4):
     g = Grid1D(L=3.0, N=32)
     with pytest.raises(InvalidParams):
