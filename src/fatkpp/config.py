@@ -121,6 +121,16 @@ def _take(block, name, key, ok, rule, issues, default=None):
     return default
 
 
+def _shared_labels(values):
+    """Values whose %g labels coincide, listed per label; output file
+    names and run.json keys carry these labels."""
+    by_label = {}
+    for v in values:
+        by_label.setdefault("%g" % v, []).append(repr(v))
+    return "; ".join("%s from %s" % (label, ", ".join(vs))
+                     for label, vs in by_label.items() if len(vs) > 1)
+
+
 def validate_config(raw):
     """Check a parsed config dict and return the filled-in RunConfig."""
     issues = []
@@ -184,6 +194,10 @@ def validate_config(raw):
         "must be a nonempty list of numbers in (0, 1]", issues, ()))
     if "eps" not in ab and experiment in _NEEDS_EPS:
         issues.append("analysis.eps: required for %s" % experiment)
+    shared = _shared_labels(eps_list)
+    if shared:
+        issues.append("analysis.eps: values must have distinct %%g labels, "
+                      "got %s" % shared)
 
     compact = None
     want = _NEEDS_COMPACT.get(experiment)
@@ -242,6 +256,10 @@ def validate_config(raw):
                 # end on t_end itself: t_end * count / count can round below
                 times = tuple(t_end * i / count
                               for i in range(1, count)) + (t_end,)
+            shared = _shared_labels(times or ())
+            if shared:
+                issues.append("solver.snapshots: times must have distinct "
+                              "%%g labels, got %s" % shared)
 
         dt = sb.get("dt", 0.05)
         try:

@@ -2,9 +2,11 @@
 
 Data files are deterministic: floats print with 17 significant digits
 (so they re-parse to the exact same float64), rows keep grid order, and
-no timestamps appear anywhere except run.json.  SVG output is plain
-text assembled from the same formatting rules, so a repeated run
-produces byte-identical files.
+no timestamps appear anywhere except run.json.  CSV rows are formatted
+in chunks of rows, each chunk by one %-template built from per-column
+formats that follow the same rules, 17 digits for floats included.  SVG
+output is plain text assembled from the same formatting rules, so a
+repeated run produces byte-identical files.
 """
 
 import itertools
@@ -18,6 +20,8 @@ import numpy as np
 from .errors import IoError
 
 FLOAT_FMT = "%.17g"
+_FORMATS = {"f": FLOAT_FMT, "i": "%d", "u": "%d", "b": "%d"}  # by dtype kind
+_CHUNK = 2048       # rows per template; longer chunks only add memory
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf")
@@ -51,9 +55,18 @@ def write_csv(path, header, columns):
         if len(c) != n:
             raise IoError("column lengths disagree: %d vs %d"
                           % (len(c), n))
-    rows = (",".join(_cell(c[i]) for c in columns) + "\n" for i in range(n))
-    return _write_lines(path, itertools.chain([",".join(header) + "\n"],
-                                              rows))
+    fmts = [_FORMATS.get(c.dtype.kind, "%s") for c in columns]
+    row = ",".join(fmts) + "\n"
+
+    def lines():
+        yield ",".join(header) + "\n"
+        for lo in range(0, n, _CHUNK):
+            cells = [c[lo:lo + _CHUNK].tolist() if f != "%s"
+                     else [_cell(v) for v in c[lo:lo + _CHUNK]]
+                     for c, f in zip(columns, fmts)]
+            yield ((row * len(cells[0]))
+                   % tuple(itertools.chain.from_iterable(zip(*cells))))
+    return _write_lines(path, lines())
 
 
 def write_rows(path, header, rows):

@@ -175,6 +175,40 @@ def test_snapshot_count_ends_exactly_at_t_end():
     assert times[:2] == (0.7 * 1 / 3, 0.7 * 2 / 3)
 
 
+def test_snapshot_times_need_distinct_labels():
+    """Snapshot files are named snapshot_t%g.csv: 0.2500001 and
+    0.2500002 would both write snapshot_t0.25.csv."""
+    doc = dict(MINIMAL)
+    doc["solver"] = {"t_end": 1, "snapshots": [0.2500001, 0.2500002, 0.5]}
+    with pytest.raises(ValidationError) as ei:
+        validate_config(doc)
+    assert [s for s in ei.value.issues
+            if s.startswith("solver.snapshots")] == [
+        "solver.snapshots: times must have distinct %g labels, "
+        "got 0.25 from 0.2500001, 0.2500002"]
+    doc["solver"] = {"t_end": 1, "snapshots": [0.25, 0.250002, 0.5]}
+    assert validate_config(doc).solver.snapshot_times[1] == 0.250002
+
+
+def test_eps_values_need_distinct_labels():
+    """hopfcole_eps%g.csv and the run.json sup keys: 0.5 and 0.5000001
+    would share one file and one key."""
+    doc = {
+        "experiment": "HopfCole",
+        "kernel": {"family": "LogLinear", "beta": 3},
+        "grid": {"L": 100, "N": 4096},
+        "solver": {"t_end": 1, "dt": 0.01},
+        "analysis": {"eps": [0.5, 0.5000001], "compact": [-5, 5, 0, 1]},
+    }
+    with pytest.raises(ValidationError) as ei:
+        validate_config(doc)
+    assert ei.value.issues == [
+        "analysis.eps: values must have distinct %g labels, "
+        "got 0.5 from 0.5, 0.5000001"]
+    doc["analysis"]["eps"] = [0.5, 0.500001]
+    assert validate_config(doc).eps_list == (0.5, 0.500001)
+
+
 def test_snapshots_and_count_conflict():
     doc = dict(MINIMAL)
     doc["solver"] = {"t_end": 10, "snapshots": [5], "snapshot_count": 2}

@@ -8,10 +8,11 @@ import pytest
 
 from fatkpp.errors import IoError
 from fatkpp.gridops import Field, Grid1D
-from fatkpp.output import (emit_svg_plot, write_csv, write_envelope_csv,
-                           write_field_csv, write_front_csv,
-                           write_hamiltonian_csv, write_hopfcole_csv,
-                           write_run_json, write_zeroset_csv)
+from fatkpp.output import (_CHUNK, emit_svg_plot, write_csv,
+                           write_envelope_csv, write_field_csv,
+                           write_front_csv, write_hamiltonian_csv,
+                           write_hopfcole_csv, write_rows, write_run_json,
+                           write_zeroset_csv)
 from fatkpp.propagation import FrontTrack
 
 
@@ -41,6 +42,42 @@ def test_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(IoError, match="lengths"):
         write_csv(str(tmp_path / "a.csv"), ("a", "b"),
                   ([1.0, 2.0], [1.0]))
+
+
+def test_csv_golden_bytes_of_a_mixed_table(tmp_path):
+    """Each column keeps its cell rule: 17 digits for floats, integers
+    and bools as digits, characters as they are, objects per value."""
+    path = write_csv(str(tmp_path / "a.csv"), ("f", "i", "b", "c", "o"), (
+        np.array([1.0 / 3.0, -0.0, float("nan"), float("inf"), 5e-324]),
+        np.arange(1, 6),
+        np.array([True, False, True, False, False]),
+        np.array(list("ABCDE")),
+        np.array([1.5, "x", 7, True, np.float64(0.25)], dtype=object)))
+    assert open(path, "rb").read() == (
+        b"f,i,b,c,o\n"
+        b"0.33333333333333331,1,1,A,1.5\n"
+        b"-0,2,0,B,x\n"
+        b"nan,3,1,C,7\n"
+        b"inf,4,0,D,1\n"
+        b"4.9406564584124654e-324,5,0,E,0.25\n")
+
+
+@pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               2 * _CHUNK + 17])
+def test_csv_matches_per_cell_formatting_across_chunks(tmp_path, n):
+    rng = np.random.default_rng(n)
+    cols = (rng.standard_normal(n), rng.random(n) * 1e-300,
+            rng.standard_normal(n) * 1e300)
+    path = write_csv(str(tmp_path / "a.csv"), ("a", "b", "c"), cols)
+    want = "a,b,c\n" + "".join(
+        ",".join("%.17g" % float(v) for v in row) + "\n"
+        for row in zip(*cols))
+    assert open(path, "rb").read() == want.encode()
+
+
+def test_rows_without_rows_keep_the_header(tmp_path):
+    path = write_rows(str(tmp_path / "a.csv"), ("t", "x"), [])
+    assert open(path, "rb").read() == b"t,x\n"
 
 
 def test_field_csv_header_and_stride(tmp_path):
