@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (BoundaryContamination, FatKppError, GridMismatch,
                      InvalidParams, StabilityViolation)
-from .gridops import DiscreteKernel, Field, Grid1D, discretize_kernel
+from .gridops import Field, Grid1D, discretize_kernel
 
 _METHODS = ("Euler", "RK4")
 
@@ -190,16 +190,6 @@ def _advance(dk, v, dt, method, rate_scale):
     return out, overshoot
 
 
-def step(dk, state, dt, method="RK4", rate_scale=1.0):
-    """Advance a field one step of `run` and clamp to [0,1]."""
-    if not isinstance(dk, DiscreteKernel):
-        raise InvalidParams("step needs a DiscreteKernel")
-    if state.grid != dk.grid:
-        raise GridMismatch("state grid does not match kernel grid")
-    out, _ = _advance(dk, state.values, dt, method, rate_scale)
-    return Field(state.grid, out)
-
-
 def check_rate(dt, rate_scale):
     """Refuse an effective step dt*rate_scale past the stability ceiling."""
     if dt * rate_scale > DT_MAX + 1e-12:
@@ -249,7 +239,8 @@ def run(kernel, grid, config, n0, dk=None, rate_scale=1.0):
         manifest = dict(
             kernel.manifest(), grid={"L": grid.L, "N": grid.N},
             dt=config.dt, t_end=config.t_end, method=config.method,
-            rate_scale=rate_scale, steps_taken=steps,
+            rate_scale=rate_scale, steps_taken=steps, kernel_cells=dk.K,
+            block_length=dk._P, block_count=dk._nb,
             kernel_tail_mass=dk.lost_mass, clamp_total=clamp_total,
             contaminated=contaminated,
             wall_time_s=_time.perf_counter() - t0)

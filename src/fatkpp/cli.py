@@ -31,13 +31,14 @@ from .kernels import validate_hypotheses
 from .mutation import classify_limit_sets, mutation_initial_data, \
     mutation_run
 from .propagation import (envelope_sandwich_report, hopf_cole_field,
-                          track_level)
+                          potential_of, track_level)
 from . import output as out_io
 
 _VALIDATION_ERRORS = (InvalidParams, DomainError, OutOfDomain,
                       GridTooCoarse, NonIntegrableTail, ValidationError)
 _RUNTIME_ERRORS = (BoundaryContamination, StabilityViolation, CFLViolation,
                    GradientOutOfRange, NoConvergence)
+_MAX_SERIES = 5         # density curves in one plot
 
 
 def _simulate(cfg):
@@ -51,11 +52,11 @@ def _plot(cfg, out, name, series, title, xlabel, ylabel, logy=False):
                              xlabel=xlabel, ylabel=ylabel, logy=logy)
 
 
-def _snapshot_series(snaps, max_series=5):
-    """At most max_series snapshots, spread evenly from first to last."""
-    if len(snaps) > max_series:
-        idx = [round(i * (len(snaps) - 1) / (max_series - 1))
-               for i in range(max_series)]
+def _snapshot_series(snaps):
+    """At most _MAX_SERIES snapshots, spread evenly from first to last."""
+    if len(snaps) > _MAX_SERIES:
+        idx = [round(i * (len(snaps) - 1) / (_MAX_SERIES - 1))
+               for i in range(_MAX_SERIES)]
         snaps = [snaps[i] for i in sorted(set(idx))]
     return [("t=%g" % t, fld.grid.x, fld.values) for t, fld in snaps]
 
@@ -121,10 +122,11 @@ def _do_mutation(cfg, out):
     init = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
     small = _mutation_runs(cfg, out, init)[-1]
     tol = 2.0 * small.eps * math.log(4.0)
-    labelled = [(t, classify_limit_sets(u, tol))
-                for t, u, _ in small.potentials]
-    out_io.write_limits_csv(out, cfg.grid, labelled, cfg.stride)
-    t_last, u_last, _ = small.potentials[-1]
+    us = [(t, potential_of(fld.values, small.eps)[0])
+          for t, fld in small.run.snapshots]
+    out_io.write_limits_csv(out, cfg.grid, [
+        (t, classify_limit_sets(u, tol)) for t, u in us], cfg.stride)
+    t_last, u_last = us[-1]
     _plot(cfg, out, "mutation.svg",
           [("u_eps%g, t=%g" % (small.eps, t_last), cfg.grid.x, u_last)],
           "rescaled potential", "x", "u")

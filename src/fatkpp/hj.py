@@ -24,11 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import TIME_TOL, Trajectory, _march, find_record, times_within
+from .cauchy import TIME_TOL, Trajectory, _march, times_within
 from .errors import (CFLViolation, GradientOutOfRange, GridMismatch,
                      InvalidParams, NoConvergence, NonIntegrableTail,
                      NotMutationEligible, ThinTailedKernel, ValidationError)
 from .gridops import adaptive_integrate, first_doubling
+from .propagation import potential_of
+
+_CFL_SAFETY = 0.9       # Lax-Friedrichs steps dt <= _CFL_SAFETY dx/sigma
+_ZERO_TOL = 1e-12       # roundoff that zero_set_boundary counts as zero
+_N_R = 101              # inclusion_curves' scan points over r in [0, 1]
+_MIN_CELLS = 10         # cross_validate's window margin from the edges
 
 
 def _tail_log(kernel, lam, R, quad_factor=False):
@@ -266,14 +272,14 @@ def _lf_step(H, u, dx, dt, sigma):
 
 
 def solve_constrained_hj(H, grid, u0, t_end, snapshots=None, dt=None,
-                         sigma=None, safety=0.9):
+                         sigma=None):
     """March min{u_t + H(u_x), u} = 0 and record the requested snapshots.
 
     The numerical flux is Hhat(pm, pp) = H((pm+pp)/2) - sigma (pp-pm)/2
     with sigma = 1.2 sup|H'| over the initial slope range (central
     differences of eval_H); by convexity and evenness that sup sits at
     the initial Lipschitz constant.  The update is monotone under
-    dt <= safety*dx/sigma, enforced as a CFLViolation when dt is forced
+    dt <= _CFL_SAFETY*dx/sigma, enforced as a CFLViolation when dt is forced
     by the caller.  Ghost values extend u linearly, so boundary
     gradients are one-sided.  Snapshot times are hit exactly (each gap
     is stepped with a uniform dt dividing it) and the state at t_end is
@@ -298,14 +304,14 @@ def solve_constrained_hj(H, grid, u0, t_end, snapshots=None, dt=None,
         sigma = 1.2 * abs(H.eval_H_prime(lip0)) if lip0 > 0.0 else 0.0
     elif sigma < 0.0:
         raise InvalidParams("sigma must be nonnegative")
-    dt_cfl = safety * dx / sigma if sigma > 0.0 else math.inf
+    dt_cfl = _CFL_SAFETY * dx / sigma if sigma > 0.0 else math.inf
     if dt is not None:
         if dt <= 0.0:
             raise InvalidParams("dt must be positive")
         if dt > dt_cfl * (1.0 + 1e-12):
             raise CFLViolation(
                 "dt = %g exceeds the monotonicity bound %g = %g*dx/sigma"
-                % (dt, dt_cfl, safety))
+                % (dt, dt_cfl, _CFL_SAFETY))
         dt_cap = dt
     else:
         dt_cap = dt_cfl
@@ -333,7 +339,7 @@ def solve_constrained_hj(H, grid, u0, t_end, snapshots=None, dt=None,
             "sigma": sigma,
             "lip0": lip0,
             "dt_cap": None if math.isinf(dt_cap) else dt_cap,
-            "safety": safety,
+            "safety": _CFL_SAFETY,
             "steps": steps,
             "p_table": H.p_table,
         }
@@ -346,16 +352,16 @@ def solve_constrained_hj(H, grid, u0, t_end, snapshots=None, dt=None,
 # zero sets and envelope curves
 
 
-def zero_set_boundary(field, tol=1e-12):
-    """Endpoints (x_left, x_right) of the widest run of nodes with u <= tol.
+def zero_set_boundary(field):
+    """Endpoints (x_left, x_right) of the widest run of nodes with u <= 0
+    (to _ZERO_TOL).
 
     Ties go to the run whose midpoint is nearest the domain center;
-    (nan, nan) when u is positive everywhere.  The obstacle projection
-    writes exact zeros, so the default tol only absorbs roundoff.
+    (nan, nan) when u is positive everywhere.
     """
     u = field.values
     x = field.grid.x
-    mask = (u <= tol).astype(np.int8)
+    mask = (u <= _ZERO_TOL).astype(np.int8)
     flips = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0]))))
     if flips.size == 0:
         return (math.nan, math.nan)
@@ -368,16 +374,16 @@ def zero_set_boundary(field, tol=1e-12):
     return (float(x[starts[j]]), float(x[ends[j] - 1]))
 
 
-def inclusion_curves(H, A, t, n_r=101):
+def inclusion_curves(H, A, t):
     """Inner/outer zero-set radii at time t for the initial cone A f(|x|).
 
     radius(kap) = max over r in [0, 1] of 2 sqrt(kap) r t
-                  + f_inv(t (1 - r^2)/A), scanned on n_r points; the
+                  + f_inv(t (1 - r^2)/A), scanned on _N_R points; the
     inner curve takes kap_lo, the outer kap_hi.
     """
     if t < 0.0:
         raise InvalidParams("t must be nonnegative")
-    r = np.linspace(0.0, 1.0, int(n_r))
+    r = np.linspace(0.0, 1.0, _N_R)
     y = H.kernel.f_inv(t * (1.0 - r * r) / A)
     lo, hi = (float(np.max(2.0 * math.sqrt(kap) * r * t + y))
               for kap in H.kappa_bounds(A))
@@ -388,41 +394,38 @@ def inclusion_curves(H, A, t, n_r=101):
 # cross-validation against rescaled runs
 
 
-def cross_validate(mutation_runs, hj, x_window, times=None, min_cells=10):
+def cross_validate(mutation_runs, hj, x_window):
     """Sup gap between each run's potential and the limit solution.
 
     Returns one row (eps, sup_error) per run, sorted by decreasing eps,
-    measured over the window at every compared time; raises
+    measured over the window at every positive snapshot time of the
+    limit solution, each of which must exist in every run; raises
     ValidationError when the errors fail to be nonincreasing along
-    decreasing eps.  The window must stay min_cells nodes away from the
+    decreasing eps.  The window must stay _MIN_CELLS nodes away from the
     limit grid's edges (the ghost extrapolation pollutes the outermost
-    cells); run potentials are interpolated onto the limit nodes inside
-    the window.  times defaults to every positive snapshot time of the
-    limit solution, and every compared time must exist in each run.
+    cells); run potentials -eps ln n are interpolated onto the limit
+    nodes inside the window.
     """
     g = hj.grid
     xlo, xhi = float(x_window[0]), float(x_window[1])
     if not xlo < xhi:
         raise InvalidParams("window needs x_lo < x_hi")
-    if min_cells < 0 or 2 * min_cells >= g.N:
-        raise InvalidParams("min_cells leaves no usable nodes")
-    if xlo < g.x[min_cells] or xhi > g.x[g.N - 1 - min_cells]:
+    if xlo < g.x[_MIN_CELLS] or xhi > g.x[g.N - 1 - _MIN_CELLS]:
         raise InvalidParams(
             "window [%g, %g] is closer than %d cells to the grid edge"
-            % (xlo, xhi, min_cells))
+            % (xlo, xhi, _MIN_CELLS))
     sel = (g.x >= xlo) & (g.x <= xhi)
     if not sel.any():
         raise InvalidParams("window contains no grid nodes")
     xs = g.x[sel]
-    if times is None:
-        times = [t for t, _ in hj.snapshots if t > 1e-12]
+    times = [t for t, _ in hj.snapshots if t > 1e-12]
     if not times:
         raise InvalidParams("no positive comparison times")
     rows = []
     for mr in sorted(mutation_runs, key=lambda m: -m.eps):
         worst = 0.0
         for t in times:
-            _, ue, _ = find_record(mr.potentials, t)
+            ue, _ = potential_of(mr.run.snapshot_at(t).values, mr.eps)
             ui = np.interp(xs, mr.run.grid.x, ue)
             gap = float(np.max(np.abs(ui - hj.snapshot_at(t).values[sel])))
             worst = max(worst, gap)

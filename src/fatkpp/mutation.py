@@ -19,9 +19,12 @@ from .errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
                      NotMutationEligible)
 from .gridops import (Field, adaptive_integrate, discretize_kernel,
                       invert_monotone)
-from .propagation import dilation, potential_of
+from .propagation import dilation
 
 _JUMP_MAPS = ("contraction", "linearized")
+_FD_PAIRS = 10_000      # node pairs fd_condition samples
+_FD_SEED = 0            # fd_condition's fixed sampling seed
+_FD_TOL = 1e-8          # worst fd violation initial data may show
 
 
 def _require_eligible(kernel):
@@ -152,7 +155,7 @@ def interquartile(kernel):
         0.25, lo=0.0)
 
 
-def discretize_mutation_kernel(mk, grid, tail_tol=1e-6):
+def discretize_mutation_kernel(mk, grid):
     """Sample J_eps on grid offsets, refusing unresolvable spikes.
 
     The density concentrates on a scale m_eps(h0) (h0 the base kernel's
@@ -165,7 +168,7 @@ def discretize_mutation_kernel(mk, grid, tail_tol=1e-6):
         raise GridTooCoarse(
             "dx = %g cannot resolve the rescaled kernel: need dx <= "
             "m_eps(h0)/4 = %g (h0 = %g)" % (grid.dx, scale / 4.0, h0))
-    return discretize_kernel(mk, grid, tail_tol)
+    return discretize_kernel(mk, grid)
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +196,7 @@ def growth_bound(kernel, A):
     return 2.0 * val / kernel.Z
 
 
-def fd_condition(kernel, u0, A, pairs=10_000, seed=0):
+def fd_condition(kernel, u0, A):
     """Worst violation of u(x+h) - u(x) >= -A f(|h|) over random pairs.
 
     u0 is a Field.  Returns the max over sampled pairs of
@@ -201,9 +204,9 @@ def fd_condition(kernel, u0, A, pairs=10_000, seed=0):
     the condition holds.
     """
     grid, u = u0.grid, u0.values
-    rng = np.random.default_rng(seed)
-    i = rng.integers(0, grid.N, size=pairs)
-    j = rng.integers(0, grid.N, size=pairs)
+    rng = np.random.default_rng(_FD_SEED)
+    i = rng.integers(0, grid.N, size=_FD_PAIRS)
+    j = rng.integers(0, grid.N, size=_FD_PAIRS)
     keep = i != j
     i, j = i[keep], j[keep]
     gap = u[j] - u[i]
@@ -222,13 +225,12 @@ class InitialDataMut:
         return Field(self.u0.grid, np.exp(-self.u0.values / eps))
 
 
-def mutation_initial_data(kernel, grid, A=None, u0_values=None,
-                          fd_tol=1e-8):
+def mutation_initial_data(kernel, grid, A=None, u0_values=None):
     """Build and validate initial data; the default profile is u0 = A f.
 
     Validation: A in (0, 1 - 1/mu), u0 nonnegative, and the sampled
     finite-difference condition u0(x+h) - u0(x) >= -A f(|h|) within
-    fd_tol.
+    _FD_TOL.
     """
     _require_eligible(kernel)
     if A is None:
@@ -243,7 +245,7 @@ def mutation_initial_data(kernel, grid, A=None, u0_values=None,
     if u0.values.min() < 0.0:
         raise InvalidParams("u0 must be nonnegative")
     worst = fd_condition(kernel, u0, A)
-    if worst > fd_tol:
+    if worst > _FD_TOL:
         raise InvalidParams(
             "u0 violates the finite-difference decay condition by %.3e"
             % worst)
@@ -256,31 +258,14 @@ def mutation_initial_data(kernel, grid, A=None, u0_values=None,
 
 @dataclass
 class MutationRun:
-    """A rescaled run with its potential snapshots u = -eps ln n."""
+    """A rescaled run; its potential u = -eps ln n comes from
+    propagation.potential_of on the snapshots where it is needed."""
 
     eps: float
-    A: float
     run: object                     # SimulationRun in slow time
-    potentials: list                # [(t, u values, floored mask), ...]
-    jump_map: str
 
 
-def discrete_lipschitz(u, grid, margin=0):
-    """max |u(x+dx) - u(x)|/dx over nodes at least margin cells from the
-    edges.  The zero-padded convolution depresses n (inflates u) inside
-    the outermost kernel-radius band, so gradient invariants are only
-    meaningful past that band; pass margin = dk.K to skip it."""
-    u = u.values if isinstance(u, Field) else np.asarray(u, dtype=float)
-    d = np.abs(np.diff(u)) / grid.dx
-    if margin > 0:
-        d = d[margin:len(d) - margin]
-    if d.size == 0:
-        raise InvalidParams("margin leaves no interior differences")
-    return float(d.max())
-
-
-def mutation_run(kernel, grid, eps, config, init, jump_map="contraction",
-                 tail_tol=1e-6):
+def mutation_run(kernel, grid, eps, config, init, jump_map="contraction"):
     """Integrate eps dn/dt = J_eps*n - n + n(1-n) from n0 = e^{-u0/eps}.
 
     config.dt is slow time; the effective fast step dt/eps must respect
@@ -292,15 +277,13 @@ def mutation_run(kernel, grid, eps, config, init, jump_map="contraction",
         raise InvalidParams("eps must lie in (0, 1]")
     check_rate(config.dt, 1.0 / eps)
     mk = build_mutation_kernel(kernel, eps, jump_map)
-    dk = discretize_mutation_kernel(mk, grid, tail_tol)
+    dk = discretize_mutation_kernel(mk, grid)
     n0 = init.n0(eps)
     sim = cauchy_run(kernel, grid, config, n0, dk=dk, rate_scale=1.0 / eps)
-    pots = [(t,) + potential_of(fld.values, eps) for t, fld in sim.snapshots]
     sim.manifest["eps"] = eps
     sim.manifest["A"] = init.A
     sim.manifest["jump_map"] = jump_map
-    sim.manifest["kernel_cells"] = dk.K
-    return MutationRun(eps, init.A, sim, pots, jump_map)
+    return MutationRun(eps, sim)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from .errors import IoError
+from .propagation import potential_of
 
 FLOAT_FMT = "%.17g"
 _FORMATS = {"f": FLOAT_FMT, "i": "%d", "u": "%d", "b": "%d"}  # by dtype kind
@@ -66,7 +67,10 @@ def write_csv(path, header, columns):
                      for c, f in zip(columns, fmts)]
             yield ((row * len(cells[0]))
                    % tuple(itertools.chain.from_iterable(zip(*cells))))
-    return _write_lines(path, lines())
+    try:
+        return _write_lines(path, lines())
+    except TypeError as exc:        # a cell _cell cannot format, say None
+        raise IoError("cannot write %s: %s" % (path, exc))
 
 
 def write_rows(path, header, rows):
@@ -137,10 +141,11 @@ def write_hopfcole_csv(outdir, hc):
 
 def write_mutation_csv(outdir, mrun, stride=1):
     """Density and potential per snapshot of one small-eps run."""
-    rows = [(t, (fld.values[::stride], u[::stride],
-                 floored[::stride].astype(int)))
-            for (t, fld), (_, u, floored) in zip(mrun.run.snapshots,
-                                                 mrun.potentials)]
+    rows = []
+    for t, fld in mrun.run.snapshots:
+        n = fld.values[::stride]
+        u, floored = potential_of(n, mrun.eps)
+        rows.append((t, (n, u, floored.astype(int))))
     return write_long_csv(os.path.join(outdir, "mutation_eps%g.csv"
                                        % mrun.eps),
                           ("n_eps", "u_eps", "floored_flag"),

@@ -24,6 +24,10 @@ _DEEP_FLOOR = 1e-8
 # cap on directly-summed tail nodes per residual evaluation (the residual
 # varies slowly along the tail, so a decimated sup is a faithful estimate)
 _DEEP_SAMPLES = 768
+_THETA1_ALPHA = 0.5     # theta1 reads the tail slope past f_inv(a t)
+_T_EARLY = 1e-3         # the sandwich integrates theta from here
+_GARNIER_DELTA = 0.2    # the front's bracket inv_J(e^{-(1-delta) t})
+_GARNIER_RHO = 2.0      # ... and inv_J(e^{-rho t})
 
 
 # ----------------------------------------------------------------------
@@ -37,34 +41,20 @@ def phi_envelope(kernel, t, x):
     return expit(t - kernel.f(np.abs(x)))
 
 
-def theta1(kernel, t, theta1_alpha=0.5):
+def theta1(kernel, t):
     """Decay rate bounding |d_x phi| / phi at time t.
 
     max of a transient term sup|f'| e^{-(1-a)t} and the tail slope
-    sup_{|z| >= f_inv(a t)} f'(z); the latter sup is f' evaluated at
-    max(f_inv(a t), x_peak) because f' rises to its peak and then decays.
+    sup_{|z| >= f_inv(a t)} f'(z), a = _THETA1_ALPHA; the latter sup is
+    f' evaluated at max(f_inv(a t), x_peak) because f' rises to its peak
+    and then decays.
     """
-    a = theta1_alpha
-    if not (0.0 < a < 1.0) or t <= 0.0:
-        raise InvalidParams("theta1 needs t > 0 and theta1_alpha in (0,1)")
+    a = _THETA1_ALPHA
+    if t <= 0.0:
+        raise InvalidParams("theta1 needs t > 0")
     transient = kernel.fprime_sup * np.exp(-(1.0 - a) * t)
     z = max(kernel.f_inv(a * t), kernel.x_peak)
     return float(max(transient, kernel.f_prime(z)))
-
-
-def gamma_loc(kernel, t, theta1_alpha=0.5):
-    """Localization radius min(1/f'(f_inv(t)/2), 1/theta1(t))."""
-    th = theta1(kernel, t, theta1_alpha)
-    fp = kernel.f_prime(kernel.f_inv(t) / 2.0)
-    first = np.inf if fp == 0.0 else 1.0 / fp
-    return float(min(first, np.inf if th == 0.0 else 1.0 / th))
-
-
-def classify_region(kernel, t, x):
-    """LongRange iff f(|x|) >= t (boundary belongs to the long range)."""
-    if t <= 0.0:
-        raise InvalidParams("classify_region needs t > 0")
-    return "LongRange" if kernel.f(abs(x)) >= t else "ShortRange"
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +97,7 @@ def envelope_residual(kernel, grid, t, dk=None):
     return float(best)
 
 
-def envelope_sandwich_report(run, C=1.0, dk=None, t_early=1e-3, x_cut=None):
+def envelope_sandwich_report(run, C=1.0, x_cut=None):
     """Per-snapshot residuals and sandwich violations for a completed run.
 
     Returns rows (t, theta_hat, lo_violation, hi_violation) where the
@@ -117,7 +107,7 @@ def envelope_sandwich_report(run, C=1.0, dk=None, t_early=1e-3, x_cut=None):
 
     over nodes a support radius away from the boundary (0 when the bound
     holds).  The residual integral accumulates by trapezoid over snapshot
-    times, seeded at t_early to cover the initial layer.
+    times, seeded at _T_EARLY to cover the initial layer.
 
     x_cut, when given, further restricts the measurement to |x| <= x_cut.
     It keeps the comparison away from densities that convolution noise,
@@ -126,8 +116,7 @@ def envelope_sandwich_report(run, C=1.0, dk=None, t_early=1e-3, x_cut=None):
     t = 30 (64 blocks) shows no violation at any snapshot without a cut.
     """
     kernel, grid = run.kernel, run.grid
-    if dk is None:
-        dk = discretize_kernel(kernel, grid)
+    dk = discretize_kernel(kernel, grid)
     C_lo, C_hi = min(C, 1.0), max(C, 1.0)
     K, N = dk.K, grid.N
     sel = np.zeros(N, dtype=bool)
@@ -136,9 +125,9 @@ def envelope_sandwich_report(run, C=1.0, dk=None, t_early=1e-3, x_cut=None):
         sel &= np.abs(grid.x) <= x_cut
     absx = np.abs(grid.x[sel])
 
-    thetas = [envelope_residual(kernel, grid, max(t, t_early), dk=dk)
+    thetas = [envelope_residual(kernel, grid, max(t, _T_EARLY), dk=dk)
               for t, _ in run.snapshots]
-    prev_th = envelope_residual(kernel, grid, t_early, dk=dk)
+    prev_th = envelope_residual(kernel, grid, _T_EARLY, dk=dk)
     rows = []
     acc = 0.0
     prev_t = 0.0
@@ -184,7 +173,7 @@ def _rightmost_crossing(x, v, level):
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
-def track_level(run, level, delta=0.2, rho=2.0):
+def track_level(run, level):
     """Trace the level set of a run against the f_inv(t) front law."""
     if not (0.0 < level < 1.0):
         raise InvalidParams("level must lie in (0,1)")
@@ -193,8 +182,9 @@ def track_level(run, level, delta=0.2, rho=2.0):
     kernel = run.kernel
     x = run.grid.x
     rows = [(t, _rightmost_crossing(x, fld.values, level), kernel.f_inv(t),
-             kernel.J_inv(np.exp(-(1.0 - delta) * t)),
-             kernel.J_inv(np.exp(-rho * t))) for t, fld in run.snapshots]
+             kernel.J_inv(np.exp(-(1.0 - _GARNIER_DELTA) * t)),
+             kernel.J_inv(np.exp(-_GARNIER_RHO * t)))
+            for t, fld in run.snapshots]
     return FrontTrack(level, *(np.asarray(c) for c in zip(*rows)))
 
 

@@ -24,7 +24,8 @@ from fatkpp.mutation import (build_mutation_kernel, classify_limit_sets,
                              fd_condition, growth_bound,
                              mutation_initial_data, mutation_run)
 from fatkpp.propagation import (envelope_sandwich_report, hopf_cole_field,
-                                phi_envelope, theta1, track_level)
+                                phi_envelope, potential_of, theta1,
+                                track_level)
 
 
 def K(family, **p):
@@ -194,7 +195,8 @@ def test_criterion_08_a_priori_suite(loglinear3):
     rhat = growth_bound(k, 0.25)
     cap = 1.05 * 0.25 * k.fprime0
     margin = mr.run.manifest["kernel_cells"]
-    for t, u, floored in mr.potentials:
+    for t, fld in mr.run.snapshots:
+        u, floored = potential_of(fld.values, mr.eps)
         assert not floored.any()
         du = u - init.u0.values
         assert du.max() <= t + 1e-9, t

@@ -103,19 +103,34 @@ def test_quiet_suppresses_stdout_and_out_overrides(tmp_path, capsys):
     assert not os.path.exists(str(tmp_path / "ignored"))
 
 
+# a small CrossValidate run: mutation CSVs, the HJ solution and a plot
+CROSSVAL_SMALL = {
+    "experiment": "CrossValidate",
+    "kernel": {"family": "LogLinear", "beta": 3},
+    "grid": {"L": 50, "N": 8192},
+    "solver": {"t_end": 0.25, "dt": 0.025, "snapshots": [0.125, 0.25]},
+    "analysis": {"eps": [0.25, 0.2], "A": 0.25, "compact": [-5, 5]},
+}
+
+
 def test_data_files_are_deterministic_across_runs(tmp_path):
-    outs = []
-    for name in ("a", "b"):
-        out = str(tmp_path / name)
-        doc = dict(SIMULATE)
-        doc["output"] = {"directory": out}
-        assert main(["--config", _cfg(tmp_path, doc,
-                                      name + ".json"), "--quiet"]) == 0
-        outs.append(out)
-    for name in ("snapshot_t0.5.csv", "monitors.csv", "density.svg"):
-        b1 = open(os.path.join(outs[0], name), "rb").read()
-        b2 = open(os.path.join(outs[1], name), "rb").read()
-        assert b1 == b2, name
+    for base, names in (
+            (SIMULATE, ("snapshot_t0.5.csv", "monitors.csv",
+                        "density.svg")),
+            (CROSSVAL_SMALL, ("mutation_eps0.25.csv", "mutation_eps0.2.csv",
+                              "hj_solution.csv", "crossval.svg"))):
+        outs = []
+        for name in ("a", "b"):
+            out = str(tmp_path / base["experiment"] / name)
+            doc = dict(base)
+            doc["output"] = {"directory": out}
+            assert main(["--config", _cfg(tmp_path, doc, name + ".json"),
+                         "--quiet"]) == 0
+            outs.append(out)
+        for name in names:
+            b1 = open(os.path.join(outs[0], name), "rb").read()
+            b2 = open(os.path.join(outs[1], name), "rb").read()
+            assert b1 == b2, name
 
 
 def test_contaminated_run_exits_3_with_partial_outputs(tmp_path, capsys):
@@ -148,7 +163,13 @@ def test_front_writes_tracks_envelope_and_plot(tmp_path):
     assert set(front[:, 1]) == {0.25, 0.5}
     assert os.path.exists(os.path.join(out, "envelope.csv"))
     assert os.path.exists(os.path.join(out, "front.svg"))
-    assert _manifest(out)["manifest"]["levels"] == [0.25, 0.5]
+    man = _manifest(out)["manifest"]
+    assert man["levels"] == [0.25, 0.5]
+    # the convolution's shape: each block of block_length yields
+    # block_length - 2 kernel_cells outputs, and the blocks cover the grid
+    K, B, nb = (man[k] for k in ("kernel_cells", "block_length",
+                                 "block_count"))
+    assert K >= 1 and B > 2 * K and nb * (B - 2 * K) >= 8192
 
 
 def test_hopf_cole_reports_sup_errors(tmp_path):
@@ -182,6 +203,13 @@ def test_mutation_writes_density_and_limit_sets(tmp_path):
     assert regions <= {"A", "B", "U"} and "A" in regions
     man = _manifest(out)["manifest"]
     assert man["limits_eps"] == 0.25
+    # the potential columns are -eps ln n of the density column, row by row
+    data = np.loadtxt(os.path.join(out, "mutation_eps0.25.csv"),
+                      delimiter=",", skiprows=1)
+    assert data.shape == (32768 // 8, 5)
+    n, u, flag = data[:, 2], data[:, 3], data[:, 4]
+    assert np.array_equal(u, -0.25 * np.log(np.maximum(n, 1e-300)))
+    assert np.array_equal(flag, (n < 1e-300).astype(float))
 
 
 def test_hj_writes_solution_and_zero_set(tmp_path):

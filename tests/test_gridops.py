@@ -51,12 +51,6 @@ def test_field_shape_checked():
         Field(g, np.array([np.nan] * 16))
 
 
-def test_index_of():
-    g = Grid1D(L=4.0, N=16)
-    assert g.index_of(0.0) == 8
-    assert g.index_of(-4.0) == 0
-
-
 # ----------------------------------------------------------------------
 # adaptive quadrature
 
@@ -133,7 +127,7 @@ def test_convolve_delta_reproduces_weights(poly4):
     j = g.N // 2
     v = np.zeros(g.N)
     v[j] = 1.0 / g.dx
-    out = dk.convolve(Field(g, v)).values
+    out = dk.apply(v)
     M = len(dk.samples)
     Kh = M // 2
     expect = np.zeros(g.N)
@@ -144,7 +138,7 @@ def test_convolve_delta_reproduces_weights(poly4):
 def test_convolve_constant_is_constant(poly4):
     g = Grid1D(L=100.0, N=2048)
     dk = discretize_kernel(poly4, g)
-    out = dk.convolve(Field(g, np.ones(g.N))).values
+    out = dk.apply(np.ones(g.N))
     M = len(dk.samples)
     Kh = M // 2
     interior = out[Kh:g.N - Kh]
@@ -222,26 +216,9 @@ def test_convolve_preserves_symmetry(poly4):
     g = Grid1D(L=30.0, N=1024)
     dk = discretize_kernel(poly4, g)
     v = np.exp(-np.abs(g.x))
-    out = dk.convolve(Field(g, v)).values
+    out = dk.apply(v)
     # the grid has no +L node, so the mirror of node i>=1 is node N-i
     assert np.max(np.abs(out[1:] - out[1:][::-1])) <= 1e-12
-
-
-def test_convolve_clamps_tiny_negatives(poly4):
-    g = Grid1D(L=30.0, N=512)
-    dk = discretize_kernel(poly4, g)
-    v = np.zeros(g.N)
-    v[10] = 1e-300     # FFT noise would otherwise go slightly negative
-    out = dk.convolve(Field(g, v)).values
-    assert np.all(out >= 0.0)
-
-
-def test_convolve_grid_mismatch(poly4):
-    g1 = Grid1D(L=10.0, N=64)
-    g2 = Grid1D(L=10.0, N=128)
-    dk = discretize_kernel(poly4, g1)
-    with pytest.raises(GridMismatch):
-        dk.convolve(Field(g2, np.zeros(g2.N)))
 
 
 def test_degenerate_delta_kernel_is_identity():

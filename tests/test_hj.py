@@ -13,7 +13,6 @@ s = ln(1+h) in int_0^inf ln(1+h)^2 (1+h)^{-+A-3} dh.
 """
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from fatkpp.gridops import Field, Grid1D
 from fatkpp.hj import (Hamiltonian, HJSolution, cross_validate,
                        hamiltonian_profile, inclusion_curves,
                        solve_constrained_hj, zero_set_boundary)
-from fatkpp.cauchy import SolverConfig
+from fatkpp.cauchy import SolverConfig, Trajectory
 from fatkpp.kernels import KernelSpec, build_kernel
 from fatkpp.mutation import (MutationRun, mutation_initial_data,
                              mutation_run)
@@ -387,16 +386,17 @@ def test_inclusion_curves_frozen_values(H3):
 
 
 def _fake_pair(g, shift_by_eps):
-    """Limit solution u(x) = |x| wedge and runs offset by given amounts."""
+    """Limit solution u(x) = |x| wedge and runs whose potentials
+    -eps ln n are offset from it by given amounts."""
     u = np.abs(g.x)
     hj = HJSolution([(0.0, Field(g, u)), (1.0, Field(g, u))], None, g,
                     0.5, {})
     runs = []
     for eps, off in shift_by_eps.items():
         pot = u + off if np.ndim(off) else u + float(off)
-        runs.append(MutationRun(eps, 0.25, SimpleNamespace(grid=g),
-                                [(1.0, pot, np.zeros(g.N, dtype=bool))],
-                                "contraction"))
+        run = Trajectory([(1.0, Field(g, np.exp(-pot / eps)))])
+        run.grid = g
+        runs.append(MutationRun(eps, run))
     return hj, runs
 
 

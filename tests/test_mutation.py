@@ -12,11 +12,12 @@ from fatkpp.errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
 from fatkpp.gridops import Field, Grid1D
 from fatkpp.kernels import KernelSpec, build_kernel
 from fatkpp.mutation import (build_mutation_kernel, classify_limit_sets,
-                             contraction, default_A, discrete_lipschitz,
+                             contraction, default_A,
                              discretize_mutation_kernel, fd_condition,
                              growth_bound, interquartile,
                              mutation_initial_data, mutation_run,
-                             potential_of, rescaled_density)
+                             rescaled_density)
+from fatkpp.propagation import potential_of
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +182,7 @@ def test_grid_too_coarse(loglin3):
 def test_discrete_mutation_kernel_mass_defect(loglin3):
     mk = build_mutation_kernel(loglin3, 0.5)
     g = Grid1D(L=200.0, N=2 ** 14)
-    dk = discretize_mutation_kernel(mk, g, tail_tol=1e-6)
+    dk = discretize_mutation_kernel(mk, g)
     assert dk.lost_mass <= 1e-6 + 1e-9
 
 
@@ -213,7 +214,7 @@ def test_initial_data_default_profile(loglin3):
     assert fd_condition(loglin3, init.u0, 0.25) <= 1e-8
     n0 = init.n0(0.1)
     assert n0.values.max() <= 1.0 and n0.values.min() >= 0.0
-    assert n0.values[g.index_of(0.0)] == 1.0
+    assert n0.values[g.N // 2] == 1.0
 
 
 def test_initial_data_rejects(loglin3):
@@ -249,6 +250,12 @@ def small_run(loglin3):
     return g, init, mutation_run(loglin3, g, 0.2, cfg, init)
 
 
+def _potentials(mr):
+    """(t, u, floored mask) per snapshot of a rescaled run."""
+    return [(t,) + potential_of(fld.values, mr.eps)
+            for t, fld in mr.run.snapshots]
+
+
 def test_mutation_run_max_principle(small_run):
     g, init, mr = small_run
     assert np.all(mr.run.monitors["n_min"] >= -1e-10)
@@ -260,7 +267,7 @@ def test_mutation_run_potential_bounds(small_run):
     """-r_hat t <= u(t) - u0 <= t at snapshots (growth/decay bracket)."""
     g, init, mr = small_run
     r_hat = growth_bound(mr.run.kernel, init.A)
-    for t, u, mask in mr.potentials:
+    for t, u, mask in _potentials(mr):
         assert not mask.any()
         diff = u - init.u0.values
         assert diff.max() <= t + 1e-9
@@ -270,7 +277,7 @@ def test_mutation_run_potential_bounds(small_run):
 def test_mutation_run_fd_persists(small_run):
     g, init, mr = small_run
     k = mr.run.kernel
-    for t, u, mask in mr.potentials:
+    for t, u, mask in _potentials(mr):
         assert fd_condition(k, Field(g, u), init.A) <= 1e-6
 
 
@@ -281,8 +288,9 @@ def test_mutation_run_lipschitz(small_run):
     k = mr.run.kernel
     cap = 1.05 * init.A * k.fprime0
     K = mr.run.manifest["kernel_cells"]
-    for t, u, mask in mr.potentials:
-        lip = discrete_lipschitz(u, g, margin=K)
+    for t, u, mask in _potentials(mr):
+        d = np.abs(np.diff(u)) / g.dx
+        lip = d[K:len(d) - K].max()
         assert lip <= cap
         assert lip < k.fprime0 * (1.0 - 1.0 / k.mu)
 
@@ -295,7 +303,7 @@ def test_mutation_run_stationary_at_one(loglin3):
     cfg = SolverConfig(dt=0.01, t_end=0.2, snapshot_times=(0.2,),
                        boundary_guard=2.0)
     mr = mutation_run(loglin3, g, 0.1, cfg, init)
-    t, u, mask = mr.potentials[-1]
+    t, u, mask = _potentials(mr)[-1]
     sel = np.abs(g.x) <= g.L / 2
     assert np.max(u[sel]) <= 1e-6 * 0.1          # n stays 1 centrally
 

@@ -44,6 +44,15 @@ def test_csv_rejects_ragged_columns(tmp_path):
                   ([1.0, 2.0], [1.0]))
 
 
+def test_csv_unformattable_cell_raises_io_error(tmp_path):
+    """A cell _cell cannot format (None in an object column) is reported
+    as IoError naming the file, not as a bare TypeError."""
+    path = str(tmp_path / "a.csv")
+    with pytest.raises(IoError, match="a.csv"):
+        write_csv(path, ("a", "b"),
+                  (np.array([1.0, 2.0]), np.array([1.5, None], dtype=object)))
+
+
 def test_csv_golden_bytes_of_a_mixed_table(tmp_path):
     """Each column keeps its cell rule: 17 digits for floats, integers
     and bools as digits, characters as they are, objects per value."""

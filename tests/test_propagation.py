@@ -9,10 +9,9 @@ from fatkpp.cauchy import SimulationRun
 from fatkpp.errors import InvalidParams, OutOfDomain
 from fatkpp.gridops import DiscreteKernel, Field, Grid1D, discretize_kernel
 from fatkpp.kernels import KernelSpec, build_kernel
-from fatkpp.propagation import (classify_region, dilation,
-                                envelope_residual, envelope_sandwich_report,
-                                gamma_loc, hopf_cole_field, phi_envelope,
-                                theta1, track_level)
+from fatkpp.propagation import (dilation, envelope_residual,
+                                envelope_sandwich_report, hopf_cole_field,
+                                phi_envelope, theta1, track_level)
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +58,7 @@ def test_phi_is_even(poly4):
 
 
 # ----------------------------------------------------------------------
-# theta1 / gamma / regions
+# theta1 / regions
 
 
 def test_theta1_decays(poly4, subexp):
@@ -87,26 +86,14 @@ def test_gradient_bound_of_envelope(poly4, subexp):
             assert np.max(grad - th * phi) <= 1e-10
 
 
-def test_gamma_inside_short_range(poly4):
-    for t in (1.0, 10.0, 100.0):
-        assert gamma_loc(poly4, t) <= poly4.f_inv(t)
-
-
-def test_classify_region(poly4):
-    assert classify_region(poly4, 3.0, 0.0) == "ShortRange"
-    xb = poly4.f_inv(3.0)
-    assert classify_region(poly4, 3.0, xb) == "LongRange"
-    assert classify_region(poly4, 3.0, 0.99 * xb) == "ShortRange"
-    assert classify_region(poly4, 3.0, -xb - 1.0) == "LongRange"
-
-
 def test_regions_preserved_by_dilation(poly4, loglin2):
+    """The long range f(|x|) >= t maps onto f(|y|) >= t/eps."""
     for k in (poly4, loglin2):
         psi = dilation(k, 0.25)
         for t in (2.0, 9.0):
             for x in (0.5, 1.0, k.f_inv(t), 3 * k.f_inv(t)):
-                assert (classify_region(k, t, x)
-                        == classify_region(k, t / 0.25, psi.forward(x)))
+                assert ((k.f(abs(x)) >= t)
+                        == (k.f(abs(psi.forward(x))) >= t / 0.25))
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +226,7 @@ def test_track_level_garnier_columns(poly4):
     g = Grid1D(L=50.0, N=256)
     run = synthetic_run(poly4, g, [10.0],
                         lambda t, x: phi_envelope(poly4, t, x))
-    tr = track_level(run, 0.5, delta=0.2, rho=2.0)
+    tr = track_level(run, 0.5)
     lo = math.sqrt(math.exp(-(-0.8 * 10.0) * (2.0 / 5.0)) - 1.0)
     hi = math.sqrt(math.exp(-(-2.0 * 10.0) * (2.0 / 5.0)) - 1.0)
     assert abs(tr.garnier_lo[0] - lo) < 1e-9 * lo
