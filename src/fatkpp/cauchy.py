@@ -23,7 +23,8 @@ from .errors import (BoundaryContamination, FatKppError, GridMismatch,
                      InvalidParams, StabilityViolation)
 from .gridops import Field, Grid1D, discretize_kernel
 
-_METHODS = ("Euler", "RK4")
+# the methods, each with its convolutions per step
+_STAGES = {"Euler": 1, "RK4": 4}
 
 # hard explicit-stability ceiling: 0.9/(2 + sup|1-2n|) with 0 <= n <= 1
 DT_MAX = 0.3
@@ -77,8 +78,8 @@ class SolverConfig:
         t_end_ok = _is_num(self.t_end) and self.t_end >= 0.0
         if not t_end_ok:
             issues.append("t_end: must be a nonnegative number")
-        if self.method not in _METHODS:
-            issues.append("method: must be one of %s" % ", ".join(_METHODS))
+        if self.method not in _STAGES:
+            issues.append("method: must be one of %s" % ", ".join(_STAGES))
         if not (_is_num(self.boundary_guard) and self.boundary_guard > 0.0):
             issues.append("boundary_guard: must be positive")
         snaps = self.snapshot_times
@@ -124,9 +125,10 @@ def _march(grid, values, times, t_end, dt_max, advance, observe, finish):
 
     Each positive gap between stops is crossed in ceil(gap/dt_max) equal
     sub-steps h, so every stop is hit exactly.  advance(v, h) returns the
-    state h later; observe(v, t) sees the initial state and the state
-    after each step, labelled t_prev + j*h and exactly the stop on a gap's
-    last step.  One (t, Field) copy is kept per requested time;
+    state h later, possibly in the buffer of an earlier state; observe(v,
+    t) sees the initial state and the state after each step, labelled
+    t_prev + j*h and exactly the stop on a gap's last step.  One
+    (t, Field) copy is kept per requested time, since buffers are reused;
     finish(records, steps) builds the result, which a FatKppError raised
     meanwhile carries as ``.run``.
     """
@@ -162,26 +164,58 @@ def initial_condition(kernel, grid, C):
     return Field(grid, vals)
 
 
-def _rhs(dk, v):
-    return dk.apply(v) - v + v * (1.0 - v)
+def _workspace(method, N):
+    """The buffers a step writes into, allocated once per run: the result
+    and a scratch buffer for Euler, plus a stage and its input for RK4."""
+    return [np.empty(N) for _ in range(2 if method == "Euler" else 4)]
 
 
-def _advance(dk, v, dt, method, rate_scale):
-    """One explicit step clamped to [0,1]; returns (values, overshoot).
+def _rhs(dk, v, out, tmp):
+    """out = J*v - v + v*(1 - v), rounded as that expression is."""
+    dk.apply(v, out=out)
+    out -= v
+    np.subtract(1.0, v, out=tmp)
+    tmp *= v
+    out += tmp
+    return out
 
+
+def _advance(dk, v, dt, method, rate_scale, work):
+    """One explicit step clamped to [0,1], written into work[0] (see
+    `_workspace`); returns (work[0], overshoot) and leaves v unmodified.
+
+    Each stage rounds as the textbook expressions do: Euler is
+    v + (dt*r)*rhs(v), and RK4 is v + (dt/6)*(k1 + 2k2 + 2k3 + k4) with
+    k_i = r*rhs(v + c_i*dt*k_{i-1}).
     Raises StabilityViolation when the pre-clamp excursion outside [0,1]
     exceeds 1e-6 (a symptom of dt past the explicit-stability bound, or of
     inconsistent inputs), rather than silently clamping real dynamics.
     """
     r = rate_scale
     if method == "Euler":
-        out = v + (dt * r) * _rhs(dk, v)
+        out, tmp = work
+        _rhs(dk, v, out, tmp)
+        out *= dt * r
     else:
-        k1 = r * _rhs(dk, v)
-        k2 = r * _rhs(dk, v + 0.5 * dt * k1)
-        k3 = r * _rhs(dk, v + 0.5 * dt * k2)
-        k4 = r * _rhs(dk, v + dt * k3)
-        out = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # out keeps the running sum k1 + 2k2 + 2k3 + k4, k the latest
+        # stage, s the next stage's input
+        out, k, s, tmp = work
+        _rhs(dk, v, out, tmp)
+        out *= r
+        np.multiply(out, 0.5 * dt, out=s)
+        s += v
+        for c in (0.5, 1.0):
+            _rhs(dk, s, k, tmp)
+            k *= r
+            np.multiply(k, c * dt, out=s)
+            s += v
+            k *= 2.0
+            out += k
+        _rhs(dk, s, k, tmp)
+        k *= r
+        out += k
+        out *= dt / 6.0
+    out += v
     overshoot = max(float(out.max()) - 1.0, -float(out.min()), 0.0)
     if overshoot > 1e-6:
         raise StabilityViolation("pre-clamp overshoot %.3e exceeds 1e-6"
@@ -217,10 +251,12 @@ def run(kernel, grid, config, n0, dk=None, rate_scale=1.0):
     t0 = _time.perf_counter()
     rows = []                       # one row of MONITORS per observed state
     clamp_total = 0.0
+    work = _workspace(config.method, grid.N)
 
     def advance(v, h):
         nonlocal clamp_total
-        out, overshoot = _advance(dk, v, h, config.method, rate_scale)
+        out, overshoot = _advance(dk, v, h, config.method, rate_scale, work)
+        work[0] = v                 # the old state takes the next result
         clamp_total += overshoot
         return out
 
@@ -236,14 +272,16 @@ def run(kernel, grid, config, n0, dk=None, rate_scale=1.0):
         # the observer raises on the first state past the guard, so only
         # the last row can be contaminated
         contaminated = rows[-1][3] >= config.boundary_guard
+        wall = _time.perf_counter() - t0
         manifest = dict(
             kernel.manifest(), grid={"L": grid.L, "N": grid.N},
             dt=config.dt, t_end=config.t_end, method=config.method,
-            rate_scale=rate_scale, steps_taken=steps, kernel_cells=dk.K,
+            rate_scale=rate_scale, steps_taken=steps,
+            convolutions=steps * _STAGES[config.method], kernel_cells=dk.K,
             block_length=dk._P, block_count=dk._nb,
             kernel_tail_mass=dk.lost_mass, clamp_total=clamp_total,
-            contaminated=contaminated,
-            wall_time_s=_time.perf_counter() - t0)
+            contaminated=contaminated, wall_time_s=wall,
+            steps_per_s=steps / wall if wall > 0.0 else 0.0)
         monitors = dict(zip(MONITORS, np.array(rows).T))
         return SimulationRun(snapshots, kernel, grid, config, monitors,
                              manifest, contaminated)

@@ -219,22 +219,35 @@ class DiscreteKernel:
         self.reach = B - K
         self._spectrum = sfft.rfft(w, B)
         self._buf = np.zeros((self._nb - 1) * step + B)
+        # the blocks are overlapping windows of _buf, a view made once
+        self._blocks = np.lib.stride_tricks.sliding_window_view(
+            self._buf, B)[::step]
 
-    def apply(self, values):
+    def apply(self, values, out=None):
         """Linear convolution (sum_j w_j v_{i-j}) with zero exterior.
 
-        Returns a fresh array and leaves `values` unmodified.  Roundoff
-        (~1e-16 of the block's data scale) can leave tiny negatives where
-        the data vanish; the stepper's clamp to [0, 1] absorbs them.
+        Writes into `out` (a float array of length N) and returns it;
+        without `out`, returns a fresh array.  `values` is left unmodified.
+        Only the block spectra and their inverse transforms are allocated
+        per call.  Roundoff (~1e-16 of the block's data scale) can leave
+        tiny negatives where the data vanish; the stepper's clamp to
+        [0, 1] absorbs them.
         """
         K, N, B = self.K, self.grid.N, self._P
-        buf = self._buf
-        buf[K:K + N] = values
-        blocks = np.lib.stride_tricks.sliding_window_view(buf, B)[::B - 2 * K]
-        F = sfft.rfft(blocks, axis=1)
+        step = B - 2 * K
+        self._buf[K:K + N] = values
+        F = sfft.rfft(self._blocks, axis=1)
         F *= self._spectrum
-        # columns before 2K of each block hold wrapped (circular) sums
-        return sfft.irfft(F, B, axis=1)[:, 2 * K:].reshape(-1)[:N].copy()
+        R = sfft.irfft(F, B, axis=1)
+        if out is None:
+            out = np.empty(N)
+        # columns before 2K of each block hold wrapped (circular) sums;
+        # the kept columns of the full blocks go out in one strided copy
+        full, rest = divmod(N, step)
+        out[:full * step].reshape(full, step)[...] = R[:full, 2 * K:]
+        if rest:
+            out[full * step:] = R[full, 2 * K:2 * K + rest]
+        return out
 
 
 def discretize_kernel(kernel, grid, tail_tol=1e-6):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fatkpp.cauchy import (SolverConfig, _advance, _march,
+from fatkpp.cauchy import (SolverConfig, _advance, _march, _workspace,
                            initial_condition, run)
 from fatkpp.errors import (BoundaryContamination, GradientOutOfRange,
                            InvalidParams, StabilityViolation)
@@ -79,7 +79,8 @@ def test_initial_condition_shape_and_clamp(poly4):
 
 def test_zero_stays_zero(setup):
     k, g, dk = setup
-    out, _ = _advance(dk, np.zeros(g.N), 0.1, "Euler", 1.0)
+    out, _ = _advance(dk, np.zeros(g.N), 0.1, "Euler", 1.0,
+                      _workspace("Euler", g.N))
     assert np.all(out == 0.0)
 
 
@@ -87,7 +88,8 @@ def test_one_is_steady_interior(setup):
     """n = 1 is a discrete steady state away from the zero padding; the
     tolerated drift is the truncation tail budget."""
     k, g, dk = setup
-    out, _ = _advance(dk, np.ones(g.N), 0.1, "RK4", 1.0)
+    out, _ = _advance(dk, np.ones(g.N), 0.1, "RK4", 1.0,
+                      _workspace("RK4", g.N))
     interior = out[dk.K:g.N - dk.K]
     assert np.max(np.abs(interior - 1.0)) <= 1e-6 + 1e-12
 
@@ -100,7 +102,7 @@ def test_single_euler_step_oracle(setup):
     direct = np.convolve(n0, dk.samples)[dk.K:dk.K + g.N]
     dt = 0.1
     expect = n0 + dt * (direct - n0 + n0 * (1.0 - n0))
-    got, _ = _advance(dk, n0, dt, "Euler", 1.0)
+    got, _ = _advance(dk, n0, dt, "Euler", 1.0, _workspace("Euler", g.N))
     np.testing.assert_allclose(got, np.clip(expect, 0, 1), atol=1e-12)
     i0 = g.N // 2
     assert abs(got[i0] - (1.0 + dt * (direct[i0] - 1.0))) < 1e-12
@@ -111,7 +113,42 @@ def test_step_rejects_unstable_dt(setup):
     with pytest.raises(StabilityViolation):
         # rate_scale makes the effective step huge without tripping the
         # config-level dt cap, so the overshoot check has to catch it
-        _advance(dk, np.full(g.N, 0.5), 0.3, "RK4", 40.0)
+        _advance(dk, np.full(g.N, 0.5), 0.3, "RK4", 40.0,
+                 _workspace("RK4", g.N))
+
+
+def _allocating_rhs(dk, v):
+    return dk.apply(v) - v + v * (1.0 - v)
+
+
+def _allocating_step(dk, v, dt, method, r):
+    """The step as plain array expressions, each making a fresh array."""
+    if method == "Euler":
+        out = v + (dt * r) * _allocating_rhs(dk, v)
+    else:
+        k1 = r * _allocating_rhs(dk, v)
+        k2 = r * _allocating_rhs(dk, v + 0.5 * dt * k1)
+        k3 = r * _allocating_rhs(dk, v + 0.5 * dt * k2)
+        k4 = r * _allocating_rhs(dk, v + dt * k3)
+        out = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.clip(out, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("method", ["Euler", "RK4"])
+@pytest.mark.parametrize("rate_scale", [1.0, 2.5])
+def test_step_in_buffers_is_bit_identical(setup, method, rate_scale):
+    """The in-place stages round exactly as the array expressions do."""
+    k, g, dk = setup
+    n0 = initial_condition(k, g, C=0.5)
+    r = run(k, g, SolverConfig(dt=0.1, t_end=1.0), n0, dk=dk)
+    v = r.snapshots[-1][1].values
+    v0 = v.copy()
+    work = _workspace(method, g.N)
+    got, _ = _advance(dk, v, 0.1, method, rate_scale, work)
+    assert got is work[0]
+    assert np.array_equal(got, _allocating_step(dk, v0, 0.1, method,
+                                                rate_scale))
+    assert np.array_equal(v, v0)
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +242,42 @@ def test_boundary_contamination_aborts_with_partial(poly4):
     assert partial.manifest["contaminated"]
     assert partial.manifest["steps_taken"] < 300
     assert partial.monitors["boundary_density"][-1] >= cfg.boundary_guard
+
+
+def test_recorded_snapshots_own_their_memory(setup):
+    """The stepper reuses its buffers, so each snapshot must be a copy
+    taken when it was recorded: none shares memory with another, and each
+    one's max is the n_max monitored at its time."""
+    k, g, dk = setup
+    n0 = initial_condition(k, g, C=0.5)
+    cfg = SolverConfig(dt=0.1, t_end=1.0,
+                       snapshot_times=(0.0, 0.1, 0.2, 0.5, 0.6, 1.0))
+    r = run(k, g, cfg, n0, dk=dk)
+    vals = [fld.values for _, fld in r.snapshots]
+    for i, a in enumerate(vals):
+        for b in vals[i + 1:]:
+            assert not np.shares_memory(a, b)
+    maxes = [float(v.max()) for v in vals]
+    assert all(a < b for a, b in zip(maxes, maxes[1:]))
+    for (t, _), m in zip(r.snapshots, maxes):
+        row = np.flatnonzero(r.monitors["t"] == t)
+        assert len(row) == 1 and r.monitors["n_max"][row[0]] == m
+
+
+@pytest.mark.parametrize("method, per_step", [("Euler", 1), ("RK4", 4)])
+def test_manifest_counts_convolutions_and_rate(setup, method, per_step):
+    """convolutions counts the stepper's dk.apply calls."""
+    k, g, _ = setup
+    dk = discretize_kernel(k, g)
+    calls = []
+    apply = dk.apply
+    dk.apply = lambda *a, **kw: calls.append(1) or apply(*a, **kw)
+    n0 = initial_condition(k, g, C=1.0)
+    r = run(k, g, SolverConfig(dt=0.1, t_end=1.0, method=method), n0, dk=dk)
+    man = r.manifest
+    assert man["steps_taken"] == 10
+    assert man["convolutions"] == len(calls) == per_step * 10
+    assert man["steps_per_s"] == 10 / man["wall_time_s"]
 
 
 def test_effective_step_cap(setup):

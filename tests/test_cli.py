@@ -170,6 +170,10 @@ def test_front_writes_tracks_envelope_and_plot(tmp_path):
     K, B, nb = (man[k] for k in ("kernel_cells", "block_length",
                                  "block_count"))
     assert K >= 1 and B > 2 * K and nb * (B - 2 * K) >= 8192
+    # the stepper's pace: four convolutions per RK4 step
+    assert man["steps_taken"] == 40
+    assert man["convolutions"] == 4 * man["steps_taken"]
+    assert man["steps_per_s"] == man["steps_taken"] / man["wall_time_s"]
 
 
 def test_hopf_cole_reports_sup_errors(tmp_path):

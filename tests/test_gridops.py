@@ -212,6 +212,39 @@ def test_apply_returns_fresh_arrays(front_dk):
     assert not np.shares_memory(a, v)
 
 
+def _random_dk(L, N, K):
+    g = Grid1D(L=L, N=N)
+    w = np.random.default_rng(K).random(2 * K + 1)
+    return DiscreteKernel(g, w, half_support=K * g.dx, lost_mass=0.0)
+
+
+@pytest.mark.parametrize("make, K, nb, B", [
+    # the snapshots workload's kernel: one block
+    (lambda: discretize_kernel(build_kernel(KernelSpec(
+        "SubExponential", alpha=0.5)), Grid1D(L=1000.0, N=2 ** 15)),
+     4680, 1, 43200),
+    # the front workload's: 10 blocks, the last one partial
+    (lambda: discretize_kernel(build_kernel(KernelSpec(
+        "Polynomial", alpha=4.0)), Grid1D(L=1000.0, N=2 ** 15)),
+     406, 10, 4096),
+    # blocks of a length that is no power of two: 4, the last partial
+    (lambda: _random_dk(100.0, 2 ** 14, 700), 700, 4, 5625),
+    # one block whose kept columns are exactly the grid
+    (lambda: _random_dk(100.0, 2 ** 14, 1808), 1808, 1, 20000),
+])
+def test_apply_into_out_matches_fresh_result(make, K, nb, B):
+    dk = make()
+    assert (dk.K, dk._nb, dk._P) == (K, nb, B)
+    v = np.random.default_rng(8).random(dk.grid.N)
+    v0 = v.copy()
+    buf = np.full(dk.grid.N, np.nan)
+    got = dk.apply(v, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, dk.apply(v))
+    assert np.array_equal(v, v0)
+    assert not np.shares_memory(buf, v)
+
+
 def test_convolve_preserves_symmetry(poly4):
     g = Grid1D(L=30.0, N=1024)
     dk = discretize_kernel(poly4, g)
