@@ -113,7 +113,6 @@ class SimulationRun(Trajectory):
 
     kernel: object
     grid: Grid1D
-    config: SolverConfig
     monitors: dict                  # MONITORS name -> array over states
     manifest: dict
     contaminated: bool = False
@@ -283,8 +282,8 @@ def run(kernel, grid, config, n0, dk=None, rate_scale=1.0):
             contaminated=contaminated, wall_time_s=wall,
             steps_per_s=steps / wall if wall > 0.0 else 0.0)
         monitors = dict(zip(MONITORS, np.array(rows).T))
-        return SimulationRun(snapshots, kernel, grid, config, monitors,
-                             manifest, contaminated)
+        return SimulationRun(snapshots, kernel, grid, monitors, manifest,
+                             contaminated)
 
     return _march(grid, np.clip(n0.values, 0.0, 1.0),
                   config.snapshot_times, config.t_end, config.dt, advance,

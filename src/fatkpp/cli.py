@@ -23,7 +23,7 @@ from .errors import (BoundaryContamination, CFLViolation, DomainError,
                      IoError, NoConvergence, NonIntegrableTail,
                      OutOfDomain, ParseError, StabilityViolation,
                      ValidationError)
-from .gridops import Field
+from .gridops import Field, discretize_kernel
 from .hj import (HJSolution, Hamiltonian, hamiltonian_profile,
                  inclusion_curves, cross_validate, solve_constrained_hj,
                  zero_set_boundary)
@@ -77,10 +77,13 @@ def _do_simulate(cfg, out):
 
 
 def _do_front(cfg, out):
-    sim = _simulate(cfg)
+    # one sampled kernel serves the run and its envelope report
+    dk = discretize_kernel(cfg.kernel, cfg.grid)
+    n0 = initial_condition(cfg.kernel, cfg.grid, cfg.C)
+    sim = run_cauchy(cfg.kernel, cfg.grid, cfg.solver, n0, dk=dk)
     tracks = [track_level(sim, lv) for lv in cfg.levels]
     out_io.write_front_csv(out, tracks, cfg.kernel)
-    rows = envelope_sandwich_report(sim, C=cfg.C)
+    rows = envelope_sandwich_report(sim, dk, cfg.C)
     out_io.write_envelope_csv(out, rows)
     series = [("level %g" % tr.level, tr.times, tr.positions)
               for tr in tracks]

@@ -184,7 +184,7 @@ class DiscreteKernel:
     dynamics, which the maximum-principle monitors rely on.
     """
 
-    def __init__(self, grid, weights, half_support, lost_mass):
+    def __init__(self, grid, weights, lost_mass):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or len(w) % 2 != 1:
             raise InvalidParams("kernel sample vector must have odd length")
@@ -200,7 +200,6 @@ class DiscreteKernel:
         self.grid = grid
         self.samples = w
         self.K = K
-        self.half_support = float(half_support)
         self.lost_mass = float(lost_mass)
         # overlap-save blocks of length B ~ 8K, each yielding B - 2K
         # outputs, or one padded block where that makes at most two: the
@@ -263,4 +262,4 @@ def discretize_kernel(kernel, grid, tail_tol=1e-6):
     off = grid.dx * np.arange(-K, K + 1)
     w = kernel.J_hat(off) * grid.dx
     lost = 1.0 - float(w.sum())
-    return DiscreteKernel(grid, w, half_support=K * grid.dx, lost_mass=lost)
+    return DiscreteKernel(grid, w, lost_mass=lost)

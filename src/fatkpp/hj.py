@@ -255,9 +255,7 @@ def hamiltonian_profile(H, A, n=257):
 class HJSolution(Trajectory):
     """Snapshots of the obstacle problem plus the scheme's audit trail."""
 
-    hamiltonian: Hamiltonian
     grid: object
-    sigma: float
     meta: dict
 
 
@@ -343,7 +341,7 @@ def solve_constrained_hj(H, grid, u0, t_end, snapshots=None, dt=None,
             "steps": steps,
             "p_table": H.p_table,
         }
-        return HJSolution(records, H, grid, sigma, meta)
+        return HJSolution(records, grid, meta)
 
     return _march(grid, u, times, t_end, dt_cap, advance, observe, finish)
 

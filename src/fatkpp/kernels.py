@@ -16,8 +16,13 @@ needs; the first two families have f'(0) = 0 and are refused there.  The
 Gaussian is a thin-tailed control: any operation that relies on the
 fat-tail hypotheses raises ThinTailedKernel when handed one.
 
+One map of f-space serves both regimes: x -> sign(x) f_inv(s f(|x|)).
+With s = 1/eps it is the long-range scaling of space Psi_eps
+(Kernel.dilate); with s = eps it is its inverse, the small-mutation
+scaling of jumps m_eps (Kernel.contract).
+
 Two normalizations coexist on purpose.  The shape J (J(0) = 1) feeds all
-analysis formulas: f, the dilation, front predictions, envelopes.  The
+analysis formulas: f, the rescaling maps, front predictions, envelopes.  The
 probability density Jhat = J/Z feeds the dynamics so that n = 1 stays a
 steady state.  The two differ only by the constant ln Z in log-scale,
 which is asymptotically irrelevant for front positions.
@@ -49,8 +54,8 @@ def _require(cond, msg):
 
 
 # ----------------------------------------------------------------------
-# family builders: each returns the closures and scalar descriptors
-# (all closures take r = |x| >= 0 as an ndarray and vectorize)
+# family builders: each returns the closures (all take r = |x| >= 0 as an
+# ndarray and vectorize), x_peak, the tail index mu and the fat-tail flag
 
 
 def _build_subexponential(spec):
@@ -73,9 +78,7 @@ def _build_subexponential(spec):
 
     x_star = 1.0 / math.sqrt(1.0 - a)    # where f' peaks and f'' changes sign
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
-                fprime0=0.0, fprime_sup=float(fp(np.asarray(x_star))),
-                x_peak=x_star, x_conc=x_star,
-                mu=math.inf, fat_tailed=True,
+                x_peak=x_star, mu=math.inf, fat_tailed=True,
                 params={"alpha": a})
 
 
@@ -98,8 +101,7 @@ def _build_polynomial(spec):
         return np.sqrt(np.expm1(y / q))
 
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
-                fprime0=0.0, fprime_sup=q, x_peak=1.0, x_conc=1.0,
-                mu=1.0 + a, fat_tailed=True,
+                x_peak=1.0, mu=1.0 + a, fat_tailed=True,
                 params={"alpha": a})
 
 
@@ -120,8 +122,7 @@ def _build_loglinear(spec):
         return np.expm1(y / b)
 
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
-                fprime0=b, fprime_sup=b, x_peak=0.0, x_conc=0.0,
-                mu=b, fat_tailed=True,
+                x_peak=0.0, mu=b, fat_tailed=True,
                 params={"beta": b})
 
 
@@ -144,8 +145,7 @@ def _build_powershift(spec):
         return np.expm1(np.log1p(y / b) / a)
 
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
-                fprime0=b * a, fprime_sup=b * a, x_peak=0.0, x_conc=0.0,
-                mu=math.inf, fat_tailed=True,
+                x_peak=0.0, mu=math.inf, fat_tailed=True,
                 params={"b": b, "alpha": a})
 
 
@@ -168,9 +168,7 @@ def _build_gaussian(spec):
 
     # x f'/f = 2 for every x: exponential moments exist, tails are thin.
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
-                fprime0=0.0, fprime_sup=math.inf,
-                x_peak=math.inf, x_conc=math.inf,
-                mu=math.inf, fat_tailed=False,
+                x_peak=math.inf, mu=math.inf, fat_tailed=False,
                 params={"sigma": s})
 
 
@@ -198,10 +196,10 @@ class Kernel:
         Tail index liminf x f'(x); math.inf is the sentinel for families
         whose x f'(x) grows without bound (every mu > 1 test passes).
     fprime0 : float
-        One-sided slope of f at 0; positive and finite exactly for the
+        One-sided slope f'(0); positive and finite exactly for the
         mutation-eligible families.
-    x_conc : float
-        Threshold beyond which f'' <= 0.
+    x_peak : float
+        Where f' peaks; f'' <= 0 beyond it.
     """
 
     def __init__(self, spec, impl, Z):
@@ -211,9 +209,9 @@ class Kernel:
         self._fpr = impl["fp"]
         self._fppr = impl["fpp"]
         self._finv = impl["finv"]
-        self.fprime0 = float(impl["fprime0"])
-        for name in ("fprime_sup", "x_peak", "x_conc", "mu", "fat_tailed"):
+        for name in ("x_peak", "mu", "fat_tailed"):
             setattr(self, name, impl[name])
+        self.fprime0 = self.f_prime(0.0)
         self.Z = float(Z)
 
     def __repr__(self):
@@ -272,6 +270,26 @@ class Kernel:
         if np.any(arr <= 0.0) or np.any(arr > 1.0):
             raise DomainError("J_inv needs v in (0, 1]")
         return self.f_inv(-np.log(arr))
+
+    # -- the f-space rescaling, read in the two regimes' directions --
+
+    def dilate(self, x, eps):
+        """Psi_eps(x) = sign(x) f_inv(f(|x|)/eps), the long-range scaling."""
+        return self._rescale(x, eps, lambda y: y / eps)
+
+    def contract(self, x, eps):
+        """m_eps(x) = sign(x) f_inv(eps f(|x|)), the small-jump scaling;
+        the inverse of dilate, so f(m_eps(x)) = eps f(x)."""
+        return self._rescale(x, eps, lambda y: eps * y)
+
+    def _rescale(self, x, eps, scale):
+        """sign(x) f_inv(scale(f(|x|))); odd, and exactly x at eps = 1."""
+        x = np.asarray(x, dtype=float)
+        if eps == 1.0:
+            out = x.copy()
+        else:
+            out = np.sign(x) * self.f_inv(scale(self.f(np.abs(x))))
+        return out if out.ndim else float(out)
 
     # -- tails --
 
@@ -373,7 +391,7 @@ def validate_hypotheses(kernel):
     """Check the standing kernel hypotheses numerically.
 
     Samples the closed forms on a geometric grid up to 1e8: monotonicity
-    of f, concavity beyond x_conc, the fat-tail ratio limsup x f'/f < 1,
+    of f, concavity beyond x_peak, the fat-tail ratio limsup x f'/f < 1,
     the tail index liminf x f' > 1, unit mass of Jhat (to 1e-8), inverse
     round trips (to 1e-9 relative), and (for mutation-eligible families)
     the finite origin slope f(h)/h -> f'(0).  Failures are reported,
@@ -400,8 +418,8 @@ def validate_hypotheses(kernel):
 
     monotone_ok = bool(np.all(np.diff(fx) > 0.0))
 
-    if math.isfinite(k.x_conc):
-        lo = max(k.x_conc, 1e-9)
+    if math.isfinite(k.x_peak):
+        lo = max(k.x_peak, 1e-9)
         xc = np.geomspace(lo * (1.0 + 1e-9), 1e8, 200)
         concavity_ok = bool(np.all(k.f_second(xc) <= 1e-12))
     else:

@@ -1,7 +1,8 @@
 """Small-jump rescaling: contracted kernels, rescaled runs, limit sets.
 
-The jump map m_eps(h) = sign(h) f_inv(eps f(|h|)) shrinks every jump so
-that f(m_eps(h)) = eps f(h) exactly; pushing the base density through it
+The jump map m_eps(h) = sign(h) f_inv(eps f(|h|)) (Kernel.contract, the
+inverse of the long-range map Psi_eps) shrinks every jump so that
+f(m_eps(h)) = eps f(h) exactly; pushing the base density through it
 gives the rescaled kernel J_eps whose f-second moment scales like eps^2.
 The rescaled equation eps dn/dt = J_eps*n - n + n(1-n) is integrated by
 the ordinary stepper with a 1/eps rate factor, and the potential
@@ -19,9 +20,7 @@ from .errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
                      NotMutationEligible)
 from .gridops import (Field, adaptive_integrate, discretize_kernel,
                       invert_monotone)
-from .propagation import dilation
 
-_JUMP_MAPS = ("contraction", "linearized")
 _FD_PAIRS = 10_000      # node pairs fd_condition samples
 _FD_SEED = 0            # fd_condition's fixed sampling seed
 _FD_TOL = 1e-8          # worst fd violation initial data may show
@@ -34,97 +33,53 @@ def _require_eligible(kernel):
             "positive origin slope" % (kernel, kernel.fprime0))
 
 
-def contraction(kernel, eps, h):
-    """m_eps(h) = sign(h) f_inv(eps f(|h|)); odd, and m_1 = identity.
-
-    This is the inverse of the long-range dilation Psi_eps."""
-    _require_eligible(kernel)
-    return dilation(kernel, eps).inverse(h)
-
-
-def _pushforward(kernel, eps, h, at_pos):
-    """A jump density: its h = 0 limit 1/(Z eps), at_pos(|h|) elsewhere."""
-    a = np.abs(np.asarray(h, dtype=float))
-    out = np.empty_like(a)
-    zero = a == 0.0
-    out[zero] = 1.0 / (kernel.Z * eps)
-    if not zero.all():
-        out[~zero] = at_pos(a[~zero])
-    return out if out.ndim else float(out)
-
-
-def rescaled_density(kernel, eps, h):
-    """Normalized density of the contracted jumps (pushforward of Jhat).
-
-    (1/(Z eps)) * (f'(|h|) / f'(Psi_eps(|h|))) * e^{-f(|h|)/eps}, where
-    Psi_eps is the dilation inverse of the contraction; the h=0 limit is
-    1/(Z eps).
-    """
-    _require_eligible(kernel)
-    if not (0.0 < eps <= 1.0):
-        raise InvalidParams("rescaled_density needs eps in (0, 1]")
-
-    def at_pos(ap):
-        psi = kernel.f_inv(kernel.f(ap) / eps)
-        return (kernel.f_prime(ap) / kernel.f_prime(psi)
-                * np.exp(-kernel.f(ap) / eps)) / (kernel.Z * eps)
-
-    return _pushforward(kernel, eps, h, at_pos)
-
-
-def _linearized_jump(kernel, eps, h):
-    """Control-map jumps sign(h) * eps f(|h|)/f'(0) (no contraction back
-    through f_inv); its generator reproduces the limit Hamiltonian at any
-    eps, which makes it the scheme-resolution control."""
-    h = np.asarray(h, dtype=float)
-    out = np.sign(h) * (eps / kernel.fprime0) * kernel.f(np.abs(h))
-    return out if out.ndim else float(out)
-
-
-def _linearized_density(kernel, eps, h):
-    # at h = 0, f'(g(0)) = f'(0) cancels against the prefactor
-    def at_pos(ap):
-        g = kernel.f_inv(kernel.fprime0 * ap / eps)
-        return (kernel.fprime0 / (kernel.Z * eps)
-                * np.exp(-kernel.fprime0 * ap / eps) / kernel.f_prime(g))
-
-    return _pushforward(kernel, eps, h, at_pos)
-
-
 @dataclass
 class MutationKernel:
-    """Continuum rescaled kernel: jump map m, density, tail bound."""
+    """Continuum rescaled kernel: jump map m, density, tail bound.
+
+    A jump map is one function g with f(m^{-1}(a)) = g(a)/eps for a >= 0,
+    so m(h) = sign(h) g^{-1}(eps f(|h|)): g = f gives the contracted
+    jumps m_eps, and g(a) = f'(0) a the "linearized" control, whose jumps
+    eps f(|h|)/f'(0) are not contracted back through f_inv, so its
+    generator reproduces the limit Hamiltonian at any eps.  The density
+    is the pushforward of Jhat, (g'(a) / f'(m^{-1}(a))) e^{-g(a)/eps} /
+    (Z eps), which is exactly 1/(Z eps) at a = 0 for both maps.
+    """
 
     base: object
     eps: float
     jump_map: str = "contraction"
 
     def __post_init__(self):
-        _require_eligible(self.base)
-        if not (0.0 < self.eps <= 1.0):
+        k, eps = self.base, self.eps
+        _require_eligible(k)
+        if not (0.0 < eps <= 1.0):
             raise InvalidParams("eps must lie in (0, 1]")
-        if self.jump_map not in _JUMP_MAPS:
-            raise InvalidParams("jump_map must be one of %s" % (_JUMP_MAPS,))
+        s = k.fprime0
+        maps = {   # name -> (g, g', m)
+            "contraction": (k.f, k.f_prime, lambda h: k.contract(h, eps)),
+            "linearized": (lambda a: s * a, lambda a: s,
+                           lambda h: np.sign(h) * (eps * k.f(h) / s)),
+        }
+        if self.jump_map not in maps:
+            raise InvalidParams("jump_map must be one of %s" % sorted(maps))
+        self._g, self._dg, self.m = maps[self.jump_map]
 
-    def m(self, h):
-        if self.jump_map == "contraction":
-            return contraction(self.base, self.eps, h)
-        return _linearized_jump(self.base, self.eps, h)
+    def _back(self, a):
+        """m^{-1}(a) = f_inv(g(a)/eps) for a >= 0."""
+        return self.base.f_inv(self._g(a) / self.eps)
 
     def J_hat(self, h):
         """Normalized density of the rescaled jumps."""
-        if self.jump_map == "contraction":
-            return rescaled_density(self.base, self.eps, h)
-        return _linearized_density(self.base, self.eps, h)
+        k, eps = self.base, self.eps
+        a = np.abs(np.asarray(h, dtype=float))
+        out = (self._dg(a) / k.f_prime(self._back(a))
+               * np.exp(-self._g(a) / eps)) / (k.Z * eps)
+        return out if np.ndim(out) else float(out)
 
     def tail_bound(self, R):
         """Mass beyond |h| > R equals the base mass beyond m^{-1}(R)."""
-        k, eps = self.base, self.eps
-        if self.jump_map == "contraction":
-            back = k.f_inv(k.f(R) / eps)
-        else:
-            back = k.f_inv(k.fprime0 * R / eps)
-        return k.tail_bound(back)
+        return self.base.tail_bound(self._back(R))
 
     def half_support(self, tail_tol):
         base_R = self.base.half_support(tail_tol)
@@ -142,10 +97,6 @@ class MutationKernel:
             lambda h: f(h) ** 2 * self.J_hat(h), 0.0, np.inf,
             epsabs=1e-12)
         return 2.0 * val
-
-
-def build_mutation_kernel(kernel, eps, jump_map="contraction"):
-    return MutationKernel(kernel, float(eps), jump_map)
 
 
 def interquartile(kernel):
@@ -270,13 +221,10 @@ def mutation_run(kernel, grid, eps, config, init, jump_map="contraction"):
 
     config.dt is slow time; the effective fast step dt/eps must respect
     the usual stability ceiling, checked before the rescaled kernel is
-    built so that a too-large step is reported as such.
+    sampled so that a too-large step is reported as such.
     """
-    _require_eligible(kernel)
-    if not (0.0 < eps <= 1.0):
-        raise InvalidParams("eps must lie in (0, 1]")
+    mk = MutationKernel(kernel, eps, jump_map)
     check_rate(config.dt, 1.0 / eps)
-    mk = build_mutation_kernel(kernel, eps, jump_map)
     dk = discretize_mutation_kernel(mk, grid)
     n0 = init.n0(eps)
     sim = cauchy_run(kernel, grid, config, n0, dk=dk, rate_scale=1.0 / eps)

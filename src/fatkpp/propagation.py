@@ -1,4 +1,4 @@
-"""Front tracking, envelope diagnostics, and long-range rescaling.
+"""Front tracking, envelope diagnostics, and the Hopf-Cole potential.
 
 The traveling quantity behind every check here is the logistic envelope
 
@@ -7,6 +7,8 @@ The traveling quantity behind every check here is the logistic envelope
 which solves the spatially-decoupled ODE family exactly and tracks the
 accelerating front of the full dynamics up to a multiplicative error
 controlled by the residual theta(t) = sup_x |Jhat*phi - phi| / phi.
+The long-range potential u_eps = -eps ln n(t/eps, Psi_eps(x)) reads the
+run through the kernel's space map Psi_eps (Kernel.dilate).
 """
 
 from dataclasses import dataclass
@@ -14,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import InvalidParams, OutOfDomain
-from .gridops import discretize_kernel
+from .errors import GridMismatch, InvalidParams, OutOfDomain
 
 # below this fraction of the largest phi its block reads, the convolution
 # of phi at a node is roundoff relative to phi itself, so the residual
@@ -52,7 +53,7 @@ def theta1(kernel, t):
     a = _THETA1_ALPHA
     if t <= 0.0:
         raise InvalidParams("theta1 needs t > 0")
-    transient = kernel.fprime_sup * np.exp(-(1.0 - a) * t)
+    transient = kernel.f_prime(kernel.x_peak) * np.exp(-(1.0 - a) * t)
     z = max(kernel.f_inv(a * t), kernel.x_peak)
     return float(max(transient, kernel.f_prime(z)))
 
@@ -61,7 +62,7 @@ def theta1(kernel, t):
 # envelope residual (numerical theta-hat)
 
 
-def envelope_residual(kernel, grid, t, dk=None):
+def envelope_residual(kernel, grid, t, dk):
     """sup |Jhat*phi - phi| / phi over nodes >= K from the boundary.
 
     The blocked convolution is used verbatim wherever phi is well above
@@ -71,8 +72,6 @@ def envelope_residual(kernel, grid, t, dk=None):
     """
     if t <= 0.0:
         raise InvalidParams("envelope_residual needs t > 0")
-    if dk is None:
-        dk = discretize_kernel(kernel, grid)
     N, K = grid.N, dk.K
     if 2 * K >= N:
         raise InvalidParams("kernel support covers the whole grid; no node "
@@ -97,8 +96,10 @@ def envelope_residual(kernel, grid, t, dk=None):
     return float(best)
 
 
-def envelope_sandwich_report(run, C=1.0, x_cut=None):
+def envelope_sandwich_report(run, dk, C, x_cut=None):
     """Per-snapshot residuals and sandwich violations for a completed run.
+
+    dk is the run's sampled kernel, the one it was stepped with.
 
     Returns rows (t, theta_hat, lo_violation, hi_violation) where the
     violations are the worst pointwise excesses of
@@ -116,7 +117,8 @@ def envelope_sandwich_report(run, C=1.0, x_cut=None):
     t = 30 (64 blocks) shows no violation at any snapshot without a cut.
     """
     kernel, grid = run.kernel, run.grid
-    dk = discretize_kernel(kernel, grid)
+    if dk.grid != grid:
+        raise GridMismatch("sampled kernel lives on a different grid")
     C_lo, C_hi = min(C, 1.0), max(C, 1.0)
     K, N = dk.K, grid.N
     sel = np.zeros(N, dtype=bool)
@@ -189,40 +191,6 @@ def track_level(run, level):
 
 
 # ----------------------------------------------------------------------
-# long-range rescaling
-
-
-@dataclass
-class RescalingMap:
-    """Odd dilation x -> sign(x) f_inv(f(|x|)/eps) and its inverse."""
-
-    kernel: object
-    eps: float
-
-    def forward(self, x):
-        return self._map(x, lambda y: y / self.eps)
-
-    def inverse(self, x):
-        return self._map(x, lambda y: self.eps * y)
-
-    def _map(self, x, scale):
-        """sign(x) f_inv(scale(f(|x|))); the identity when eps = 1."""
-        x = np.asarray(x, dtype=float)
-        if self.eps == 1.0:
-            out = x.copy()
-        else:
-            out = np.sign(x) * self.kernel.f_inv(
-                scale(self.kernel.f(np.abs(x))))
-        return out if out.ndim else float(out)
-
-
-def dilation(kernel, eps):
-    if not (0.0 < eps <= 1.0):
-        raise InvalidParams("dilation needs eps in (0, 1]")
-    return RescalingMap(kernel, float(eps))
-
-
-# ----------------------------------------------------------------------
 # rescaled potential u_eps = -eps ln n(t/eps, Psi_eps(x))
 
 
@@ -265,9 +233,8 @@ def hopf_cole_field(run, eps, x_span, t_span, nx=101):
     if not (x_lo < x_hi and t_lo <= t_hi):
         raise InvalidParams("empty compact window")
     kernel, grid = run.kernel, run.grid
-    psi = dilation(kernel, eps)
     xs = np.linspace(x_lo, x_hi, nx)
-    ys = psi.forward(xs)
+    ys = kernel.dilate(xs, eps)
     usable = grid.x[-1]
     if np.max(np.abs(ys)) > usable:
         raise OutOfDomain(

@@ -20,7 +20,7 @@ from fatkpp.gridops import Field, Grid1D, adaptive_integrate, discretize_kernel
 from fatkpp.hj import (Hamiltonian, cross_validate, inclusion_curves,
                        solve_constrained_hj, zero_set_boundary)
 from fatkpp.kernels import KernelSpec, build_kernel, validate_hypotheses
-from fatkpp.mutation import (build_mutation_kernel, classify_limit_sets,
+from fatkpp.mutation import (MutationKernel, classify_limit_sets,
                              fd_condition, growth_bound,
                              mutation_initial_data, mutation_run)
 from fatkpp.propagation import (envelope_sandwich_report, hopf_cole_field,
@@ -111,7 +111,8 @@ def test_criterion_04_envelope_sandwich(poly_run):
     k, run = poly_run
     # where f > ~41 the true density sits below the e^t-amplified
     # double-precision convolution noise, so the comparison is cut there
-    rows = envelope_sandwich_report(run, C=1.0, x_cut=float(k.f_inv(36.0)))
+    rows = envelope_sandwich_report(run, discretize_kernel(k, run.grid),
+                                    C=1.0, x_cut=float(k.f_inv(36.0)))
     for t, _, lo_vio, hi_vio in rows:
         assert lo_vio <= 1e-12, t
         assert hi_vio <= 1e-12, t
@@ -177,7 +178,7 @@ def test_criterion_07_mutation_kernel_identities(loglinear3):
         lambda h: k.f(h) ** 2 * k.J_hat(h), 0.0, np.inf, epsabs=1e-12)
     assert base_moment == pytest.approx(4.5, rel=1e-8)   # 2 beta^2/(beta-1)^2
     for eps in (0.5, 0.25, 0.1):
-        mk = build_mutation_kernel(k, eps)
+        mk = MutationKernel(k, eps)
         assert abs(mk.mass() - 1.0) <= 1e-6, eps
         target = eps ** 2 * base_moment
         assert abs(mk.f_second_moment() - target) <= 1e-4 * target, eps

@@ -176,6 +176,31 @@ def test_front_writes_tracks_envelope_and_plot(tmp_path):
     assert man["steps_per_s"] == man["steps_taken"] / man["wall_time_s"]
 
 
+def test_front_samples_the_kernel_once(tmp_path, monkeypatch):
+    """The run and its envelope report share one sampled kernel."""
+    real = fatkpp.gridops.discretize_kernel
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "fatkpp"
+                and getattr(mod, "discretize_kernel", None) is real):
+            monkeypatch.setattr(mod, "discretize_kernel", counted)
+    out = str(tmp_path / "out")
+    doc = {"experiment": "Front",
+           "kernel": {"family": "Polynomial", "alpha": 4},
+           "grid": {"L": 300, "N": 4096},
+           "solver": {"t_end": 1, "dt": 0.05, "snapshots": [0.5, 1]},
+           "analysis": {"levels": [0.5]},
+           "output": {"directory": out}}
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 0
+    assert len(calls) == 1
+    assert os.path.exists(os.path.join(out, "envelope.csv"))
+
+
 def test_hopf_cole_reports_sup_errors(tmp_path):
     out = str(tmp_path / "out")
     doc = {"experiment": "HopfCole",

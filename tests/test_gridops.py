@@ -116,7 +116,7 @@ def test_sampled_weights_symmetric(poly4):
 def test_half_support_capped(poly4):
     g = Grid1D(L=2.0, N=64)
     dk = discretize_kernel(poly4, g, tail_tol=1e-12)
-    assert dk.half_support <= 2 * g.L + g.dx
+    assert dk.K * g.dx <= 2 * g.L + g.dx
     assert dk.lost_mass > 0.0
 
 
@@ -215,7 +215,7 @@ def test_apply_returns_fresh_arrays(front_dk):
 def _random_dk(L, N, K):
     g = Grid1D(L=L, N=N)
     w = np.random.default_rng(K).random(2 * K + 1)
-    return DiscreteKernel(g, w, half_support=K * g.dx, lost_mass=0.0)
+    return DiscreteKernel(g, w, lost_mass=0.0)
 
 
 @pytest.mark.parametrize("make, K, nb, B", [
@@ -256,8 +256,7 @@ def test_convolve_preserves_symmetry(poly4):
 
 def test_degenerate_delta_kernel_is_identity():
     g = Grid1D(L=5.0, N=64)
-    dk = DiscreteKernel(g, np.array([0.0, 1.0, 0.0]), half_support=g.dx,
-                        lost_mass=0.0)
+    dk = DiscreteKernel(g, np.array([0.0, 1.0, 0.0]), lost_mass=0.0)
     v = np.sin(g.x) ** 2
     np.testing.assert_allclose(dk.apply(v), v, atol=1e-14)
 

@@ -291,7 +291,7 @@ def test_cone_interior_residual(cone, H3):
     ux = np.gradient(u1, g.dx)
     sel = (np.abs(g.x) > 2.0) & (np.abs(g.x) < 15.0) & (u1 > 0.2)
     resid = ut + H3.table_eval(ux)
-    assert np.abs(resid[sel]).max() <= 5.0 * g.dx * sol.sigma
+    assert np.abs(resid[sel]).max() <= 5.0 * g.dx * sol.meta["sigma"]
 
 
 def test_scheme_monotone_in_data(H3):
@@ -389,8 +389,7 @@ def _fake_pair(g, shift_by_eps):
     """Limit solution u(x) = |x| wedge and runs whose potentials
     -eps ln n are offset from it by given amounts."""
     u = np.abs(g.x)
-    hj = HJSolution([(0.0, Field(g, u)), (1.0, Field(g, u))], None, g,
-                    0.5, {})
+    hj = HJSolution([(0.0, Field(g, u)), (1.0, Field(g, u))], g, {})
     runs = []
     for eps, off in shift_by_eps.items():
         pot = u + off if np.ndim(off) else u + float(off)

@@ -11,12 +11,10 @@ from fatkpp.errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
                            NotMutationEligible)
 from fatkpp.gridops import Field, Grid1D
 from fatkpp.kernels import KernelSpec, build_kernel
-from fatkpp.mutation import (build_mutation_kernel, classify_limit_sets,
-                             contraction, default_A,
+from fatkpp.mutation import (MutationKernel, classify_limit_sets, default_A,
                              discretize_mutation_kernel, fd_condition,
                              growth_bound, interquartile,
-                             mutation_initial_data, mutation_run,
-                             rescaled_density)
+                             mutation_initial_data, mutation_run)
 from fatkpp.propagation import potential_of
 
 
@@ -41,38 +39,56 @@ def powershift():
 
 def test_contraction_identity_at_one(loglin2):
     hs = np.linspace(-9, 9, 19)
-    np.testing.assert_array_equal(contraction(loglin2, 1.0, hs), hs)
+    np.testing.assert_array_equal(loglin2.contract(hs, 1.0), hs)
+    np.testing.assert_array_equal(MutationKernel(loglin2, 1.0).m(hs), hs)
 
 
 def test_contraction_closed_form(loglin2):
     """f_inv(y) = e^{y/2} - 1 here, so m_{1/2}(3) = sqrt(4) - 1 = 1."""
-    assert abs(contraction(loglin2, 0.5, 3.0) - 1.0) < 1e-12
-    assert contraction(loglin2, 0.5, 0.0) == 0.0
+    assert abs(loglin2.contract(3.0, 0.5) - 1.0) < 1e-12
+    assert loglin2.contract(0.0, 0.5) == 0.0
+    assert MutationKernel(loglin2, 0.5).m(3.0) == loglin2.contract(3.0, 0.5)
 
 
 def test_contraction_odd_and_contracting(loglin2, powershift):
     hs = np.geomspace(0.01, 100.0, 40)
     for k in (loglin2, powershift):
         for eps in (0.5, 0.1):
-            m = contraction(k, eps, hs)
-            np.testing.assert_allclose(contraction(k, eps, -hs), -m)
+            m = k.contract(hs, eps)
+            np.testing.assert_allclose(k.contract(-hs, eps), -m)
             assert np.all(np.abs(m) <= hs)
 
 
 def test_contraction_rejects_ineligible():
     poly = build_kernel(KernelSpec("Polynomial", alpha=4.0))
     with pytest.raises(NotMutationEligible):
-        contraction(poly, 0.5, 1.0)
+        MutationKernel(poly, 0.5)
     sub = build_kernel(KernelSpec("SubExponential", alpha=0.5))
     with pytest.raises(NotMutationEligible):
-        rescaled_density(sub, 0.5, 1.0)
+        MutationKernel(sub, 0.5, jump_map="linearized")
+
+
+def test_mutation_kernel_rejects_bad_eps_and_map(loglin2):
+    for eps in (0.0, -0.2, 1.5):
+        with pytest.raises(InvalidParams):
+            MutationKernel(loglin2, eps)
+    with pytest.raises(InvalidParams):
+        MutationKernel(loglin2, 0.5, jump_map="dilation")
+
+
+def test_linearized_jump_closed_form(loglin3):
+    """The control map sends h to sign(h) eps f(|h|)/f'(0)."""
+    hs = np.array([-7.0, -0.5, 0.0, 0.2, 3.0])
+    mk = MutationKernel(loglin3, 0.2, jump_map="linearized")
+    np.testing.assert_allclose(mk.m(hs), np.sign(hs) * 0.2 * 3.0
+                               * np.log1p(np.abs(hs)) / 3.0, rtol=1e-14)
 
 
 def test_contraction_compose_scaling(loglin3):
     """f(m_eps(h)) = eps f(h) exactly, the identity everything rides on."""
     hs = np.geomspace(1e-3, 1e5, 60)
     for eps in (0.7, 0.25, 0.05):
-        m = contraction(loglin3, eps, hs)
+        m = loglin3.contract(hs, eps)
         np.testing.assert_allclose(loglin3.f(m), eps * loglin3.f(hs),
                                    rtol=1e-12)
 
@@ -88,30 +104,33 @@ def test_density_closed_form_loglinear(loglin3):
         hs = np.array([0.0, 0.2, 1.0, 7.0])
         expect = ((beta - 1) / (2 * eps)
                   * (1 + hs) ** ((1 - beta) / eps - 1.0))
-        np.testing.assert_allclose(rescaled_density(loglin3, eps, hs),
+        np.testing.assert_allclose(MutationKernel(loglin3, eps).J_hat(hs),
                                    expect, rtol=1e-12)
 
 
 def test_density_eps_one_is_base(loglin2, powershift):
     hs = np.array([0.0, 0.5, 2.0, 40.0])
     for k in (loglin2, powershift):
-        np.testing.assert_allclose(rescaled_density(k, 1.0, hs),
+        np.testing.assert_allclose(MutationKernel(k, 1.0).J_hat(hs),
                                    k.J_hat(hs), rtol=1e-12)
 
 
 def test_density_origin_limit(loglin2):
-    assert abs(rescaled_density(loglin2, 0.25, 0.0)
-               - 1.0 / (loglin2.Z * 0.25)) < 1e-15
+    for jump_map in ("contraction", "linearized"):
+        mk = MutationKernel(loglin2, 0.25, jump_map)
+        assert mk.J_hat(0.0) == 1.0 / (loglin2.Z * 0.25)
+        np.testing.assert_array_equal(mk.J_hat(np.array([-0.0, 0.0])),
+                                      1.0 / (loglin2.Z * 0.25))
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.5, 0.25, 0.1])
 def test_mass_one(loglin2, eps):
-    mk = build_mutation_kernel(loglin2, eps)
+    mk = MutationKernel(loglin2, eps)
     assert abs(mk.mass() - 1.0) <= 1e-6
 
 
 def test_mass_one_powershift(powershift):
-    mk = build_mutation_kernel(powershift, 0.25)
+    mk = MutationKernel(powershift, 0.25)
     assert abs(mk.mass() - 1.0) <= 1e-6
 
 
@@ -126,7 +145,7 @@ def test_f_second_moment_scales(loglin3, eps):
     base_moment, _ = quad(lambda h: loglin3.f(h) ** 2 * loglin3.J_hat(h),
                           0.0, np.inf)
     base_moment *= 2.0
-    mk = build_mutation_kernel(loglin3, eps)
+    mk = MutationKernel(loglin3, eps)
     got = mk.f_second_moment()
     assert abs(got - eps ** 2 * base_moment) <= 1e-4 * eps ** 2 * base_moment
 
@@ -141,9 +160,9 @@ def test_base_f_second_moment_closed_form(loglin3):
 def test_pushforward_identity(loglin2):
     """int g dJ_eps = int g(m_eps(h)) dJhat(h) for g = e^{-y^2}."""
     eps = 0.5
-    mk = build_mutation_kernel(loglin2, eps)
+    mk = MutationKernel(loglin2, eps)
     lhs, _ = quad(lambda y: math.exp(-y * y) * mk.J_hat(y), 0, np.inf)
-    rhs, _ = quad(lambda h: math.exp(-contraction(loglin2, eps, h) ** 2)
+    rhs, _ = quad(lambda h: math.exp(-loglin2.contract(h, eps) ** 2)
                   * loglin2.J_hat(h), 0, np.inf)
     assert abs(lhs - rhs) <= 1e-6
 
@@ -152,7 +171,7 @@ def test_linearized_density_is_exponential(loglin3):
     """Pushforward under the linearized map is exponential with rate
     (beta-1)/eps for this family."""
     eps = 0.2
-    mk = build_mutation_kernel(loglin3, eps, jump_map="linearized")
+    mk = MutationKernel(loglin3, eps, jump_map="linearized")
     hs = np.array([0.0, 0.1, 0.5, 2.0])
     expect = ((3.0 - 1.0) / (2 * eps)) * np.exp(-(3.0 - 1.0) * hs / eps)
     np.testing.assert_allclose(mk.J_hat(hs), expect, rtol=1e-12)
@@ -169,7 +188,7 @@ def test_interquartile_closed_form(loglin3):
 
 
 def test_grid_too_coarse(loglin3):
-    mk = build_mutation_kernel(loglin3, 0.05)
+    mk = MutationKernel(loglin3, 0.05)
     # m_eps(h0) = 2^{eps/2} - 1 ~ 0.0175; dx must be below a quarter of it
     coarse = Grid1D(L=50.0, N=1024)              # dx ~ 0.098
     with pytest.raises(GridTooCoarse):
@@ -180,7 +199,7 @@ def test_grid_too_coarse(loglin3):
 
 
 def test_discrete_mutation_kernel_mass_defect(loglin3):
-    mk = build_mutation_kernel(loglin3, 0.5)
+    mk = MutationKernel(loglin3, 0.5)
     g = Grid1D(L=200.0, N=2 ** 14)
     dk = discretize_mutation_kernel(mk, g)
     assert dk.lost_mass <= 1e-6 + 1e-9

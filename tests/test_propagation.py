@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from fatkpp.cauchy import SimulationRun
-from fatkpp.errors import InvalidParams, OutOfDomain
+from fatkpp.errors import GridMismatch, InvalidParams, OutOfDomain
 from fatkpp.gridops import DiscreteKernel, Field, Grid1D, discretize_kernel
 from fatkpp.kernels import KernelSpec, build_kernel
-from fatkpp.propagation import (dilation, envelope_residual,
-                                envelope_sandwich_report, hopf_cole_field,
-                                phi_envelope, theta1, track_level)
+from fatkpp.propagation import (envelope_residual, envelope_sandwich_report,
+                                hopf_cole_field, phi_envelope, theta1,
+                                track_level)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +32,7 @@ def loglin2():
 def synthetic_run(kernel, grid, times, fn):
     """A SimulationRun whose snapshots are analytic fields, no dynamics."""
     snaps = [(t, Field(grid, fn(t, grid.x))) for t in times]
-    return SimulationRun(snaps, kernel, grid, None, {}, {}, False)
+    return SimulationRun(snaps, kernel, grid, {}, {}, False)
 
 
 # ----------------------------------------------------------------------
@@ -89,11 +89,10 @@ def test_gradient_bound_of_envelope(poly4, subexp):
 def test_regions_preserved_by_dilation(poly4, loglin2):
     """The long range f(|x|) >= t maps onto f(|y|) >= t/eps."""
     for k in (poly4, loglin2):
-        psi = dilation(k, 0.25)
         for t in (2.0, 9.0):
             for x in (0.5, 1.0, k.f_inv(t), 3 * k.f_inv(t)):
                 assert ((k.f(abs(x)) >= t)
-                        == (k.f(abs(psi.forward(x))) >= t / 0.25))
+                        == (k.f(abs(k.dilate(x, 0.25))) >= t / 0.25))
 
 
 # ----------------------------------------------------------------------
@@ -102,29 +101,25 @@ def test_regions_preserved_by_dilation(poly4, loglin2):
 
 def test_dilation_polynomial_closed_form(poly4):
     """Psi_eps(x) = sqrt((1+x^2)^{1/eps} - 1) for this family."""
-    psi = dilation(poly4, 0.5)
-    assert abs(psi.forward(1.0) - math.sqrt(3.0)) < 1e-12
+    assert abs(poly4.dilate(1.0, 0.5) - math.sqrt(3.0)) < 1e-12
     xs = np.array([0.3, 2.0, 11.0])
     expect = np.sqrt((1 + xs ** 2) ** 2.0 - 1.0)
-    np.testing.assert_allclose(psi.forward(xs), expect, rtol=1e-12)
+    np.testing.assert_allclose(poly4.dilate(xs, 0.5), expect, rtol=1e-12)
 
 
 def test_dilation_identity_and_oddness(poly4):
-    psi1 = dilation(poly4, 1.0)
     xs = np.linspace(-40, 40, 17)
-    np.testing.assert_array_equal(psi1.forward(xs), xs)
-    psi = dilation(poly4, 0.3)
-    np.testing.assert_allclose(psi.forward(-xs), -psi.forward(xs), rtol=0,
-                               atol=0.0)
-    assert psi.forward(0.0) == 0.0
+    np.testing.assert_array_equal(poly4.dilate(xs, 1.0), xs)
+    np.testing.assert_allclose(poly4.dilate(-xs, 0.3), -poly4.dilate(xs, 0.3),
+                               rtol=0, atol=0.0)
+    assert poly4.dilate(0.0, 0.3) == 0.0
 
 
 def test_dilation_roundtrip(poly4, subexp, loglin2):
     xs = np.geomspace(1e-3, 1e4, 60)
     for k in (poly4, subexp, loglin2):
         for eps in (0.5, 0.1):
-            psi = dilation(k, eps)
-            back = psi.inverse(psi.forward(xs))
+            back = k.contract(k.dilate(xs, eps), eps)
             assert np.max(np.abs(back - xs) / xs) < 1e-8
 
 
@@ -132,15 +127,17 @@ def test_dilation_identity_on_f(poly4, subexp):
     """eps * f(Psi_eps(x)) = f(x): regions rescale exactly."""
     xs = np.geomspace(1e-2, 1e3, 50)
     for k in (poly4, subexp):
-        psi = dilation(k, 0.2)
-        lhs = 0.2 * k.f(np.abs(psi.forward(xs)))
+        lhs = 0.2 * k.f(np.abs(k.dilate(xs, 0.2)))
         assert np.max(np.abs(lhs - k.f(xs)) / (1.0 + k.f(xs))) <= 1e-8
 
 
 def test_dilation_rejects_bad_eps(poly4):
+    g = Grid1D(L=50.0, N=256)
+    run = synthetic_run(poly4, g, [1.0],
+                        lambda t, x: phi_envelope(poly4, t, x))
     for eps in (0.0, -0.2, 1.5):
         with pytest.raises(InvalidParams):
-            dilation(poly4, eps)
+            hopf_cole_field(run, eps, x_span=(0.0, 1.0), t_span=(0.0, 1.0))
 
 
 # ----------------------------------------------------------------------
@@ -149,8 +146,7 @@ def test_dilation_rejects_bad_eps(poly4):
 
 def test_residual_zero_for_delta_kernel(poly4):
     g = Grid1D(L=100.0, N=2048)
-    delta = DiscreteKernel(g, np.array([0.0, 1.0, 0.0]), half_support=g.dx,
-                           lost_mass=0.0)
+    delta = DiscreteKernel(g, np.array([0.0, 1.0, 0.0]), lost_mass=0.0)
     assert envelope_residual(poly4, g, 5.0, dk=delta) <= 1e-7
 
 
@@ -181,7 +177,7 @@ def test_residual_matches_direct_sums_in_the_deep_tail(subexp, N, nb):
 def test_residual_rejects_oversized_kernel(poly4):
     g = Grid1D(L=3.0, N=32)
     with pytest.raises(InvalidParams):
-        envelope_residual(poly4, g, 5.0)
+        envelope_residual(poly4, g, 5.0, dk=discretize_kernel(poly4, g))
 
 
 def test_sandwich_clean_on_exact_envelope(poly4):
@@ -189,12 +185,21 @@ def test_sandwich_clean_on_exact_envelope(poly4):
     g = Grid1D(L=400.0, N=4096)
     run = synthetic_run(poly4, g, [1.0, 5.0, 10.0],
                         lambda t, x: phi_envelope(poly4, t, x))
-    rows = envelope_sandwich_report(run, C=1.0)
+    rows = envelope_sandwich_report(run, discretize_kernel(poly4, g), C=1.0)
     assert len(rows) == 3
     for t, th, lo_vio, hi_vio in rows:
         assert th > 0.0
         assert lo_vio == 0.0
         assert hi_vio == 0.0
+
+
+def test_sandwich_rejects_kernel_of_another_grid(poly4):
+    g = Grid1D(L=400.0, N=4096)
+    run = synthetic_run(poly4, g, [1.0],
+                        lambda t, x: phi_envelope(poly4, t, x))
+    other = discretize_kernel(poly4, Grid1D(L=400.0, N=2048))
+    with pytest.raises(GridMismatch):
+        envelope_sandwich_report(run, other, C=1.0)
 
 
 # ----------------------------------------------------------------------
