@@ -249,15 +249,17 @@ def main(argv=None):
               file=sys.stderr)
         return 4
 
-    t0 = time.perf_counter()
+    t0, w0 = time.perf_counter(), out_io.write_s
     try:
         manifest, extra = _DISPATCH[cfg.experiment](cfg, out)
-        out_io.write_run_json(out, cfg.raw, manifest, extra=extra)
+        out_io.write_run_json(out, cfg.raw, manifest, extra=dict(
+            extra or {}, write_s=out_io.write_s - w0))
     except _RUNTIME_ERRORS as exc:
         try:
             manifest = _write_partial(out, exc.run, cfg.stride)
             out_io.write_run_json(out, cfg.raw, manifest, aborted=True,
-                                  abort_reason=str(exc))
+                                  abort_reason=str(exc),
+                                  extra={"write_s": out_io.write_s - w0})
         except IoError as io_exc:
             print("fatkpp: %s" % io_exc, file=sys.stderr)
             return 4

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import binary_erosion
 
 from .cauchy import check_rate, run as cauchy_run
 from .errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
@@ -245,7 +244,8 @@ def classify_limit_sets(u, tol):
     if tol <= 0.0:
         raise InvalidParams("tol must be positive")
     a_pos = u > tol
-    b_null = binary_erosion(u < tol, iterations=2)
+    low = np.pad(u < tol, 2)    # eroded by two cells, ends count as high
+    b_null = np.logical_and.reduce([low[k:k + u.size] for k in range(5)])
     out = np.full(u.shape, "U", dtype="<U1")
     out[a_pos] = "A"
     out[b_null & ~a_pos] = "B"

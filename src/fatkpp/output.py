@@ -3,10 +3,11 @@
 Data files are deterministic: floats print with 17 significant digits
 (so they re-parse to the exact same float64), rows keep grid order, and
 no timestamps appear anywhere except run.json.  CSV rows are formatted
-in chunks of rows, each chunk by one %-template built from per-column
-formats that follow the same rules, 17 digits for floats included.  SVG
-output is plain text assembled from the same formatting rules, so a
-repeated run produces byte-identical files.
+in chunks of rows, each chunk by one %-template of per-column formats.
+Columns that several files or time blocks share (a snapshot set's x, a
+long table's t and x) are rendered once per write and spliced into the
+templates as text.  SVG output follows the same rules, so a repeated
+run produces byte-identical files.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from .propagation import potential_of
 FLOAT_FMT = "%.17g"
 _FORMATS = {"f": FLOAT_FMT, "i": "%d", "u": "%d", "b": "%d"}  # by dtype kind
 _CHUNK = 2048       # rows per template; longer chunks only add memory
+write_s = 0.0       # seconds spent writing files, CSV formatting included
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf")
@@ -40,35 +42,70 @@ def _cell(v):
 
 def _write_lines(path, lines):
     """Write an iterable of text lines; OS failures raise IoError."""
+    global write_s
+    t0 = time.perf_counter()
     try:
         with open(path, "w", newline="\n") as fh:
             fh.writelines(lines)
     except OSError as exc:
         raise IoError("cannot write %s: %s" % (path, exc))
+    finally:
+        write_s += time.perf_counter() - t0
     return path
 
 
-def write_csv(path, header, columns):
-    """Write equal-length columns under a comma-separated header."""
-    columns = [np.asarray(c) for c in columns]
-    n = len(columns[0]) if columns else 0
-    for c in columns:
-        if len(c) != n:
-            raise IoError("column lengths disagree: %d vs %d"
-                          % (len(c), n))
-    fmts = [_FORMATS.get(c.dtype.kind, "%s") for c in columns]
-    row = ",".join(fmts) + "\n"
+class Column:
+    """A column in consecutive blocks of rows (one per time in a long
+    table).  A block is an array of cells, a _render list (cells as text,
+    a line each, a string per _CHUNK rows; one such column per table) or
+    a str (one rendered cell on every row).  Text is copied verbatim."""
 
-    def lines():
-        yield ",".join(header) + "\n"
-        for lo in range(0, n, _CHUNK):
-            cells = [c[lo:lo + _CHUNK].tolist() if f != "%s"
-                     else [_cell(v) for v in c[lo:lo + _CHUNK]]
-                     for c, f in zip(columns, fmts)]
-            yield ((row * len(cells[0]))
+    def __init__(self, blocks, rows):
+        self.blocks = [b if isinstance(b, (list, str)) else np.asarray(b)
+                       for b in blocks]
+        self.rows = list(rows)
+
+    def __len__(self):
+        return sum(self.rows)
+
+
+def _chunks(columns):
+    """The rows of Columns with equal blocks as text, a string per chunk."""
+    for b, size in enumerate(columns[0].rows if columns else ()):
+        blocks = [c.blocks[b] for c in columns]
+        text = [x for x in blocks if isinstance(x, list)]
+        row = ",".join("\0" if isinstance(x, list)   # the rendered lines
+                       else x.replace("%", "%%") if isinstance(x, str)
+                       else _FORMATS.get(x.dtype.kind, "%s") for x in blocks)
+        pre, _, post = (row + "\n").partition("\0")
+        for j, lo in enumerate(range(0, size, _CHUNK)):
+            lines = text[0][j] if text else "\n" * min(_CHUNK, size - lo)
+            # each line becomes pre + cell + post; the last pre is cut
+            tpl = pre + lines.replace("%", "%%").replace("\n", post + pre)
+            cells = [x[lo:lo + _CHUNK] for x in blocks
+                     if isinstance(x, np.ndarray)]
+            cells = [c.tolist() if c.dtype.kind in _FORMATS
+                     else [_cell(v) for v in c] for c in cells]
+            yield (tpl[:len(tpl) - len(pre)]
                    % tuple(itertools.chain.from_iterable(zip(*cells))))
+
+
+def _render(values):
+    """A column's cells as Column text, formatted as write_csv would."""
+    return list(_chunks([Column([np.asarray(values)], [len(values)])]))
+
+
+def write_csv(path, header, columns):
+    """Write equal-length columns (cells or Columns) under a header."""
+    columns = [c if isinstance(c, Column) else
+               Column([np.asarray(c)], [len(c)]) for c in columns]
+    for c in columns:
+        if c.rows != columns[0].rows:
+            raise IoError("column lengths disagree: %s vs %s"
+                          % (c.rows, columns[0].rows))
     try:
-        return _write_lines(path, lines())
+        return _write_lines(path, itertools.chain(
+            [",".join(header) + "\n"], _chunks(columns)))
     except TypeError as exc:        # a cell _cell cannot format, say None
         raise IoError("cannot write %s: %s" % (path, exc))
 
@@ -79,16 +116,12 @@ def write_rows(path, header, rows):
     return write_csv(path, header, columns)
 
 
-def write_field_csv(path, field, value_name="value", stride=1):
-    """One sampled field as (x, value) rows."""
-    return write_csv(path, ("x", value_name),
-                     (field.grid.x[::stride], field.values[::stride]))
-
-
 def write_snapshots(outdir, run, stride=1):
-    """snapshot_t<time>.csv per stored snapshot; returns the paths."""
-    return [write_field_csv(os.path.join(outdir, "snapshot_t%g.csv" % t),
-                            fld, value_name="n", stride=stride)
+    """snapshot_t<time>.csv per snapshot, x rendered once; returns paths."""
+    x = run.grid.x[::stride]
+    xs = Column([_render(x)], [len(x)])
+    return [write_csv(os.path.join(outdir, "snapshot_t%g.csv" % t),
+                      ("x", "n"), (xs, fld.values[::stride]))
             for t, fld in run.snapshots]
 
 
@@ -123,12 +156,14 @@ def write_long_csv(path, names, xs, rows):
     """Long-format table: a (t, x, values...) row per time and x.
 
     rows holds one (t, value arrays over xs) pair per time, the arrays in
-    the order of names; rows keep time order, then x order.
+    the order of names; rows keep time order, then x order.  The x column
+    is rendered once, each t once per time block.
     """
-    ts = np.repeat([t for t, _ in rows], len(xs))
-    values = [np.concatenate(col) for col in zip(*(v for _, v in rows))]
-    return write_csv(path, ("t", "x") + tuple(names),
-                     [ts, np.tile(xs, len(rows))] + values)
+    sizes = [len(xs)] * len(rows)
+    ts = "".join(_render([t for t, _ in rows])).split("\n")[:-1]
+    return write_csv(path, ("t", "x") + tuple(names), [
+        Column(ts, sizes), Column([_render(xs)] * len(rows), sizes)] + [
+        Column(col, map(len, col)) for col in zip(*(v for _, v in rows))])
 
 
 def write_hopfcole_csv(outdir, hc):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -146,6 +147,21 @@ def test_contaminated_run_exits_3_with_partial_outputs(tmp_path, capsys):
     assert man["aborted"] is True
     assert "boundary density" in man["abort_reason"]
     assert os.path.exists(os.path.join(out, "monitors.csv"))
+    assert man["write_s"] > 0.0         # the partial outputs took time
+
+
+def test_run_json_reports_the_seconds_spent_writing(tmp_path, monkeypatch):
+    """write_s counts this invocation's file writing, CSV formatting
+    included: above zero and below the whole invocation, whatever earlier
+    calls in the same process wrote."""
+    from fatkpp import output
+    monkeypatch.setattr(output, "write_s", 1000.0)
+    out = str(tmp_path / "out")
+    doc = dict(SIMULATE, output={"directory": out})
+    t0 = time.perf_counter()
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 0
+    elapsed = time.perf_counter() - t0
+    assert 0.0 < _manifest(out)["write_s"] < elapsed
 
 
 def test_front_writes_tracks_envelope_and_plot(tmp_path):

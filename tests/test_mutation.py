@@ -365,3 +365,25 @@ def test_classify_all_zero():
     regions = classify_limit_sets(u, tol=1e-3)
     assert np.all(regions[2:-2] == "B")
     assert np.all(regions[:2] == "U") and np.all(regions[-2:] == "U")
+
+
+@pytest.mark.parametrize("mask, want", [
+    ("", ""),
+    ("1", "U"),
+    ("11111", "UUBUU"),
+    ("111111", "UUBBUU"),
+    ("0000000", "AAAAAAA"),
+    ("0111110", "AUUBUUA"),
+    ("01111011", "AUUUUAUU"),
+    ("011110", "AUUUUA"),
+    ("01110", "AUUUA"),
+    ("10101", "UAUAU"),
+    ("11011111110", "UUAUUBBBUUA"),
+    ("1111111111", "UUBBBBBBUU"),
+])
+def test_classify_erodes_two_cells_by_hand(mask, want):
+    """u < tol cells ('1') lose two cells at each end of every run, and
+    past either end of the grid counts as u > tol: runs of length 1 to 4
+    vanish, a run of 5 keeps its middle cell."""
+    u = np.array([0.0 if c == "1" else 1.0 for c in mask])
+    assert "".join(classify_limit_sets(u, tol=0.5)) == want

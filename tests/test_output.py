@@ -2,17 +2,18 @@
 
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fatkpp.errors import IoError
 from fatkpp.gridops import Field, Grid1D
-from fatkpp.output import (_CHUNK, emit_svg_plot, write_csv,
-                           write_envelope_csv, write_field_csv,
-                           write_front_csv, write_hamiltonian_csv,
-                           write_hopfcole_csv, write_rows, write_run_json,
-                           write_zeroset_csv)
+from fatkpp.output import (_CHUNK, Column, _cell, _render, emit_svg_plot,
+                           write_csv, write_envelope_csv, write_front_csv,
+                           write_hamiltonian_csv, write_hopfcole_csv,
+                           write_long_csv, write_rows, write_run_json,
+                           write_snapshots, write_zeroset_csv)
 from fatkpp.propagation import FrontTrack
 
 
@@ -84,16 +85,109 @@ def test_csv_matches_per_cell_formatting_across_chunks(tmp_path, n):
     assert open(path, "rb").read() == want.encode()
 
 
+_SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]
+
+
+def _naive(v):
+    """One cell by the writer's rules, a value at a time."""
+    if isinstance(v, (bool, int, np.bool_, np.integer)):
+        return "%d" % v
+    if isinstance(v, str):
+        return _cell(v)
+    return "%.17g" % float(v)
+
+
+def _floats(rng, n):
+    """n random floats of wide range, led by the special cells."""
+    v = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    v[:len(_SPECIAL)] = _SPECIAL[:n]
+    return v
+
+
+_ROWS = [0, 1, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK + 17]
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("rows", _ROWS)
+def test_snapshots_match_per_cell_formatting(tmp_path, rows, stride):
+    """Every snapshot file shares one rendered x column and keeps the
+    bytes of formatting each cell on its own."""
+    rng = np.random.default_rng(rows + stride)
+    x = _floats(rng, rows * stride)
+    snaps = [(t, SimpleNamespace(values=_floats(rng, rows * stride)))
+             for t in (0.5, 1.0, 2.0)]
+    run = SimpleNamespace(grid=SimpleNamespace(x=x), snapshots=snaps)
+    paths = write_snapshots(str(tmp_path), run, stride=stride)
+    assert len(paths) == 3
+    for path, (t, fld) in zip(paths, snaps):
+        want = "x,n\n" + "".join(
+            "%s,%s\n" % (_naive(a), _naive(b))
+            for a, b in zip(x[::stride], fld.values[::stride]))
+        assert open(path, "rb").read() == want.encode(), path
+
+
+@pytest.mark.parametrize("times", [[0.25], [-0.0, 1.0 / 3.0, 5e-324,
+                                            float("nan"), 7.0]])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("rows", _ROWS)
+def test_long_csv_matches_per_cell_formatting(tmp_path, rows, stride,
+                                              times):
+    """t and x rendered once per block keep the bytes of formatting every
+    cell; float, int, bool and char value columns, '%' in a char cell."""
+    rng = np.random.default_rng(rows * stride + len(times))
+    xs = _floats(rng, rows * stride)[::stride]
+    chars = np.array(["A", "%", "%s", "B%%d"])
+    table = [(t, (_floats(rng, rows), rng.integers(-9, 10 ** 12, rows),
+                  rng.random(rows) < 0.5, chars[rng.integers(0, 4, rows)]))
+             for t in times]
+    path = write_long_csv(str(tmp_path / "a.csv"), ("f", "i", "b", "c"),
+                          xs, table)
+    want = "t,x,f,i,b,c\n" + "".join(
+        ",".join(map(_naive, (t,) + row)) + "\n"
+        for t, vals in table for row in zip(xs, *vals))
+    assert open(path, "rb").read() == want.encode()
+
+
+def test_csv_copies_rendered_text_verbatim(tmp_path):
+    """Rendered cells, a column's lines or one cell for a whole block,
+    are copied as they are, '%' included, wherever the column sits."""
+    cells = np.array(["%", "%s", "a%%b", "%d"] * (_CHUNK // 2 + 1))
+    n = len(cells)
+    path = write_csv(str(tmp_path / "a.csv"), ("v", "c", "k", "w"), (
+        np.arange(n), Column([_render(cells)], [n]),
+        Column(["%s"], [n]), np.full(n, 0.5)))
+    want = "v,c,k,w\n" + "".join(
+        "%d,%s,%%s,0.5\n" % (i, c) for i, c in enumerate(cells))
+    assert open(path, "rb").read() == want.encode()
+
+
+def test_long_csv_without_times_keeps_the_header(tmp_path):
+    path = write_long_csv(str(tmp_path / "a.csv"), ("u",),
+                          np.linspace(0.0, 1.0, 5), [])
+    assert open(path, "rb").read() == b"t,x,u\n"
+
+
+@pytest.mark.parametrize("sizes", [(5, 4), (6, 4)])
+def test_long_csv_rejects_a_ragged_time(tmp_path, sizes):
+    """A time's value array shorter than xs is refused, not padded, also
+    when another time's longer array makes up the total."""
+    xs = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(IoError, match="lengths"):
+        write_long_csv(str(tmp_path / "a.csv"), ("u",), xs,
+                       [(t, (np.zeros(n),)) for t, n in enumerate(sizes)])
+
+
 def test_rows_without_rows_keep_the_header(tmp_path):
     path = write_rows(str(tmp_path / "a.csv"), ("t", "x"), [])
     assert open(path, "rb").read() == b"t,x\n"
 
 
-def test_field_csv_header_and_stride(tmp_path):
+def test_snapshots_header_and_stride(tmp_path):
     g = Grid1D(4.0, 16)
     fld = Field(g, np.linspace(0, 1, 16))
-    path = write_field_csv(str(tmp_path / "f.csv"), fld, value_name="n",
-                           stride=4)
+    run = SimpleNamespace(grid=g, snapshots=[(0.5, fld)])
+    path, = write_snapshots(str(tmp_path), run, stride=4)
+    assert os.path.basename(path) == "snapshot_t0.5.csv"
     assert _read_header(path) == ["x", "n"]
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert back.shape == (4, 2)
@@ -129,7 +223,6 @@ def test_envelope_csv_schema(tmp_path):
 
 
 def test_hopfcole_csv_flattens_the_grid(tmp_path):
-    from types import SimpleNamespace
     hc = SimpleNamespace(eps=0.5,
                          times=np.array([0.5, 1.0]),
                          xs=np.array([1.0, 2.0, 3.0]),
