@@ -10,7 +10,7 @@ class FatKppError(Exception):
     """Base class for all package-specific errors.
 
     An error raised during a time march carries the partially completed
-    run as ``.run`` (see `cauchy.march`), so callers can still write out
+    run as ``.run`` (see `cauchy._march`), so callers can still write out
     what was computed before the abort; elsewhere ``.run`` is None.
     """
 

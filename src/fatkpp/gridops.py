@@ -8,11 +8,13 @@ tail of the kernel feed a spurious incoming front from the far side of
 the domain, which is exactly the artifact this code exists to avoid.
 
 Convolution is block convolution by overlap-save (Oppenheim & Schafer,
-Discrete-Time Signal Processing): blocks of length B ~ 8K, or one block
-when that would make at most two.  The rounding error at a node is
-about 1e-16 of the max of the data within its block, not of the global
-max, so far tails stay resolved wherever the blocks are short next to
-the decay of the data.  With one block it is the global max.
+Discrete-Time Signal Processing): the grid is cut into nb equal tiles,
+nb the largest power of two that leaves tiles of at least max(6K, 3072)
+nodes, and each tile is convolved in one block of length
+B = next_fast_len(N/nb + 2K).  A grid shorter than two such tiles is
+one block.  The rounding error at a node is about 1e-16 of the max of
+the data within its block, not of the global max, so far tails stay
+resolved wherever the blocks are short next to the decay of the data.
 """
 
 import numpy as np
@@ -201,26 +203,26 @@ class DiscreteKernel:
         self.samples = w
         self.K = K
         self.lost_mass = float(lost_mass)
-        # overlap-save blocks of length B ~ 8K, each yielding B - 2K
-        # outputs, or one padded block where that makes at most two: the
-        # block holding x = 0 then spans most of the grid, so two resolve
-        # the tail no better than one, and they were slower in a sweep of
-        # B (snapshots kernel 1.02 vs 0.80 ms, criterion 6's 291 vs 197 ms)
-        B = sfft.next_fast_len(max(8 * K, 4096), real=True)
-        if -(-grid.N // (B - 2 * K)) <= 2:
-            B = sfft.next_fast_len(grid.N + 2 * K, real=True)
-        step = B - 2 * K
+        # overlap-save in nb equal tiles, nb the largest power of two with
+        # N/nb >= max(6K, 3072), else 1; N is a power of two, so the tiles
+        # cover the grid exactly.  A block holds its tile and 2K more, so
+        # padding is at most a quarter of each transform, and the 3072
+        # floor spares narrow kernels many small transforms
+        N = grid.N
+        nb = 1 << (max(N // max(6 * K, 3072), 1).bit_length() - 1)
+        tile = N // nb
+        B = sfft.next_fast_len(tile + 2 * K, real=True)
         # the block count and length, both in every run manifest;
         # perfbench/tracing.py reads _P to count flops
-        self._nb = -(-grid.N // step)
+        self._nb = nb
         self._P = B
         # apply rounds a node to ~1e-16 of its largest input within reach
         self.reach = B - K
         self._spectrum = sfft.rfft(w, B)
-        self._buf = np.zeros((self._nb - 1) * step + B)
+        self._buf = np.zeros(N - tile + B)
         # the blocks are overlapping windows of _buf, a view made once
         self._blocks = np.lib.stride_tricks.sliding_window_view(
-            self._buf, B)[::step]
+            self._buf, B)[::tile]
 
     def apply(self, values, out=None):
         """Linear convolution (sum_j w_j v_{i-j}) with zero exterior.
@@ -233,7 +235,6 @@ class DiscreteKernel:
         [0, 1] absorbs them.
         """
         K, N, B = self.K, self.grid.N, self._P
-        step = B - 2 * K
         self._buf[K:K + N] = values
         F = sfft.rfft(self._blocks, axis=1)
         F *= self._spectrum
@@ -241,11 +242,8 @@ class DiscreteKernel:
         if out is None:
             out = np.empty(N)
         # columns before 2K of each block hold wrapped (circular) sums;
-        # the kept columns of the full blocks go out in one strided copy
-        full, rest = divmod(N, step)
-        out[:full * step].reshape(full, step)[...] = R[:full, 2 * K:]
-        if rest:
-            out[full * step:] = R[full, 2 * K:2 * K + rest]
+        # the next N/nb columns are its tile, all copied out in one go
+        out.reshape(self._nb, -1)[...] = R[:, 2 * K:2 * K + N // self._nb]
         return out
 
 

@@ -76,7 +76,7 @@ def envelope_residual(kernel, grid, t, dk):
     if 2 * K >= N:
         raise InvalidParams("kernel support covers the whole grid; no node "
                             "is a full support radius away from the edges")
-    phi = expit(t - kernel.f(np.abs(grid.x)))
+    phi = phi_envelope(kernel, t, grid.x)
     conv = dk.apply(phi)
 
     idx = np.arange(K, N - K)
@@ -96,7 +96,7 @@ def envelope_residual(kernel, grid, t, dk):
     return float(best)
 
 
-def envelope_sandwich_report(run, dk, C, x_cut=None):
+def envelope_sandwich_report(run, dk, C):
     """Per-snapshot residuals and sandwich violations for a completed run.
 
     dk is the run's sampled kernel, the one it was stepped with.
@@ -109,12 +109,6 @@ def envelope_sandwich_report(run, dk, C, x_cut=None):
     over nodes a support radius away from the boundary (0 when the bound
     holds).  The residual integral accumulates by trapezoid over snapshot
     times, seeded at _T_EARLY to cover the initial layer.
-
-    x_cut, when given, further restricts the measurement to |x| <= x_cut.
-    It keeps the comparison away from densities that convolution noise,
-    amplified like e^t, could swamp.  The blocked convolution's noise is
-    ~1e-16 of each block's own density: a 2^21-node Polynomial run to
-    t = 30 (64 blocks) shows no violation at any snapshot without a cut.
     """
     kernel, grid = run.kernel, run.grid
     if dk.grid != grid:
@@ -123,9 +117,7 @@ def envelope_sandwich_report(run, dk, C, x_cut=None):
     K, N = dk.K, grid.N
     sel = np.zeros(N, dtype=bool)
     sel[K : N - K] = True
-    if x_cut is not None:
-        sel &= np.abs(grid.x) <= x_cut
-    absx = np.abs(grid.x[sel])
+    xs = grid.x[sel]
 
     thetas = [envelope_residual(kernel, grid, max(t, _T_EARLY), dk=dk)
               for t, _ in run.snapshots]
@@ -137,7 +129,7 @@ def envelope_sandwich_report(run, dk, C, x_cut=None):
         if t > prev_t:
             acc += 0.5 * (th + prev_th) * (t - prev_t)
         prev_t, prev_th = t, th
-        phi = expit(t - kernel.f(absx))
+        phi = phi_envelope(kernel, t, xs)
         n = fld.values[sel]
         lo = C_lo * np.exp(-acc) * phi
         hi = 2.0 * C_hi * np.exp(acc) * phi

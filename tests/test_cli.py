@@ -181,11 +181,11 @@ def test_front_writes_tracks_envelope_and_plot(tmp_path):
     assert os.path.exists(os.path.join(out, "front.svg"))
     man = _manifest(out)["manifest"]
     assert man["levels"] == [0.25, 0.5]
-    # the convolution's shape: each block of block_length yields
-    # block_length - 2 kernel_cells outputs, and the blocks cover the grid
+    # the convolution's shape: block_count equal tiles cover the grid,
+    # and each block of block_length holds a tile and 2 kernel_cells more
     K, B, nb = (man[k] for k in ("kernel_cells", "block_length",
                                  "block_count"))
-    assert K >= 1 and B > 2 * K and nb * (B - 2 * K) >= 8192
+    assert K >= 1 and 8192 % nb == 0 and B - 2 * K >= 8192 // nb
     # the stepper's pace: four convolutions per RK4 step
     assert man["steps_taken"] == 40
     assert man["convolutions"] == 4 * man["steps_taken"]

@@ -165,13 +165,13 @@ def test_fft_matches_direct_sum(poly4):
 
 @pytest.fixture(scope="module")
 def front_dk(poly4):
-    """The front workload's grid: K=406 cells, overlap-save in 10 blocks."""
+    """The front workload's grid: K=406 cells, overlap-save in 8 blocks."""
     return discretize_kernel(poly4, Grid1D(L=1000.0, N=2 ** 15))
 
 
 def test_blocked_matches_direct_sum(front_dk):
     dk = front_dk
-    assert dk._nb == 10
+    assert dk._nb == 8
     v = np.random.default_rng(11).uniform(0.0, 1.0, size=dk.grid.N)
     direct = np.convolve(v, dk.samples)[dk.K:dk.K + dk.grid.N]
     assert np.max(np.abs(dk.apply(v) - direct)) <= 1e-10
@@ -188,11 +188,11 @@ def test_blocked_resolves_the_deep_tail(poly4, front_dk):
 
 
 @pytest.mark.parametrize("L, N, K, nb", [(1000.0, 2 ** 15, 4680, 1),
-                                          (4000.0, 2 ** 18, 9360, 5)])
+                                          (4000.0, 2 ** 18, 9360, 4)])
 def test_block_count_of_wide_kernels(L, N, K, nb):
-    """The snapshots workload's kernel takes one block: 8K-blocks would be
-    two.  On the wider grid of the boundary-contamination setup they are
-    five, and blocks are used."""
+    """The snapshots workload's kernel takes one block: two tiles of its
+    grid would be shorter than 6K.  On the wider grid of the
+    boundary-contamination setup the grid is cut into four."""
     k = build_kernel(KernelSpec("SubExponential", alpha=0.5))
     dk = discretize_kernel(k, Grid1D(L=L, N=N))
     assert (dk.K, dk._nb) == (K, nb)
@@ -223,12 +223,12 @@ def _random_dk(L, N, K):
     (lambda: discretize_kernel(build_kernel(KernelSpec(
         "SubExponential", alpha=0.5)), Grid1D(L=1000.0, N=2 ** 15)),
      4680, 1, 43200),
-    # the front workload's: 10 blocks, the last one partial
+    # the front workload's: 8 blocks
     (lambda: discretize_kernel(build_kernel(KernelSpec(
         "Polynomial", alpha=4.0)), Grid1D(L=1000.0, N=2 ** 15)),
-     406, 10, 4096),
-    # blocks of a length that is no power of two: 4, the last partial
-    (lambda: _random_dk(100.0, 2 ** 14, 700), 700, 4, 5625),
+     406, 8, 5000),
+    # blocks of a length that is no power of two: 2
+    (lambda: _random_dk(100.0, 2 ** 14, 700), 700, 2, 9600),
     # one block whose kept columns are exactly the grid
     (lambda: _random_dk(100.0, 2 ** 14, 1808), 1808, 1, 20000),
 ])
@@ -243,6 +243,28 @@ def test_apply_into_out_matches_fresh_result(make, K, nb, B):
     assert np.array_equal(buf, dk.apply(v))
     assert np.array_equal(v, v0)
     assert not np.shares_memory(buf, v)
+
+
+@pytest.mark.parametrize("N, K", [
+    (16, 3), (16, 8), (16, 20),             # one block; K >= N/2 in two
+    (2 ** 14, 700), (2 ** 14, 1808),
+    (2 ** 15, 406), (2 ** 15, 4680),        # front, snapshots
+    (2 ** 18, 218), (2 ** 18, 652), (2 ** 18, 3245),    # crossval
+    (2 ** 18, 9360),                        # boundary contamination
+])
+def test_one_block_rule(N, K):
+    """nb equal tiles of at least max(6K, 3072) nodes, or the whole grid
+    where it is shorter, each in a block that holds it and 2K more."""
+    dk = _random_dk(100.0, N, K)
+    nb, B = dk._nb, dk._P
+    tile = N // nb
+    assert nb & (nb - 1) == 0 and nb * tile == N
+    assert tile >= min(N, max(6 * K, 3072))
+    assert nb == 1 or tile < 2 * max(6 * K, 3072)
+    assert B >= tile + 2 * K and dk.reach == B - K
+    v = np.random.default_rng(N + K).random(N)
+    direct = np.convolve(v, dk.samples)[K:K + N]
+    assert np.max(np.abs(dk.apply(v) - direct)) <= 1e-10
 
 
 def test_convolve_preserves_symmetry(poly4):

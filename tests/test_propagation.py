@@ -158,7 +158,7 @@ def test_residual_decays_in_time(poly4):
     assert 0.0 < r30 < r5
 
 
-@pytest.mark.parametrize("N, nb", [(2 ** 12, 1), (2 ** 14, 5)])
+@pytest.mark.parametrize("N, nb", [(2 ** 12, 1), (2 ** 14, 4)])
 def test_residual_matches_direct_sums_in_the_deep_tail(subexp, N, nb):
     """phi(1, x) falls to ~1e-26 at the innermost residual node on L=4000.
     Read verbatim from one transform, |conv - phi| / phi is ~4e8 of noise
