@@ -23,7 +23,7 @@ from .errors import (BoundaryContamination, CFLViolation, DomainError,
                      IoError, NoConvergence, NonIntegrableTail,
                      OutOfDomain, ParseError, StabilityViolation,
                      ValidationError)
-from .gridops import Field, discretize_kernel
+from .gridops import discretize_kernel
 from .hj import (HJSolution, Hamiltonian, hamiltonian_profile,
                  inclusion_curves, cross_validate, solve_constrained_hj,
                  zero_set_boundary)
@@ -142,7 +142,7 @@ def _do_mutation(cfg, out):
 
 def _do_hj(cfg, out):
     H = Hamiltonian(cfg.kernel)
-    u0 = Field(cfg.grid, cfg.A * cfg.kernel.f(cfg.grid.x))
+    u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A).u0
     # the HJ scheme picks its own CFL step unless the config sets dt
     dt = cfg.solver.dt if "dt" in cfg.raw.get("solver", {}) else None
     sol = solve_constrained_hj(H, cfg.grid, u0, cfg.solver.t_end,

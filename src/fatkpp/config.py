@@ -261,12 +261,12 @@ def validate_config(raw):
                 issues.append("solver.snapshots: times must have distinct "
                               "%%g labels, got %s" % shared)
 
-        dt = sb.get("dt", 0.05)
+        given = {key: sb[key] for key in ("dt", "method", "boundary_guard")
+                 if key in sb}
+        dt = given.get("dt", SolverConfig.dt)
         try:
-            solver = SolverConfig(dt=dt, t_end=t_end, snapshot_times=times,
-                                  method=sb.get("method", "RK4"),
-                                  boundary_guard=sb.get("boundary_guard",
-                                                        1e-4))
+            solver = SolverConfig(t_end=t_end, snapshot_times=times,
+                                  **given)
         except InvalidParams as exc:
             issues.extend("solver.%s" % msg for msg in exc.issues)
 

@@ -23,6 +23,8 @@ from scipy import integrate, optimize
 
 from .errors import GridMismatch, InvalidParams, NoConvergence
 
+_TAIL_TOL = 1e-6        # kernel mass discretize_kernel may cut from the tails
+
 
 # ----------------------------------------------------------------------
 # quadrature
@@ -103,22 +105,21 @@ def adaptive_integrate(g, a, b, tail=None, epsabs=1e-10, epsrel=1e-8):
     return val
 
 
-def invert_monotone(g, y, lo=0.0, hi=None):
-    """Solve g(x) = y for a nondecreasing g on [lo, inf).
+def invert_monotone(g, y):
+    """Solve g(x) = y for a nondecreasing g on [0, inf).
 
-    Brackets by doubling when hi is not supplied, then runs a safeguarded
-    root solve.  Used as the generic fallback for inverses that have no
-    closed form, and as the independent route when testing the ones that do.
+    Brackets by doubling from 2, then runs a safeguarded root solve.
+    Used as the generic fallback for inverses that have no closed form,
+    and as the independent route when testing the ones that do.
     """
-    if hi is None:
-        hi = first_doubling(lambda h: g(h) >= y, 2.0 * max(lo, 1.0),
-                            "bracketing the inverse at y=%g" % y)
-    glo = g(lo)
-    if glo > y:
-        raise InvalidParams("g(lo)=%g already exceeds target y=%g" % (glo, y))
-    if glo == y:
-        return lo
-    x = optimize.brentq(lambda s: g(s) - y, lo, hi, rtol=1e-10, maxiter=200)
+    hi = first_doubling(lambda h: g(h) >= y, 2.0,
+                        "bracketing the inverse at y=%g" % y)
+    g0 = g(0.0)
+    if g0 > y:
+        raise InvalidParams("g(0)=%g already exceeds target y=%g" % (g0, y))
+    if g0 == y:
+        return 0.0
+    x = optimize.brentq(lambda s: g(s) - y, 0.0, hi, rtol=1e-10, maxiter=200)
     return float(x)
 
 
@@ -247,15 +248,15 @@ class DiscreteKernel:
         return out
 
 
-def discretize_kernel(kernel, grid, tail_tol=1e-6):
+def discretize_kernel(kernel, grid):
     """Sample a continuum kernel's normalized density J_hat on grid offsets.
 
     The truncation radius R is the smallest one whose analytic two-sided
-    tail bound is below tail_tol, capped at 2L (a kernel wider than that
+    tail bound is below _TAIL_TOL, capped at 2L (a kernel wider than that
     sees the whole domain from every node anyway).  The pre-renormalization
     mass defect is kept for the run manifest.
     """
-    R = min(kernel.half_support(tail_tol), 2.0 * grid.L)
+    R = min(kernel.half_support(_TAIL_TOL), 2.0 * grid.L)
     K = max(1, int(np.ceil(R / grid.dx)))
     off = grid.dx * np.arange(-K, K + 1)
     w = kernel.J_hat(off) * grid.dx

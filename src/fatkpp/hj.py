@@ -34,6 +34,7 @@ from .propagation import potential_of
 _CFL_SAFETY = 0.9       # Lax-Friedrichs steps dt <= _CFL_SAFETY dx/sigma
 _ZERO_TOL = 1e-12       # roundoff that zero_set_boundary counts as zero
 _N_R = 101              # inclusion_curves' scan points over r in [0, 1]
+_N_P = 257              # hamiltonian_profile's rows over the p band
 _MIN_CELLS = 10         # cross_validate's window margin from the edges
 
 
@@ -234,7 +235,7 @@ class Hamiltonian:
         return pair
 
 
-def hamiltonian_profile(H, A, n=257):
+def hamiltonian_profile(H, A):
     """Sampled rows (p, H(p), 1 + kap_lo p^2, 1 + kap_hi p^2).
 
     The p range is the envelope band |p| <= A f'(0), clipped to the
@@ -242,7 +243,7 @@ def hamiltonian_profile(H, A, n=257):
     """
     kap_lo, kap_hi = H.kappa_bounds(A)
     p_hi = min(A * H.kernel.fprime0, H.p_table)
-    ps = np.linspace(-p_hi, p_hi, int(n))
+    ps = np.linspace(-p_hi, p_hi, _N_P)
     Hs = H.table_eval(ps)
     return ps, Hs, 1.0 + kap_lo * ps ** 2, 1.0 + kap_hi * ps ** 2
 

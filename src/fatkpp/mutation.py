@@ -1,9 +1,10 @@
 """Small-jump rescaling: contracted kernels, rescaled runs, limit sets.
 
-The jump map m_eps(h) = sign(h) f_inv(eps f(|h|)) (Kernel.contract, the
-inverse of the long-range map Psi_eps) shrinks every jump so that
-f(m_eps(h)) = eps f(h) exactly; pushing the base density through it
-gives the rescaled kernel J_eps whose f-second moment scales like eps^2.
+The one jump map m_eps(h) = sign(h) f_inv(eps f(|h|)) (Kernel.contract)
+shrinks every jump so that f(m_eps(h)) = eps f(h) exactly.  Pushing the
+base density through it gives the rescaled kernel J_eps, whose f-second
+moment scales like eps^2; J_eps is written through the inverse map, the
+long-range scaling Psi_eps (Kernel.dilate).
 The rescaled equation eps dn/dt = J_eps*n - n + n(1-n) is integrated by
 the ordinary stepper with a 1/eps rate factor, and the potential
 u = -eps ln n is the quantity the Hamilton-Jacobi limit speaks about.
@@ -36,49 +37,38 @@ def _require_eligible(kernel):
 class MutationKernel:
     """Continuum rescaled kernel: jump map m, density, tail bound.
 
-    A jump map is one function g with f(m^{-1}(a)) = g(a)/eps for a >= 0,
-    so m(h) = sign(h) g^{-1}(eps f(|h|)): g = f gives the contracted
-    jumps m_eps, and g(a) = f'(0) a the "linearized" control, whose jumps
-    eps f(|h|)/f'(0) are not contracted back through f_inv, so its
-    generator reproduces the limit Hamiltonian at any eps.  The density
-    is the pushforward of Jhat, (g'(a) / f'(m^{-1}(a))) e^{-g(a)/eps} /
-    (Z eps), which is exactly 1/(Z eps) at a = 0 for both maps.
+    The jumps are m_eps(h) = sign(h) f_inv(eps f(|h|)), and the density
+    is the pushforward of Jhat through them.  With Psi_eps the inverse
+    of m_eps (Kernel.dilate) it reads, for a = |h|,
+
+        J_eps(a) = (f'(a) / f'(Psi_eps(a))) e^{-f(a)/eps} / (Z eps),
+
+    which is exactly 1/(Z eps) at a = 0.
     """
 
     base: object
     eps: float
-    jump_map: str = "contraction"
 
     def __post_init__(self):
-        k, eps = self.base, self.eps
-        _require_eligible(k)
-        if not (0.0 < eps <= 1.0):
+        _require_eligible(self.base)
+        if not (0.0 < self.eps <= 1.0):
             raise InvalidParams("eps must lie in (0, 1]")
-        s = k.fprime0
-        maps = {   # name -> (g, g', m)
-            "contraction": (k.f, k.f_prime, lambda h: k.contract(h, eps)),
-            "linearized": (lambda a: s * a, lambda a: s,
-                           lambda h: np.sign(h) * (eps * k.f(h) / s)),
-        }
-        if self.jump_map not in maps:
-            raise InvalidParams("jump_map must be one of %s" % sorted(maps))
-        self._g, self._dg, self.m = maps[self.jump_map]
 
-    def _back(self, a):
-        """m^{-1}(a) = f_inv(g(a)/eps) for a >= 0."""
-        return self.base.f_inv(self._g(a) / self.eps)
+    def m(self, h):
+        """The jump map m_eps."""
+        return self.base.contract(h, self.eps)
 
     def J_hat(self, h):
         """Normalized density of the rescaled jumps."""
         k, eps = self.base, self.eps
         a = np.abs(np.asarray(h, dtype=float))
-        out = (self._dg(a) / k.f_prime(self._back(a))
-               * np.exp(-self._g(a) / eps)) / (k.Z * eps)
+        out = (k.f_prime(a) / k.f_prime(k.dilate(a, eps))
+               * np.exp(-k.f(a) / eps)) / (k.Z * eps)
         return out if np.ndim(out) else float(out)
 
     def tail_bound(self, R):
-        """Mass beyond |h| > R equals the base mass beyond m^{-1}(R)."""
-        return self.base.tail_bound(self._back(R))
+        """Mass beyond |h| > R equals the base mass beyond Psi_eps(R)."""
+        return self.base.tail_bound(self.base.dilate(R, self.eps))
 
     def half_support(self, tail_tol):
         base_R = self.base.half_support(tail_tol)
@@ -102,7 +92,7 @@ def interquartile(kernel):
     """h0 with int_0^{h0} Jhat = 1/4 (half the mass of the right side)."""
     return invert_monotone(
         lambda h: adaptive_integrate(kernel.J_hat, 0.0, h) if h > 0 else 0.0,
-        0.25, lo=0.0)
+        0.25)
 
 
 def discretize_mutation_kernel(mk, grid):
@@ -175,25 +165,18 @@ class InitialDataMut:
         return Field(self.u0.grid, np.exp(-self.u0.values / eps))
 
 
-def mutation_initial_data(kernel, grid, A=None, u0_values=None):
-    """Build and validate initial data; the default profile is u0 = A f.
+def mutation_initial_data(kernel, grid, A):
+    """Build and validate the initial potential u0 = A f(|x|).
 
-    Validation: A in (0, 1 - 1/mu), u0 nonnegative, and the sampled
-    finite-difference condition u0(x+h) - u0(x) >= -A f(|h|) within
-    _FD_TOL.
+    Validation: A in (0, 1 - 1/mu), and the sampled finite-difference
+    condition u0(x+h) - u0(x) >= -A f(|h|) within _FD_TOL.
     """
     _require_eligible(kernel)
-    if A is None:
-        A = default_A(kernel)
     hi = 1.0 - 1.0 / kernel.mu           # 1 when mu is infinite
     if not (0.0 < A < hi):
         raise InvalidParams("A = %g outside the admissible (0, %g)"
                             % (A, hi))
-    if u0_values is None:
-        u0_values = A * kernel.f(np.abs(grid.x))
-    u0 = Field(grid, u0_values)
-    if u0.values.min() < 0.0:
-        raise InvalidParams("u0 must be nonnegative")
+    u0 = Field(grid, A * kernel.f(np.abs(grid.x)))
     worst = fd_condition(kernel, u0, A)
     if worst > _FD_TOL:
         raise InvalidParams(
@@ -215,21 +198,20 @@ class MutationRun:
     run: object                     # SimulationRun in slow time
 
 
-def mutation_run(kernel, grid, eps, config, init, jump_map="contraction"):
+def mutation_run(kernel, grid, eps, config, init):
     """Integrate eps dn/dt = J_eps*n - n + n(1-n) from n0 = e^{-u0/eps}.
 
     config.dt is slow time; the effective fast step dt/eps must respect
     the usual stability ceiling, checked before the rescaled kernel is
     sampled so that a too-large step is reported as such.
     """
-    mk = MutationKernel(kernel, eps, jump_map)
+    mk = MutationKernel(kernel, eps)
     check_rate(config.dt, 1.0 / eps)
     dk = discretize_mutation_kernel(mk, grid)
     n0 = init.n0(eps)
     sim = cauchy_run(kernel, grid, config, n0, dk=dk, rate_scale=1.0 / eps)
     sim.manifest["eps"] = eps
     sim.manifest["A"] = init.A
-    sim.manifest["jump_map"] = jump_map
     return MutationRun(eps, sim)
 
 

@@ -29,6 +29,7 @@ _THETA1_ALPHA = 0.5     # theta1 reads the tail slope past f_inv(a t)
 _T_EARLY = 1e-3         # the sandwich integrates theta from here
 _GARNIER_DELTA = 0.2    # the front's bracket inv_J(e^{-(1-delta) t})
 _GARNIER_RHO = 2.0      # ... and inv_J(e^{-rho t})
+_HC_NX = 101            # hopf_cole_field's x samples across the window
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +209,7 @@ class HopfColeField:
         return float(np.max(np.abs(self.u - self.limit)))
 
 
-def hopf_cole_field(run, eps, x_span, t_span, nx=101):
+def hopf_cole_field(run, eps, x_span, t_span):
     """Sample u_eps = -eps ln n(t/eps, Psi_eps(x)) over a compact window.
 
     Times are the rescaled snapshot times eps*s falling inside t_span;
@@ -225,7 +226,7 @@ def hopf_cole_field(run, eps, x_span, t_span, nx=101):
     if not (x_lo < x_hi and t_lo <= t_hi):
         raise InvalidParams("empty compact window")
     kernel, grid = run.kernel, run.grid
-    xs = np.linspace(x_lo, x_hi, nx)
+    xs = np.linspace(x_lo, x_hi, _HC_NX)
     ys = kernel.dilate(xs, eps)
     usable = grid.x[-1]
     if np.max(np.abs(ys)) > usable:

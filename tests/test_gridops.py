@@ -86,13 +86,13 @@ def test_quadrature_divergent_raises():
 
 
 def test_invert_monotone_cubic():
-    root = invert_monotone(lambda x: x ** 3, 27.0, lo=0.0)
+    root = invert_monotone(lambda x: x ** 3, 27.0)
     assert abs(root - 3.0) < 1e-9
 
 
 def test_invert_monotone_below_range():
     with pytest.raises(InvalidParams):
-        invert_monotone(lambda x: 1.0 + x, 0.5, lo=0.0, hi=10.0)
+        invert_monotone(lambda x: 1.0 + x, 0.5)
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_sampled_weights_symmetric(poly4):
 
 def test_half_support_capped(poly4):
     g = Grid1D(L=2.0, N=64)
-    dk = discretize_kernel(poly4, g, tail_tol=1e-12)
+    dk = discretize_kernel(poly4, g)
     assert dk.K * g.dx <= 2 * g.L + g.dx
     assert dk.lost_mass > 0.0
 

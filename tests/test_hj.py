@@ -22,14 +22,13 @@ from fatkpp.errors import (CFLViolation, GradientOutOfRange, GridMismatch,
                            InvalidParams, NonIntegrableTail,
                            NotMutationEligible, ThinTailedKernel,
                            ValidationError)
-from fatkpp.gridops import Field, Grid1D
+from fatkpp.gridops import DiscreteKernel, Field, Grid1D
 from fatkpp.hj import (Hamiltonian, HJSolution, cross_validate,
                        hamiltonian_profile, inclusion_curves,
                        solve_constrained_hj, zero_set_boundary)
-from fatkpp.cauchy import SolverConfig, Trajectory
+from fatkpp.cauchy import SolverConfig, Trajectory, run as cauchy_run
 from fatkpp.kernels import KernelSpec, build_kernel
-from fatkpp.mutation import (MutationRun, mutation_initial_data,
-                             mutation_run)
+from fatkpp.mutation import MutationRun, mutation_initial_data
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +210,7 @@ def test_kappa_rejects(H3, Hps):
 
 
 def test_hamiltonian_profile(H3):
-    ps, Hs, lo, hi = hamiltonian_profile(H3, 0.3, n=101)
+    ps, Hs, lo, hi = hamiltonian_profile(H3, 0.3)
     assert ps[0] == pytest.approx(-0.9) and ps[-1] == pytest.approx(0.9)
     inner = slice(1, -1)        # endpoints touch the envelope band edge
     assert np.all(lo[inner] <= Hs[inner] + 1e-12)
@@ -435,15 +434,20 @@ def test_cross_validate_locality():
 
 
 def test_cross_validate_identity_control(ll3, H3):
-    """Control pairing whose generator is H exactly: the linearized jump
-    map at eps=1 pushes Jhat onto an exponential-tailed kernel whose
-    tilted integrals are the same quadrature H caches, so on a compact
-    away from the interface band the gap is scheme resolution only."""
+    """Control pairing whose generator is H exactly: at eps=1 the
+    linearized jumps h -> sign(h) f(|h|)/f'(0) = sign(h) ln(1+|h|) push
+    Jhat onto the exponential kernel e^{-2|h|}, whose tilted integrals are
+    the same quadrature H caches, so on a compact away from the interface
+    band the gap is scheme resolution only."""
     g = Grid1D(1000.0, 32768)
+    K = math.ceil(0.5 * math.log(1e6) / g.dx)   # two-sided tail mass 1e-6
+    off = g.dx * np.arange(-K, K + 1)
+    w = np.exp(-2.0 * np.abs(off)) * g.dx
+    dk = DiscreteKernel(g, w, lost_mass=1.0 - w.sum())
     init = mutation_initial_data(ll3, g, A=0.5)
     cfg = SolverConfig(dt=0.05, t_end=1.0, snapshot_times=(0.5, 1.0),
                        method="RK4")
-    mr = mutation_run(ll3, g, 1.0, cfg, init, jump_map="linearized")
+    mr = MutationRun(1.0, cauchy_run(ll3, g, cfg, init.n0(1.0), dk=dk))
     hj = solve_constrained_hj(H3, g, init.u0, 1.0, snapshots=(0.5, 1.0))
     (_, gap), = cross_validate([mr], hj, (28.0, 60.0))
     assert gap <= 0.05

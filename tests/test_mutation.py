@@ -11,7 +11,8 @@ from fatkpp.errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
                            NotMutationEligible)
 from fatkpp.gridops import Field, Grid1D
 from fatkpp.kernels import KernelSpec, build_kernel
-from fatkpp.mutation import (MutationKernel, classify_limit_sets, default_A,
+from fatkpp.mutation import (InitialDataMut, MutationKernel,
+                             classify_limit_sets, default_A,
                              discretize_mutation_kernel, fd_condition,
                              growth_bound, interquartile,
                              mutation_initial_data, mutation_run)
@@ -65,23 +66,13 @@ def test_contraction_rejects_ineligible():
         MutationKernel(poly, 0.5)
     sub = build_kernel(KernelSpec("SubExponential", alpha=0.5))
     with pytest.raises(NotMutationEligible):
-        MutationKernel(sub, 0.5, jump_map="linearized")
+        MutationKernel(sub, 0.5)
 
 
-def test_mutation_kernel_rejects_bad_eps_and_map(loglin2):
+def test_mutation_kernel_rejects_bad_eps(loglin2):
     for eps in (0.0, -0.2, 1.5):
         with pytest.raises(InvalidParams):
             MutationKernel(loglin2, eps)
-    with pytest.raises(InvalidParams):
-        MutationKernel(loglin2, 0.5, jump_map="dilation")
-
-
-def test_linearized_jump_closed_form(loglin3):
-    """The control map sends h to sign(h) eps f(|h|)/f'(0)."""
-    hs = np.array([-7.0, -0.5, 0.0, 0.2, 3.0])
-    mk = MutationKernel(loglin3, 0.2, jump_map="linearized")
-    np.testing.assert_allclose(mk.m(hs), np.sign(hs) * 0.2 * 3.0
-                               * np.log1p(np.abs(hs)) / 3.0, rtol=1e-14)
 
 
 def test_contraction_compose_scaling(loglin3):
@@ -109,18 +100,21 @@ def test_density_closed_form_loglinear(loglin3):
 
 
 def test_density_eps_one_is_base(loglin2, powershift):
+    """At eps = 1 the jump map and its inverse are the identity, so the
+    rescaled density and tail are the base ones bit for bit."""
     hs = np.array([0.0, 0.5, 2.0, 40.0])
     for k in (loglin2, powershift):
-        np.testing.assert_allclose(MutationKernel(k, 1.0).J_hat(hs),
-                                   k.J_hat(hs), rtol=1e-12)
+        mk = MutationKernel(k, 1.0)
+        np.testing.assert_array_equal(mk.J_hat(hs), k.J_hat(hs))
+        for R in hs[1:]:
+            assert mk.tail_bound(R) == k.tail_bound(R)
 
 
 def test_density_origin_limit(loglin2):
-    for jump_map in ("contraction", "linearized"):
-        mk = MutationKernel(loglin2, 0.25, jump_map)
-        assert mk.J_hat(0.0) == 1.0 / (loglin2.Z * 0.25)
-        np.testing.assert_array_equal(mk.J_hat(np.array([-0.0, 0.0])),
-                                      1.0 / (loglin2.Z * 0.25))
+    mk = MutationKernel(loglin2, 0.25)
+    assert mk.J_hat(0.0) == 1.0 / (loglin2.Z * 0.25)
+    np.testing.assert_array_equal(mk.J_hat(np.array([-0.0, 0.0])),
+                                  1.0 / (loglin2.Z * 0.25))
 
 
 @pytest.mark.parametrize("eps", [1.0, 0.5, 0.25, 0.1])
@@ -165,17 +159,6 @@ def test_pushforward_identity(loglin2):
     rhs, _ = quad(lambda h: math.exp(-loglin2.contract(h, eps) ** 2)
                   * loglin2.J_hat(h), 0, np.inf)
     assert abs(lhs - rhs) <= 1e-6
-
-
-def test_linearized_density_is_exponential(loglin3):
-    """Pushforward under the linearized map is exponential with rate
-    (beta-1)/eps for this family."""
-    eps = 0.2
-    mk = MutationKernel(loglin3, eps, jump_map="linearized")
-    hs = np.array([0.0, 0.1, 0.5, 2.0])
-    expect = ((3.0 - 1.0) / (2 * eps)) * np.exp(-(3.0 - 1.0) * hs / eps)
-    np.testing.assert_allclose(mk.J_hat(hs), expect, rtol=1e-12)
-    assert abs(mk.mass() - 1.0) <= 1e-6
 
 
 # ----------------------------------------------------------------------
@@ -240,13 +223,6 @@ def test_initial_data_rejects(loglin3):
     g = Grid1D(L=100.0, N=2048)
     with pytest.raises(InvalidParams):
         mutation_initial_data(loglin3, g, A=0.9)
-    with pytest.raises(InvalidParams):
-        mutation_initial_data(loglin3, g, A=0.25,
-                              u0_values=np.full(g.N, -1.0))
-    # a step profile violates the finite-difference decay condition
-    bad = np.where(g.x > 0, 0.0, 5.0)
-    with pytest.raises(InvalidParams):
-        mutation_initial_data(loglin3, g, A=0.25, u0_values=bad)
 
 
 def test_fd_condition_detects_violation(loglin3):
@@ -317,8 +293,7 @@ def test_mutation_run_lipschitz(small_run):
 def test_mutation_run_stationary_at_one(loglin3):
     # eps=0.1 needs dx <= (2^{0.05}-1)/4 ~ 0.0088
     g = Grid1D(L=120.0, N=2 ** 15)
-    init = mutation_initial_data(loglin3, g, A=0.25,
-                                 u0_values=np.zeros(g.N))
+    init = InitialDataMut(Field(g, np.zeros(g.N)), 0.25)
     cfg = SolverConfig(dt=0.01, t_end=0.2, snapshot_times=(0.2,),
                        boundary_guard=2.0)
     mr = mutation_run(loglin3, g, 0.1, cfg, init)

@@ -262,8 +262,7 @@ def test_hopf_cole_exact_algebra(loglin2):
     snap_s = [1.0, 2.0, 4.0]                     # slow times 0.5, 1, 2
     run = synthetic_run(loglin2, g, snap_s,
                         lambda t, x: phi_envelope(loglin2, t, x))
-    hc = hopf_cole_field(run, eps, x_span=(0.25, 3.0), t_span=(0.4, 2.1),
-                         nx=61)
+    hc = hopf_cole_field(run, eps, x_span=(0.25, 3.0), t_span=(0.4, 2.1))
     assert list(hc.times) == [0.5, 1.0, 2.0]
     f = loglin2.f(np.abs(hc.xs))
     for i, t in enumerate(hc.times):
@@ -277,8 +276,7 @@ def test_hopf_cole_exact_algebra(loglin2):
 def test_hopf_cole_zero_where_saturated(poly4):
     g = Grid1D(L=40.0, N=512)
     run = synthetic_run(poly4, g, [3.0], lambda t, x: np.ones_like(x))
-    hc = hopf_cole_field(run, 0.5, x_span=(0.0, 2.0), t_span=(1.0, 2.0),
-                         nx=11)
+    hc = hopf_cole_field(run, 0.5, x_span=(0.0, 2.0), t_span=(1.0, 2.0))
     assert np.all(hc.u == 0.0)
 
 
@@ -303,7 +301,7 @@ def test_hopf_cole_convergence_on_exact_envelope(loglin2):
                             lambda t, x: phi_envelope(loglin2, t, x))
         # x_hi must keep Psi_eps(x_hi) = (1+x_hi)^{1/eps} - 1 on the grid
         hc = hopf_cole_field(run, eps, x_span=(0.25, 1.2),
-                             t_span=(0.9, 1.1), nx=101)
+                             t_span=(0.9, 1.1))
         sup[eps] = hc.sup_error()
     assert sup[0.4] > sup[0.2] > sup[0.1]
     assert sup[0.1] <= 0.1 * math.log(2.0) + 1e-3
