@@ -1,4 +1,8 @@
-"""Explicit time integration of n_t = Jhat*n - n + n(1-n).
+"""Explicit time integration of eps n_t = Jhat*n - n + n(1-n).
+
+eps = 1 is the Cauchy problem itself; the small-mutation regime runs the
+same equation with its rescaled kernel at rate 1/eps (see mutation.py),
+and every run, aborted or not, records the eps it was stepped at.
 
 The right-hand side splits into a unit-mass nonlocal averaging term and a
 logistic reaction, so explicit stepping is stable for modest dt; the
@@ -116,6 +120,7 @@ class SimulationRun(Trajectory):
     monitors: dict                  # MONITORS name -> array over states
     manifest: dict
     contaminated: bool = False
+    eps: float = 1.0                # the run stepped at rate 1/eps
 
 
 def _march(grid, values, times, t_end, dt_max, advance, observe, finish):
@@ -179,18 +184,18 @@ def _rhs(dk, v, out, tmp):
     return out
 
 
-def _advance(dk, v, dt, method, rate_scale, work):
+def _advance(dk, v, dt, method, rate, work):
     """One explicit step clamped to [0,1], written into work[0] (see
     `_workspace`); returns (work[0], overshoot) and leaves v unmodified.
 
     Each stage rounds as the textbook expressions do: Euler is
     v + (dt*r)*rhs(v), and RK4 is v + (dt/6)*(k1 + 2k2 + 2k3 + k4) with
-    k_i = r*rhs(v + c_i*dt*k_{i-1}).
+    k_i = r*rhs(v + c_i*dt*k_{i-1}), r the rate.
     Raises StabilityViolation when the pre-clamp excursion outside [0,1]
     exceeds 1e-6 (a symptom of dt past the explicit-stability bound, or of
     inconsistent inputs), rather than silently clamping real dynamics.
     """
-    r = rate_scale
+    r = rate
     if method == "Euler":
         out, tmp = work
         _rhs(dk, v, out, tmp)
@@ -223,21 +228,23 @@ def _advance(dk, v, dt, method, rate_scale, work):
     return out, overshoot
 
 
-def check_rate(dt, rate_scale):
-    """Refuse an effective step dt*rate_scale past the stability ceiling."""
-    if dt * rate_scale > DT_MAX + 1e-12:
+def check_rate(dt, eps):
+    """Refuse an effective step dt/eps past the stability ceiling."""
+    step = dt * (1.0 / eps)
+    if step > DT_MAX + 1e-12:
         raise InvalidParams(
-            "effective step dt*rate_scale = %g exceeds the stability "
-            "ceiling %g" % (dt * rate_scale, DT_MAX))
+            "effective step dt/eps = %g exceeds the stability ceiling %g"
+            % (step, DT_MAX))
 
 
-def run(kernel, grid, config, n0, dk=None, rate_scale=1.0):
-    """Integrate from n0 to t_end, recording snapshots and monitors.
+def run(kernel, grid, config, n0, dk=None, eps=1.0):
+    """Integrate eps n_t = J*n - n + n(1-n) from n0 to t_end, recording
+    snapshots and monitors.
 
     dk overrides the sampled kernel (the mutation regime passes its own
-    rescaled samples); rate_scale multiplies the right-hand side, which
-    rescales time without touching the invariant region.  The effective
-    step dt*rate_scale must respect the same stability ceiling as dt.
+    rescaled samples).  The right-hand side is stepped at rate 1/eps,
+    which rescales time without touching the invariant region; the
+    effective step dt/eps must respect the same stability ceiling as dt.
     """
     if n0.grid != grid:
         raise GridMismatch("initial field lives on a different grid")
@@ -245,7 +252,8 @@ def run(kernel, grid, config, n0, dk=None, rate_scale=1.0):
         dk = discretize_kernel(kernel, grid)
     elif dk.grid != grid:
         raise GridMismatch("sampled kernel lives on a different grid")
-    check_rate(config.dt, rate_scale)
+    check_rate(config.dt, eps)
+    rate = 1.0 / eps
 
     t0 = _time.perf_counter()
     rows = []                       # one row of MONITORS per observed state
@@ -254,7 +262,7 @@ def run(kernel, grid, config, n0, dk=None, rate_scale=1.0):
 
     def advance(v, h):
         nonlocal clamp_total
-        out, overshoot = _advance(dk, v, h, config.method, rate_scale, work)
+        out, overshoot = _advance(dk, v, h, config.method, rate, work)
         work[0] = v                 # the old state takes the next result
         clamp_total += overshoot
         return out
@@ -275,7 +283,7 @@ def run(kernel, grid, config, n0, dk=None, rate_scale=1.0):
         manifest = dict(
             kernel.manifest(), grid={"L": grid.L, "N": grid.N},
             dt=config.dt, t_end=config.t_end, method=config.method,
-            rate_scale=rate_scale, steps_taken=steps,
+            eps=eps, steps_taken=steps,
             convolutions=steps * _STAGES[config.method], kernel_cells=dk.K,
             block_length=dk._P, block_count=dk._nb,
             kernel_tail_mass=dk.lost_mass, clamp_total=clamp_total,
@@ -283,7 +291,7 @@ def run(kernel, grid, config, n0, dk=None, rate_scale=1.0):
             steps_per_s=steps / wall if wall > 0.0 else 0.0)
         monitors = dict(zip(MONITORS, np.array(rows).T))
         return SimulationRun(snapshots, kernel, grid, monitors, manifest,
-                             contaminated)
+                             contaminated, eps)
 
     return _march(grid, np.clip(n0.values, 0.0, 1.0),
                   config.snapshot_times, config.t_end, config.dt, advance,

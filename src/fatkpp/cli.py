@@ -111,29 +111,29 @@ def _do_hopf_cole(cfg, out):
     return manifest, None
 
 
-def _mutation_runs(cfg, out, init):
+def _mutation_runs(cfg, out, u0):
     """One rescaled run per eps, largest first, each written as it ends."""
     runs = []
     for eps in sorted(cfg.eps_list, reverse=True):
-        mr = mutation_run(cfg.kernel, cfg.grid, eps, cfg.solver, init)
-        out_io.write_mutation_csv(out, mr, cfg.stride)
-        runs.append(mr)
+        run = mutation_run(cfg.kernel, eps, cfg.solver, u0)
+        out_io.write_mutation_csv(out, run, cfg.stride)
+        runs.append(run)
     return runs
 
 
 def _do_mutation(cfg, out):
-    init = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
-    small = _mutation_runs(cfg, out, init)[-1]
+    u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
+    small = _mutation_runs(cfg, out, u0)[-1]
     tol = 2.0 * small.eps * math.log(4.0)
     us = [(t, potential_of(fld.values, small.eps)[0])
-          for t, fld in small.run.snapshots]
+          for t, fld in small.snapshots]
     out_io.write_limits_csv(out, cfg.grid, [
         (t, classify_limit_sets(u, tol)) for t, u in us], cfg.stride)
     t_last, u_last = us[-1]
     _plot(cfg, out, "mutation.svg",
           [("u_eps%g, t=%g" % (small.eps, t_last), cfg.grid.x, u_last)],
           "rescaled potential", "x", "u")
-    manifest = dict(small.run.manifest)
+    manifest = dict(small.manifest, A=cfg.A)
     manifest["eps_list"] = sorted(cfg.eps_list, reverse=True)
     manifest["limits_eps"] = small.eps
     manifest["limits_tol"] = tol
@@ -142,7 +142,7 @@ def _do_mutation(cfg, out):
 
 def _do_hj(cfg, out):
     H = Hamiltonian(cfg.kernel)
-    u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A).u0
+    u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
     # the HJ scheme picks its own CFL step unless the config sets dt
     dt = cfg.solver.dt if "dt" in cfg.raw.get("solver", {}) else None
     sol = solve_constrained_hj(H, cfg.grid, u0, cfg.solver.t_end,
@@ -175,16 +175,16 @@ def _do_hamiltonian(cfg, out):
 
 def _do_cross_validate(cfg, out):
     H = Hamiltonian(cfg.kernel)
-    init = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
-    runs = _mutation_runs(cfg, out, init)
-    sol = solve_constrained_hj(H, cfg.grid, init.u0, cfg.solver.t_end,
+    u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
+    runs = _mutation_runs(cfg, out, u0)
+    sol = solve_constrained_hj(H, cfg.grid, u0, cfg.solver.t_end,
                                snapshots=cfg.solver.snapshot_times)
     out_io.write_hj_solution_csv(out, sol, cfg.stride)
     rows = cross_validate(runs, sol, cfg.compact)
     _plot(cfg, out, "crossval.svg",
           [("sup |u_eps - u|", [e for e, _ in rows], [v for _, v in rows])],
           "mutation runs vs the limit equation", "eps", "sup error")
-    manifest = dict(runs[-1].run.manifest)
+    manifest = dict(runs[-1].manifest, A=cfg.A)
     manifest.update(sol.meta)
     return manifest, {"cross_validation": [
         {"eps": e, "sup_error": v} for e, v in rows]}

@@ -14,7 +14,6 @@ from .cauchy import DT_MAX, SolverConfig, _is_num
 from .errors import InvalidParams, IoError, ParseError, ValidationError
 from .gridops import Grid1D
 from .kernels import KernelSpec, build_kernel
-from .mutation import default_A
 
 EXPERIMENTS = ("KernelValidate", "Simulate", "Front", "HopfCole",
                "Mutation", "HJ", "Hamiltonian", "CrossValidate")
@@ -26,6 +25,7 @@ _NEEDS_GRID = {"Simulate", "Front", "HopfCole", "Mutation", "HJ",
 _NEEDS_EPS = {"HopfCole", "Mutation", "CrossValidate"}
 _NEEDS_COMPACT = {"HopfCole": 4, "CrossValidate": 2}
 _NEEDS_ELIGIBLE = {"Mutation", "HJ", "Hamiltonian", "CrossValidate"}
+_NEEDS_KAPPA = {"HJ", "Hamiltonian"}   # their envelope needs A < p_max
 
 _KERNEL_KEYS = {"family", "alpha", "beta", "b", "sigma"}
 _GRID_KEYS = {"L", "N"}
@@ -228,9 +228,15 @@ def validate_config(raw):
                 "and mu = %g (needs fat tail, f'(0) > 0, mu > 1)"
                 % (experiment, kernel.family, kernel.fprime0, kernel.mu))
         elif experiment in _NEEDS_ELIGIBLE:
-            hi = 1.0 - 1.0 / kernel.mu       # 1 when mu is infinite
+            # A < 1 - 1/mu keeps e^{A f} Jhat integrable; the kappa
+            # envelope also needs A < p_max = f'(0) (1 - 1/mu)
+            hi = kernel.a_max
+            if experiment in _NEEDS_KAPPA:
+                hi = min(hi, kernel.fprime0 * kernel.a_max)
             if A is None:
-                A = default_A(kernel)
+                # the midpoint of (0, 1 - 1/mu) where it is admissible
+                A = 0.5 * kernel.a_max
+                A = A if A < hi else 0.5 * hi
             elif not (0.0 < A < hi):
                 issues.append("analysis.A: must lie in (0, %g) for this "
                               "kernel, got %g" % (hi, A))

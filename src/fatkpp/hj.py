@@ -93,9 +93,7 @@ class Hamiltonian:
                 "the limit Hamiltonian needs f'(0) finite positive: %r"
                 % (kernel,))
         self.kernel = kernel
-        # 0 for the infinite-mu sentinel; build_kernel refuses mu <= 1
-        self._inv_mu = 1.0 / kernel.mu
-        self.p_max = kernel.fprime0 * (1.0 - self._inv_mu)
+        self.p_max = kernel.fprime0 * kernel.a_max
         self._kappa_cache = {}
         self._build_table()
 
@@ -110,8 +108,7 @@ class Hamiltonian:
         R = None
         while frac >= 0.25:
             try:
-                R = _certified_radius(
-                    k, 1.0 - frac * (1.0 - self._inv_mu), log_budget)
+                R = _certified_radius(k, 1.0 - frac * k.a_max, log_budget)
                 break
             except NoConvergence:
                 frac = round(frac - 0.01, 10)
@@ -202,24 +199,23 @@ class Hamiltonian:
         kap = int_0^inf (f/f'(0))^2 e^{-+ A f/f'(0)} Jhat dh; on the slope
         band |p| <= A f'(0) they sandwich 1 + kap p^2 around H(p) (lower
         bound always, upper bound in the small-A regime the envelope is
-        used in).  The upper constant needs (1 - A/f'(0)) mu > 1 or its
-        integral diverges.
+        used in).  The upper constant needs (1 - A/f'(0)) mu > 1, that is
+        A < p_max, or its integral diverges.
         """
         k = self.kernel
         A = float(A)
-        hi_A = 1.0 - self._inv_mu
-        if not 0.0 < A < hi_A:
-            raise InvalidParams("A must lie in (0, %g), got %g" % (hi_A, A))
+        if not 0.0 < A < k.a_max:
+            raise InvalidParams("A must lie in (0, %g), got %g"
+                                % (k.a_max, A))
         if A in self._kappa_cache:
             return self._kappa_cache[A]
         fp0 = k.fprime0
-        lam_hi = 1.0 - A / fp0
-        if lam_hi <= self._inv_mu:
+        if A >= self.p_max:
             raise NonIntegrableTail(
                 "e^{A f/f'(0)} envelope diverges: need (1 - A/f'(0)) "
                 "mu > 1, got A = %g, f'(0) = %g, mu = %g" % (A, fp0, k.mu))
         vals = []
-        for lam in (1.0 + A / fp0, lam_hi):
+        for lam in (1.0 + A / fp0, 1.0 - A / fp0):
             R = _certified_radius(k, lam, math.log(2.5e-11 * k.Z),
                                   quad_factor=True)
             S = float(k.f(R))
@@ -393,8 +389,8 @@ def inclusion_curves(H, A, t):
 # cross-validation against rescaled runs
 
 
-def cross_validate(mutation_runs, hj, x_window):
-    """Sup gap between each run's potential and the limit solution.
+def cross_validate(runs, hj, x_window):
+    """Sup gap between each rescaled run's potential and the limit solution.
 
     Returns one row (eps, sup_error) per run, sorted by decreasing eps,
     measured over the window at every positive snapshot time of the
@@ -421,11 +417,11 @@ def cross_validate(mutation_runs, hj, x_window):
     if not times:
         raise InvalidParams("no positive comparison times")
     rows = []
-    for mr in sorted(mutation_runs, key=lambda m: -m.eps):
+    for mr in sorted(runs, key=lambda m: -m.eps):
         worst = 0.0
         for t in times:
-            ue, _ = potential_of(mr.run.snapshot_at(t).values, mr.eps)
-            ui = np.interp(xs, mr.run.grid.x, ue)
+            ue, _ = potential_of(mr.snapshot_at(t).values, mr.eps)
+            ui = np.interp(xs, mr.grid.x, ue)
             gap = float(np.max(np.abs(ui - hj.snapshot_at(t).values[sel])))
             worst = max(worst, gap)
         rows.append((mr.eps, worst))

@@ -195,6 +195,9 @@ class Kernel:
     mu : float
         Tail index liminf x f'(x); math.inf is the sentinel for families
         whose x f'(x) grows without bound (every mu > 1 test passes).
+    a_max : float
+        1 - 1/mu (1 when mu is infinite), the ceiling on the slope A of
+        initial data A f that e^{A f} Jhat stays integrable below.
     fprime0 : float
         One-sided slope f'(0); positive and finite exactly for the
         mutation-eligible families.
@@ -211,6 +214,7 @@ class Kernel:
         self._finv = impl["finv"]
         for name in ("x_peak", "mu", "fat_tailed"):
             setattr(self, name, impl[name])
+        self.a_max = 1.0 - 1.0 / self.mu
         self.fprime0 = self.f_prime(0.0)
         self.Z = float(Z)
 

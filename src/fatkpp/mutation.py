@@ -5,8 +5,10 @@ shrinks every jump so that f(m_eps(h)) = eps f(h) exactly.  Pushing the
 base density through it gives the rescaled kernel J_eps, whose f-second
 moment scales like eps^2; J_eps is written through the inverse map, the
 long-range scaling Psi_eps (Kernel.dilate).
-The rescaled equation eps dn/dt = J_eps*n - n + n(1-n) is integrated by
-the ordinary stepper with a 1/eps rate factor, and the potential
+The rescaled equation eps dn/dt = J_eps*n - n + n(1-n) is the Cauchy
+problem stepped at rate 1/eps, so a rescaled run is a `cauchy.run` with
+eps and the sampled J_eps, and its result is that run's SimulationRun.
+Its initial potential u0 = A f(|x|) is a plain Field, and the potential
 u = -eps ln n is the quantity the Hamilton-Jacobi limit speaks about.
 """
 
@@ -115,20 +117,14 @@ def discretize_mutation_kernel(mk, grid):
 # initial data
 
 
-def default_A(kernel):
-    """Midpoint of the admissible interval (0, 1 - 1/mu)."""
-    _require_eligible(kernel)
-    return 0.5 * (1.0 - 1.0 / kernel.mu)      # 0.5 when mu is infinite
-
-
 def growth_bound(kernel, A):
     """r_hat = int e^{A f} dJhat = (1/Z) int e^{-(1-A) f} dh (finite for
     A below 1 - 1/mu; this is the sub-solution decay rate of u)."""
     _require_eligible(kernel)
-    if not (0.0 < A < 1.0 - 1.0 / kernel.mu):
+    if not (0.0 < A < kernel.a_max):
         raise NonIntegrableTail(
             "A = %g outside (0, 1 - 1/mu) = (0, %g): e^{A f} Jhat has a "
-            "divergent tail" % (A, 1.0 - 1.0 / kernel.mu))
+            "divergent tail" % (A, kernel.a_max))
     lam = 1.0 - A
     val = adaptive_integrate(lambda h: np.exp(-lam * kernel.f(h)),
                              0.0, np.inf,
@@ -154,65 +150,43 @@ def fd_condition(kernel, u0, A):
     return float(np.max(bound - gap))
 
 
-@dataclass
-class InitialDataMut:
-    """Nonnegative Lipschitz potential u0 with its decay parameter A."""
-
-    u0: Field
-    A: float
-
-    def n0(self, eps):
-        return Field(self.u0.grid, np.exp(-self.u0.values / eps))
-
-
 def mutation_initial_data(kernel, grid, A):
-    """Build and validate the initial potential u0 = A f(|x|).
+    """The validated initial potential u0 = A f(|x|), a Field.
 
     Validation: A in (0, 1 - 1/mu), and the sampled finite-difference
     condition u0(x+h) - u0(x) >= -A f(|h|) within _FD_TOL.
     """
     _require_eligible(kernel)
-    hi = 1.0 - 1.0 / kernel.mu           # 1 when mu is infinite
-    if not (0.0 < A < hi):
+    if not (0.0 < A < kernel.a_max):
         raise InvalidParams("A = %g outside the admissible (0, %g)"
-                            % (A, hi))
+                            % (A, kernel.a_max))
     u0 = Field(grid, A * kernel.f(np.abs(grid.x)))
     worst = fd_condition(kernel, u0, A)
     if worst > _FD_TOL:
         raise InvalidParams(
             "u0 violates the finite-difference decay condition by %.3e"
             % worst)
-    return InitialDataMut(u0, float(A))
+    return u0
 
 
 # ----------------------------------------------------------------------
 # rescaled runs
 
 
-@dataclass
-class MutationRun:
-    """A rescaled run; its potential u = -eps ln n comes from
-    propagation.potential_of on the snapshots where it is needed."""
-
-    eps: float
-    run: object                     # SimulationRun in slow time
-
-
-def mutation_run(kernel, grid, eps, config, init):
-    """Integrate eps dn/dt = J_eps*n - n + n(1-n) from n0 = e^{-u0/eps}.
+def mutation_run(kernel, eps, config, u0):
+    """Integrate eps dn/dt = J_eps*n - n + n(1-n) from n0 = e^{-u0/eps}
+    on u0's grid; returns the cauchy.run SimulationRun, which carries eps.
 
     config.dt is slow time; the effective fast step dt/eps must respect
     the usual stability ceiling, checked before the rescaled kernel is
-    sampled so that a too-large step is reported as such.
+    sampled so that a too-large step is reported as such.  The potential
+    u = -eps ln n comes from propagation.potential_of where it is needed.
     """
     mk = MutationKernel(kernel, eps)
-    check_rate(config.dt, 1.0 / eps)
-    dk = discretize_mutation_kernel(mk, grid)
-    n0 = init.n0(eps)
-    sim = cauchy_run(kernel, grid, config, n0, dk=dk, rate_scale=1.0 / eps)
-    sim.manifest["eps"] = eps
-    sim.manifest["A"] = init.A
-    return MutationRun(eps, sim)
+    check_rate(config.dt, eps)
+    dk = discretize_mutation_kernel(mk, u0.grid)
+    n0 = Field(u0.grid, np.exp(-u0.values / eps))
+    return cauchy_run(kernel, u0.grid, config, n0, dk=dk, eps=eps)
 
 
 # ----------------------------------------------------------------------

@@ -22,22 +22,13 @@ from .errors import IoError
 from .propagation import potential_of
 
 FLOAT_FMT = "%.17g"
-_FORMATS = {"f": FLOAT_FMT, "i": "%d", "u": "%d", "b": "%d"}  # by dtype kind
+# cell formats by dtype kind; write_csv refuses columns of any other kind
+_FORMATS = {"f": FLOAT_FMT, "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
 _CHUNK = 2048       # rows per template; longer chunks only add memory
 write_s = 0.0       # seconds spent writing files, CSV formatting included
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf")
-
-
-def _cell(v):
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return FLOAT_FMT % float(v)
 
 
 def _write_lines(path, lines):
@@ -76,16 +67,14 @@ def _chunks(columns):
         text = [x for x in blocks if isinstance(x, list)]
         row = ",".join("\0" if isinstance(x, list)   # the rendered lines
                        else x.replace("%", "%%") if isinstance(x, str)
-                       else _FORMATS.get(x.dtype.kind, "%s") for x in blocks)
+                       else _FORMATS[x.dtype.kind] for x in blocks)
         pre, _, post = (row + "\n").partition("\0")
         for j, lo in enumerate(range(0, size, _CHUNK)):
             lines = text[0][j] if text else "\n" * min(_CHUNK, size - lo)
             # each line becomes pre + cell + post; the last pre is cut
             tpl = pre + lines.replace("%", "%%").replace("\n", post + pre)
-            cells = [x[lo:lo + _CHUNK] for x in blocks
+            cells = [x[lo:lo + _CHUNK].tolist() for x in blocks
                      if isinstance(x, np.ndarray)]
-            cells = [c.tolist() if c.dtype.kind in _FORMATS
-                     else [_cell(v) for v in c] for c in cells]
             yield (tpl[:len(tpl) - len(pre)]
                    % tuple(itertools.chain.from_iterable(zip(*cells))))
 
@@ -103,11 +92,12 @@ def write_csv(path, header, columns):
         if c.rows != columns[0].rows:
             raise IoError("column lengths disagree: %s vs %s"
                           % (c.rows, columns[0].rows))
-    try:
-        return _write_lines(path, itertools.chain(
-            [",".join(header) + "\n"], _chunks(columns)))
-    except TypeError as exc:        # a cell _cell cannot format, say None
-        raise IoError("cannot write %s: %s" % (path, exc))
+        for b in c.blocks:
+            if isinstance(b, np.ndarray) and b.dtype.kind not in _FORMATS:
+                raise IoError("cannot write %s: no cell format for dtype %s"
+                              % (path, b.dtype))
+    return _write_lines(path, itertools.chain(
+        [",".join(header) + "\n"], _chunks(columns)))
 
 
 def write_rows(path, header, rows):
@@ -174,17 +164,17 @@ def write_hopfcole_csv(outdir, hc):
                           list(zip(hc.times, zip(hc.u, hc.limit, err))))
 
 
-def write_mutation_csv(outdir, mrun, stride=1):
+def write_mutation_csv(outdir, run, stride=1):
     """Density and potential per snapshot of one small-eps run."""
     rows = []
-    for t, fld in mrun.run.snapshots:
+    for t, fld in run.snapshots:
         n = fld.values[::stride]
-        u, floored = potential_of(n, mrun.eps)
+        u, floored = potential_of(n, run.eps)
         rows.append((t, (n, u, floored.astype(int))))
     return write_long_csv(os.path.join(outdir, "mutation_eps%g.csv"
-                                       % mrun.eps),
+                                       % run.eps),
                           ("n_eps", "u_eps", "floored_flag"),
-                          mrun.run.grid.x[::stride], rows)
+                          run.grid.x[::stride], rows)
 
 
 def write_limits_csv(outdir, grid, labelled, stride=1):

@@ -188,19 +188,19 @@ def test_criterion_07_mutation_kernel_identities(loglinear3):
 def test_criterion_08_a_priori_suite(loglinear3):
     k = loglinear3
     g = Grid1D(100.0, 32768)
-    init = mutation_initial_data(k, g, A=0.25)
-    assert fd_condition(k, init.u0, 0.25) <= 1e-6
+    u0 = mutation_initial_data(k, g, A=0.25)
+    assert fd_condition(k, u0, 0.25) <= 1e-6
     cfg = SolverConfig(dt=0.005, t_end=2.0, method="Euler",
                        snapshot_times=(0.5, 1.0, 1.5, 2.0))
-    mr = mutation_run(k, g, 0.1, cfg, init)
-    assert not mr.run.contaminated
+    mr = mutation_run(k, 0.1, cfg, u0)
+    assert not mr.contaminated
     rhat = growth_bound(k, 0.25)
     cap = 1.05 * 0.25 * k.fprime0
-    margin = mr.run.manifest["kernel_cells"]
-    for t, fld in mr.run.snapshots:
+    margin = mr.manifest["kernel_cells"]
+    for t, fld in mr.snapshots:
         u, floored = potential_of(fld.values, mr.eps)
         assert not floored.any()
-        du = u - init.u0.values
+        du = u - u0.values
         assert du.max() <= t + 1e-9, t
         assert du.min() >= -rhat * t - 1e-9, t
         d = np.abs(np.diff(u)) / g.dx
@@ -254,15 +254,15 @@ def test_criterion_11_cross_validation(loglinear3):
     # window keeps to where the eps=0.1 density is above the noise floor
     k = loglinear3
     g = Grid1D(600.0, 2 ** 18)
-    init = mutation_initial_data(k, g, A=0.25)
+    u0 = mutation_initial_data(k, g, A=0.25)
     runs = []
     for eps in (0.4, 0.2, 0.1):
         cfg = SolverConfig(dt=0.025 * eps, t_end=1.0, method="Euler",
                            snapshot_times=(0.5, 1.0))
-        mr = mutation_run(k, g, eps, cfg, init)
-        assert not mr.run.contaminated
+        mr = mutation_run(k, eps, cfg, u0)
+        assert not mr.contaminated
         runs.append(mr)
-    hj = solve_constrained_hj(Hamiltonian(k), g, init.u0, 1.0,
+    hj = solve_constrained_hj(Hamiltonian(k), g, u0, 1.0,
                               snapshots=(0.5, 1.0))
     rows = cross_validate(runs, hj, (-50.0, 50.0))
     assert [e for e, _ in rows] == [0.4, 0.2, 0.1]
@@ -275,7 +275,7 @@ def test_criterion_12_zero_set_and_limit_densities(loglinear3):
     H = Hamiltonian(k)
     g_hj = Grid1D(20.0, 1024)
     hj = solve_constrained_hj(H, g_hj, mutation_initial_data(k, g_hj,
-                                                             A=0.25).u0,
+                                                             A=0.25),
                               2.0, snapshots=(0.5, 1.0, 2.0))
     for t in (0.5, 1.0, 2.0):
         lo, hi = inclusion_curves(H, 0.25, t)
@@ -285,19 +285,19 @@ def test_criterion_12_zero_set_and_limit_densities(loglinear3):
 
     eps = 0.05
     g = Grid1D(60.0, 32768)
-    init = mutation_initial_data(k, g, A=0.25)
+    u0 = mutation_initial_data(k, g, A=0.25)
     cfg = SolverConfig(dt=0.005, t_end=1.0, method="Euler",
                        snapshot_times=(0.5, 1.0))
-    mr = mutation_run(k, g, eps, cfg, init)
-    assert not mr.run.contaminated
+    mr = mutation_run(k, eps, cfg, u0)
+    assert not mr.contaminated
     # the saturation layer has width ~ eps ln(1/eps); stay 2 eps ln 4
     # inside each region before reading densities off
     shell = 2.0 * eps * math.log(4.0)
     af = 0.25 * k.f(np.abs(g.x))
     interior = np.zeros(g.N, dtype=bool)
-    interior[mr.run.manifest["kernel_cells"]:
-             g.N - mr.run.manifest["kernel_cells"]] = True
-    dens = {t: fld.values for t, fld in mr.run.snapshots}
+    interior[mr.manifest["kernel_cells"]:
+             g.N - mr.manifest["kernel_cells"]] = True
+    dens = {t: fld.values for t, fld in mr.snapshots}
     for t in (0.5, 1.0):
         u_lim = np.interp(g.x, g_hj.x, hj.snapshot_at(t).values)
         regions = classify_limit_sets(u_lim, 1e-3)

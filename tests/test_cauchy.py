@@ -111,7 +111,7 @@ def test_single_euler_step_oracle(setup):
 def test_step_rejects_unstable_dt(setup):
     k, g, dk = setup
     with pytest.raises(StabilityViolation):
-        # rate_scale makes the effective step huge without tripping the
+        # a rate of 40 makes the effective step huge without tripping the
         # config-level dt cap, so the overshoot check has to catch it
         _advance(dk, np.full(g.N, 0.5), 0.3, "RK4", 40.0,
                  _workspace("RK4", g.N))
@@ -135,8 +135,8 @@ def _allocating_step(dk, v, dt, method, r):
 
 
 @pytest.mark.parametrize("method", ["Euler", "RK4"])
-@pytest.mark.parametrize("rate_scale", [1.0, 2.5])
-def test_step_in_buffers_is_bit_identical(setup, method, rate_scale):
+@pytest.mark.parametrize("rate", [1.0, 2.5])
+def test_step_in_buffers_is_bit_identical(setup, method, rate):
     """The in-place stages round exactly as the array expressions do."""
     k, g, dk = setup
     n0 = initial_condition(k, g, C=0.5)
@@ -144,10 +144,10 @@ def test_step_in_buffers_is_bit_identical(setup, method, rate_scale):
     v = r.snapshots[-1][1].values
     v0 = v.copy()
     work = _workspace(method, g.N)
-    got, _ = _advance(dk, v, 0.1, method, rate_scale, work)
+    got, _ = _advance(dk, v, 0.1, method, rate, work)
     assert got is work[0]
     assert np.array_equal(got, _allocating_step(dk, v0, 0.1, method,
-                                                rate_scale))
+                                                rate))
     assert np.array_equal(v, v0)
 
 
@@ -285,7 +285,7 @@ def test_effective_step_cap(setup):
     n0 = initial_condition(k, g, C=1.0)
     cfg = SolverConfig(dt=0.05, t_end=1.0)
     with pytest.raises(InvalidParams):
-        run(k, g, cfg, n0, dk=dk, rate_scale=100.0)
+        run(k, g, cfg, n0, dk=dk, eps=0.01)
 
 
 @settings(max_examples=15, deadline=None)

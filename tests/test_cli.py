@@ -11,6 +11,7 @@ import pytest
 
 import fatkpp
 from fatkpp.cli import main
+from fatkpp.config import parse_config
 
 
 def _cfg(tmp_path, doc, name="run.json"):
@@ -255,6 +256,68 @@ def test_mutation_writes_density_and_limit_sets(tmp_path):
     n, u, flag = data[:, 2], data[:, 3], data[:, 4]
     assert np.array_equal(u, -0.25 * np.log(np.maximum(n, 1e-300)))
     assert np.array_equal(flag, (n < 1e-300).astype(float))
+
+
+def test_aborted_mutation_run_names_its_eps(tmp_path, capsys):
+    """A rescaled run that hits the boundary guard still writes the
+    snapshots it reached, its monitors and a run.json saying which eps
+    it was stepping at."""
+    out = str(tmp_path / "out")
+    doc = {"experiment": "Mutation",
+           "kernel": {"family": "LogLinear", "beta": 3},
+           "grid": {"L": 200, "N": 32768},
+           "solver": {"method": "Euler", "dt": 0.02, "t_end": 2,
+                      "snapshots": [0.1, 0.2, 0.3, 1, 2]},
+           "analysis": {"eps": [0.4], "A": 0.25},
+           "output": {"directory": out, "stride": 8}}
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 3
+    assert "t=0.52" in capsys.readouterr().err
+    for name in ("snapshot_t0.1.csv", "snapshot_t0.2.csv",
+                 "snapshot_t0.3.csv", "monitors.csv"):
+        assert os.path.exists(os.path.join(out, name)), name
+    assert not os.path.exists(os.path.join(out, "snapshot_t1.csv"))
+    man = _manifest(out)
+    assert man["aborted"] is True
+    assert man["manifest"]["eps"] == 0.4
+
+
+# f'(0) = b alpha = 0.06 while 1 - 1/mu = 1: the kappa envelope of the HJ
+# and Hamiltonian experiments needs A < f'(0) (1 - 1/mu) = 0.06
+POWERSHIFT = {"family": "PowerShift", "b": 0.3, "alpha": 0.2}
+HJ_POWERSHIFT = {"experiment": "HJ", "kernel": POWERSHIFT,
+                 "grid": {"L": 20, "N": 512},
+                 "solver": {"t_end": 0.5, "snapshots": [0.5]}}
+
+
+@pytest.mark.parametrize("experiment", ["HJ", "Hamiltonian"])
+def test_default_A_respects_the_envelope_bound(tmp_path, experiment):
+    out = str(tmp_path / "out")
+    doc = dict(HJ_POWERSHIFT, experiment=experiment,
+               output={"directory": out})
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 0
+    man = _manifest(out)
+    assert man["aborted"] is False
+    assert man["manifest"]["A"] == pytest.approx(0.03)
+
+
+@pytest.mark.parametrize("experiment", ["HJ", "Hamiltonian"])
+def test_A_past_the_envelope_bound_is_refused_before_any_output(
+        tmp_path, capsys, experiment):
+    out = str(tmp_path / "out")
+    doc = dict(HJ_POWERSHIFT, experiment=experiment,
+               analysis={"A": 0.5}, output={"directory": out})
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 2
+    assert "analysis.A" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "hj_solution.csv"))
+
+
+def test_mutation_default_A_stays_the_midpoint(tmp_path):
+    """Mutation runs need no envelope: their default stays (1 - 1/mu)/2."""
+    doc = {"experiment": "Mutation", "kernel": POWERSHIFT,
+           "grid": {"L": 20, "N": 512},
+           "solver": {"t_end": 0.5, "dt": 0.05},
+           "analysis": {"eps": [0.5]}}
+    assert parse_config(_cfg(tmp_path, doc)).A == 0.5
 
 
 def test_hj_writes_solution_and_zero_set(tmp_path):

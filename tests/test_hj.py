@@ -28,7 +28,7 @@ from fatkpp.hj import (Hamiltonian, HJSolution, cross_validate,
                        solve_constrained_hj, zero_set_boundary)
 from fatkpp.cauchy import SolverConfig, Trajectory, run as cauchy_run
 from fatkpp.kernels import KernelSpec, build_kernel
-from fatkpp.mutation import MutationRun, mutation_initial_data
+from fatkpp.mutation import mutation_initial_data
 
 
 @pytest.fixture(scope="module")
@@ -393,8 +393,8 @@ def _fake_pair(g, shift_by_eps):
     for eps, off in shift_by_eps.items():
         pot = u + off if np.ndim(off) else u + float(off)
         run = Trajectory([(1.0, Field(g, np.exp(-pot / eps)))])
-        run.grid = g
-        runs.append(MutationRun(eps, run))
+        run.grid, run.eps = g, eps
+        runs.append(run)
     return hj, runs
 
 
@@ -444,10 +444,10 @@ def test_cross_validate_identity_control(ll3, H3):
     off = g.dx * np.arange(-K, K + 1)
     w = np.exp(-2.0 * np.abs(off)) * g.dx
     dk = DiscreteKernel(g, w, lost_mass=1.0 - w.sum())
-    init = mutation_initial_data(ll3, g, A=0.5)
+    u0 = mutation_initial_data(ll3, g, A=0.5)
     cfg = SolverConfig(dt=0.05, t_end=1.0, snapshot_times=(0.5, 1.0),
                        method="RK4")
-    mr = MutationRun(1.0, cauchy_run(ll3, g, cfg, init.n0(1.0), dk=dk))
-    hj = solve_constrained_hj(H3, g, init.u0, 1.0, snapshots=(0.5, 1.0))
+    mr = cauchy_run(ll3, g, cfg, Field(g, np.exp(-u0.values)), dk=dk)
+    hj = solve_constrained_hj(H3, g, u0, 1.0, snapshots=(0.5, 1.0))
     (_, gap), = cross_validate([mr], hj, (28.0, 60.0))
     assert gap <= 0.05

@@ -257,6 +257,14 @@ def test_tail_index_values(poly4, subexp, loglin2):
     assert loglin2.mu == 2.0
 
 
+def test_a_max_is_one_minus_inverse_mu(poly4, subexp, loglin2, powershift):
+    """The ceiling on the initial slope A: 1 - 1/mu, 1 when mu is
+    infinite."""
+    assert poly4.a_max == pytest.approx(0.8)
+    assert loglin2.a_max == 0.5
+    assert subexp.a_max == powershift.a_max == 1.0
+
+
 # ----------------------------------------------------------------------
 # tail bounds
 

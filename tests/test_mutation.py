@@ -11,8 +11,7 @@ from fatkpp.errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
                            NotMutationEligible)
 from fatkpp.gridops import Field, Grid1D
 from fatkpp.kernels import KernelSpec, build_kernel
-from fatkpp.mutation import (InitialDataMut, MutationKernel,
-                             classify_limit_sets, default_A,
+from fatkpp.mutation import (MutationKernel, classify_limit_sets,
                              discretize_mutation_kernel, fd_condition,
                              growth_bound, interquartile,
                              mutation_initial_data, mutation_run)
@@ -192,10 +191,6 @@ def test_discrete_mutation_kernel_mass_defect(loglin3):
 # initial data
 
 
-def test_default_A_midpoint(loglin3):
-    assert default_A(loglin3) == pytest.approx(0.5 * (1 - 1 / 3.0))
-
-
 def test_growth_bound_closed_form(loglin3):
     """r_hat = (beta-1) int_0^inf (1+h)^{-(1-A) beta} dh
     = (beta-1)/((1-A) beta - 1) = 2/1.25 = 1.6 at A=0.25."""
@@ -209,14 +204,13 @@ def test_growth_bound_rejects_heavy_A(loglin3):
 
 def test_initial_data_default_profile(loglin3):
     g = Grid1D(L=100.0, N=2048)
-    init = mutation_initial_data(loglin3, g, A=0.25)
-    assert init.A == 0.25
-    np.testing.assert_allclose(init.u0.values,
-                               0.25 * loglin3.f(np.abs(g.x)))
-    assert fd_condition(loglin3, init.u0, 0.25) <= 1e-8
-    n0 = init.n0(0.1)
-    assert n0.values.max() <= 1.0 and n0.values.min() >= 0.0
-    assert n0.values[g.N // 2] == 1.0
+    u0 = mutation_initial_data(loglin3, g, A=0.25)
+    assert u0.grid == g
+    np.testing.assert_allclose(u0.values, 0.25 * loglin3.f(np.abs(g.x)))
+    assert fd_condition(loglin3, u0, 0.25) <= 1e-8
+    n0 = np.exp(-u0.values / 0.1)
+    assert n0.max() <= 1.0 and n0.min() >= 0.0
+    assert n0[g.N // 2] == 1.0
 
 
 def test_initial_data_rejects(loglin3):
@@ -235,54 +229,57 @@ def test_fd_condition_detects_violation(loglin3):
 # rescaled runs
 
 
+_A = 0.25      # the initial slope of the rescaled runs below
+
+
 @pytest.fixture(scope="module")
 def small_run(loglin3):
     # eps=0.2 needs dx <= m_eps(h0)/4 = (2^{0.1}-1)/4 ~ 0.0179
     g = Grid1D(L=120.0, N=2 ** 14)               # dx ~ 0.0146
-    init = mutation_initial_data(loglin3, g, A=0.25)
+    u0 = mutation_initial_data(loglin3, g, A=_A)
     cfg = SolverConfig(dt=0.01, t_end=0.5, snapshot_times=(0.25, 0.5),
                        method="RK4")
-    return g, init, mutation_run(loglin3, g, 0.2, cfg, init)
+    return g, u0, mutation_run(loglin3, 0.2, cfg, u0)
 
 
 def _potentials(mr):
     """(t, u, floored mask) per snapshot of a rescaled run."""
     return [(t,) + potential_of(fld.values, mr.eps)
-            for t, fld in mr.run.snapshots]
+            for t, fld in mr.snapshots]
 
 
 def test_mutation_run_max_principle(small_run):
-    g, init, mr = small_run
-    assert np.all(mr.run.monitors["n_min"] >= -1e-10)
-    assert np.all(mr.run.monitors["n_max"] <= 1.0 + 1e-10)
-    assert mr.run.manifest["eps"] == 0.2
+    g, u0, mr = small_run
+    assert np.all(mr.monitors["n_min"] >= -1e-10)
+    assert np.all(mr.monitors["n_max"] <= 1.0 + 1e-10)
+    assert mr.manifest["eps"] == 0.2
 
 
 def test_mutation_run_potential_bounds(small_run):
     """-r_hat t <= u(t) - u0 <= t at snapshots (growth/decay bracket)."""
-    g, init, mr = small_run
-    r_hat = growth_bound(mr.run.kernel, init.A)
+    g, u0, mr = small_run
+    r_hat = growth_bound(mr.kernel, _A)
     for t, u, mask in _potentials(mr):
         assert not mask.any()
-        diff = u - init.u0.values
+        diff = u - u0.values
         assert diff.max() <= t + 1e-9
         assert diff.min() >= -r_hat * t - 1e-9
 
 
 def test_mutation_run_fd_persists(small_run):
-    g, init, mr = small_run
-    k = mr.run.kernel
+    g, u0, mr = small_run
+    k = mr.kernel
     for t, u, mask in _potentials(mr):
-        assert fd_condition(k, Field(g, u), init.A) <= 1e-6
+        assert fd_condition(k, Field(g, u), _A) <= 1e-6
 
 
 def test_mutation_run_lipschitz(small_run):
     """Gradient cap holds past the zero-padding band (outer K cells),
     where u is artificially inflated by truncation, not dynamics."""
-    g, init, mr = small_run
-    k = mr.run.kernel
-    cap = 1.05 * init.A * k.fprime0
-    K = mr.run.manifest["kernel_cells"]
+    g, u0, mr = small_run
+    k = mr.kernel
+    cap = 1.05 * _A * k.fprime0
+    K = mr.manifest["kernel_cells"]
     for t, u, mask in _potentials(mr):
         d = np.abs(np.diff(u)) / g.dx
         lip = d[K:len(d) - K].max()
@@ -293,10 +290,9 @@ def test_mutation_run_lipschitz(small_run):
 def test_mutation_run_stationary_at_one(loglin3):
     # eps=0.1 needs dx <= (2^{0.05}-1)/4 ~ 0.0088
     g = Grid1D(L=120.0, N=2 ** 15)
-    init = InitialDataMut(Field(g, np.zeros(g.N)), 0.25)
     cfg = SolverConfig(dt=0.01, t_end=0.2, snapshot_times=(0.2,),
                        boundary_guard=2.0)
-    mr = mutation_run(loglin3, g, 0.1, cfg, init)
+    mr = mutation_run(loglin3, 0.1, cfg, Field(g, np.zeros(g.N)))
     t, u, mask = _potentials(mr)[-1]
     sel = np.abs(g.x) <= g.L / 2
     assert np.max(u[sel]) <= 1e-6 * 0.1          # n stays 1 centrally
@@ -304,10 +300,10 @@ def test_mutation_run_stationary_at_one(loglin3):
 
 def test_mutation_run_rejects_big_dt(loglin3):
     g = Grid1D(L=120.0, N=2 ** 14)
-    init = mutation_initial_data(loglin3, g, A=0.25)
+    u0 = mutation_initial_data(loglin3, g, A=0.25)
     cfg = SolverConfig(dt=0.1, t_end=0.5)
     with pytest.raises(InvalidParams):
-        mutation_run(loglin3, g, 0.1, cfg, init)
+        mutation_run(loglin3, 0.1, cfg, u0)
 
 
 def test_potential_floor_mask():
