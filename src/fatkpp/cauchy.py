@@ -14,7 +14,8 @@ density is negligible.
 
 `_march` is the one time-marching loop of the package: `run` and the
 constrained Hamilton-Jacobi solver (`hj.solve_constrained_hj`) both go
-through it, so both hit every requested time exactly.
+through it with a SolverConfig's snapshot times and t_end, so both record
+exactly those times and hit each one exactly.
 """
 
 import math
@@ -45,26 +46,14 @@ def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def times_within(times, t_end):
-    """True when every time lies in [0, t_end] (to TIME_TOL)."""
-    return all(-TIME_TOL <= t <= t_end + TIME_TOL for t in times)
-
-
-def find_record(records, t):
-    """The first (t, ...) record of a time-ordered list recorded at t."""
-    for rec in records:
-        if abs(rec[0] - t) <= TIME_TOL:
-            return rec
-    raise KeyError("no snapshot at t=%g" % t)
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Time-stepping parameters.
 
     snapshot_times=None defaults to a single snapshot at t_end.  Snapshot
     times are hit exactly: each gap between them is crossed in equal
-    sub-steps no longer than dt.  Every violated rule is listed in one
+    sub-steps no longer than dt (the Hamilton-Jacobi solver takes its
+    own CFL step instead).  Every violated rule is listed in one
     InvalidParams, each message starting with its config key.
     """
 
@@ -91,7 +80,8 @@ class SolverConfig:
             snaps = (self.t_end,)
         if any(b < a for a, b in zip(snaps, snaps[1:])):
             issues.append("snapshots: must be sorted")
-        elif t_end_ok and not times_within(snaps, self.t_end):
+        elif t_end_ok and not all(-TIME_TOL <= t <= self.t_end + TIME_TOL
+                                  for t in snaps):
             issues.append("snapshots: every time must lie in [0, t_end]")
         if issues:
             raise InvalidParams(*issues)
@@ -108,7 +98,11 @@ class Trajectory:
     snapshots: list                 # [(t, Field), ...]
 
     def snapshot_at(self, t):
-        return find_record(self.snapshots, t)[1]
+        """The first state recorded at t (to TIME_TOL)."""
+        for t_rec, fld in self.snapshots:
+            if abs(t_rec - t) <= TIME_TOL:
+                return fld
+        raise KeyError("no snapshot at t=%g" % t)
 
 
 @dataclass
@@ -237,17 +231,16 @@ def check_rate(dt, eps):
             % (step, DT_MAX))
 
 
-def run(kernel, grid, config, n0, dk=None, eps=1.0):
-    """Integrate eps n_t = J*n - n + n(1-n) from n0 to t_end, recording
-    snapshots and monitors.
+def run(kernel, config, n0, dk=None, eps=1.0):
+    """Integrate eps n_t = J*n - n + n(1-n) from n0 to t_end on n0's grid,
+    recording snapshots and monitors.
 
     dk overrides the sampled kernel (the mutation regime passes its own
     rescaled samples).  The right-hand side is stepped at rate 1/eps,
     which rescales time without touching the invariant region; the
     effective step dt/eps must respect the same stability ceiling as dt.
     """
-    if n0.grid != grid:
-        raise GridMismatch("initial field lives on a different grid")
+    grid = n0.grid
     if dk is None:
         dk = discretize_kernel(kernel, grid)
     elif dk.grid != grid:

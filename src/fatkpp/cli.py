@@ -43,7 +43,7 @@ _MAX_SERIES = 5         # density curves in one plot
 
 def _simulate(cfg):
     n0 = initial_condition(cfg.kernel, cfg.grid, cfg.C)
-    return run_cauchy(cfg.kernel, cfg.grid, cfg.solver, n0)
+    return run_cauchy(cfg.kernel, cfg.solver, n0)
 
 
 def _plot(cfg, out, name, series, title, xlabel, ylabel, logy=False):
@@ -80,7 +80,7 @@ def _do_front(cfg, out):
     # one sampled kernel serves the run and its envelope report
     dk = discretize_kernel(cfg.kernel, cfg.grid)
     n0 = initial_condition(cfg.kernel, cfg.grid, cfg.C)
-    sim = run_cauchy(cfg.kernel, cfg.grid, cfg.solver, n0, dk=dk)
+    sim = run_cauchy(cfg.kernel, cfg.solver, n0, dk=dk)
     tracks = [track_level(sim, lv) for lv in cfg.levels]
     out_io.write_front_csv(out, tracks, cfg.kernel)
     rows = envelope_sandwich_report(sim, dk, cfg.C)
@@ -133,20 +133,14 @@ def _do_mutation(cfg, out):
     _plot(cfg, out, "mutation.svg",
           [("u_eps%g, t=%g" % (small.eps, t_last), cfg.grid.x, u_last)],
           "rescaled potential", "x", "u")
-    manifest = dict(small.manifest, A=cfg.A)
-    manifest["eps_list"] = sorted(cfg.eps_list, reverse=True)
-    manifest["limits_eps"] = small.eps
-    manifest["limits_tol"] = tol
-    return manifest, None
+    return dict(small.manifest, eps_list=sorted(cfg.eps_list, reverse=True),
+                limits_eps=small.eps, limits_tol=tol), None
 
 
 def _do_hj(cfg, out):
     H = Hamiltonian(cfg.kernel)
     u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
-    # the HJ scheme picks its own CFL step unless the config sets dt
-    dt = cfg.solver.dt if "dt" in cfg.raw.get("solver", {}) else None
-    sol = solve_constrained_hj(H, cfg.grid, u0, cfg.solver.t_end,
-                               snapshots=cfg.solver.snapshot_times, dt=dt)
+    sol = solve_constrained_hj(H, cfg.solver, u0)
     out_io.write_hj_solution_csv(out, sol, cfg.stride)
     rows = [(t,) + zero_set_boundary(fld)
             + (inclusion_curves(H, cfg.A, t) if t > 0.0 else (0.0, 0.0))
@@ -155,9 +149,7 @@ def _do_hj(cfg, out):
     _plot(cfg, out, "hj.svg", [("t=%g" % t, fld.grid.x, fld.values)
                                for t, fld in sol.snapshots[:5]],
           "constrained Hamilton-Jacobi solution", "x", "u")
-    manifest = dict(cfg.kernel.manifest(), A=cfg.A)
-    manifest.update(sol.meta)
-    return manifest, None
+    return dict(cfg.kernel.manifest(), **sol.meta), None
 
 
 def _do_hamiltonian(cfg, out):
@@ -168,25 +160,21 @@ def _do_hamiltonian(cfg, out):
     _plot(cfg, out, "hamiltonian.svg",
           [("H", ps, Hs), ("1+k_lo p^2", ps, lower),
            ("1+k_hi p^2", ps, upper)], "effective Hamiltonian", "p", "H")
-    manifest = dict(cfg.kernel.manifest(), A=cfg.A, p_max=H.p_max,
-                    p_table=H.p_table, kappa_lower=k_lo, kappa_upper=k_hi)
-    return manifest, None
+    return dict(cfg.kernel.manifest(), p_max=H.p_max, p_table=H.p_table,
+                kappa_lower=k_lo, kappa_upper=k_hi), None
 
 
 def _do_cross_validate(cfg, out):
     H = Hamiltonian(cfg.kernel)
     u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
     runs = _mutation_runs(cfg, out, u0)
-    sol = solve_constrained_hj(H, cfg.grid, u0, cfg.solver.t_end,
-                               snapshots=cfg.solver.snapshot_times)
+    sol = solve_constrained_hj(H, cfg.solver, u0)
     out_io.write_hj_solution_csv(out, sol, cfg.stride)
     rows = cross_validate(runs, sol, cfg.compact)
     _plot(cfg, out, "crossval.svg",
           [("sup |u_eps - u|", [e for e, _ in rows], [v for _, v in rows])],
           "mutation runs vs the limit equation", "eps", "sup error")
-    manifest = dict(runs[-1].manifest, A=cfg.A)
-    manifest.update(sol.meta)
-    return manifest, {"cross_validation": [
+    return dict(runs[-1].manifest, **sol.meta), {"cross_validation": [
         {"eps": e, "sup_error": v} for e, v in rows]}
 
 
@@ -250,27 +238,28 @@ def main(argv=None):
         return 4
 
     t0, w0 = time.perf_counter(), out_io.write_s
+    abort = None
     try:
-        manifest, extra = _DISPATCH[cfg.experiment](cfg, out)
-        out_io.write_run_json(out, cfg.raw, manifest, extra=dict(
-            extra or {}, write_s=out_io.write_s - w0))
-    except _RUNTIME_ERRORS as exc:
         try:
+            manifest, extra = _DISPATCH[cfg.experiment](cfg, out)
+        except _RUNTIME_ERRORS as exc:
+            abort, extra = exc, None
             manifest = _write_partial(out, exc.run, cfg.stride)
-            out_io.write_run_json(out, cfg.raw, manifest, aborted=True,
-                                  abort_reason=str(exc),
-                                  extra={"write_s": out_io.write_s - w0})
-        except IoError as io_exc:
-            print("fatkpp: %s" % io_exc, file=sys.stderr)
-            return 4
-        print("fatkpp: aborted: %s" % exc, file=sys.stderr)
-        return 3
+        if cfg.A is not None:   # an experiment that reads A records it
+            manifest = dict(manifest, A=cfg.A)
+        out_io.write_run_json(
+            out, cfg.raw, manifest, aborted=abort is not None,
+            abort_reason=None if abort is None else str(abort),
+            extra=dict(extra or {}, write_s=out_io.write_s - w0))
     except _VALIDATION_ERRORS as exc:
         print("fatkpp: invalid parameters: %s" % exc, file=sys.stderr)
         return 2
     except IoError as exc:
         print("fatkpp: %s" % exc, file=sys.stderr)
         return 4
+    if abort is not None:
+        print("fatkpp: aborted: %s" % abort, file=sys.stderr)
+        return 3
     if not args.quiet:
         print("fatkpp: %s finished in %.1fs, outputs in %s"
               % (cfg.experiment, time.perf_counter() - t0, out))

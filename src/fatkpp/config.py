@@ -9,6 +9,7 @@ raising a single ValidationError, so a bad config is fixed in one pass.
 """
 
 import json
+import math
 
 from .cauchy import DT_MAX, SolverConfig, _is_num
 from .errors import InvalidParams, IoError, ParseError, ValidationError
@@ -25,6 +26,7 @@ _NEEDS_GRID = {"Simulate", "Front", "HopfCole", "Mutation", "HJ",
 _NEEDS_EPS = {"HopfCole", "Mutation", "CrossValidate"}
 _NEEDS_COMPACT = {"HopfCole": 4, "CrossValidate": 2}
 _NEEDS_ELIGIBLE = {"Mutation", "HJ", "Hamiltonian", "CrossValidate"}
+_RESCALED = {"Mutation", "CrossValidate"}  # they step runs at rate 1/eps
 _NEEDS_KAPPA = {"HJ", "Hamiltonian"}   # their envelope needs A < p_max
 
 _KERNEL_KEYS = {"family", "alpha", "beta", "b", "sigma"}
@@ -41,8 +43,9 @@ class RunConfig:
     """Validated configuration with every default already filled in.
 
     kernel is the built (normalized) Kernel; grid and solver are None
-    for experiments that do not integrate anything.  raw echoes the
-    parsed JSON for the manifest.
+    for experiments that do not integrate anything, and A is None for
+    experiments that take no initial cone slope.  raw echoes the parsed
+    JSON for the manifest.
     """
 
     def __init__(self, experiment, kernel, grid, solver, C,
@@ -221,13 +224,15 @@ def validate_config(raw):
     A = None if A is None else float(A)
 
     # ---- eligibility and A range (need the built kernel) ----
-    if kernel is not None:
-        if experiment in _NEEDS_ELIGIBLE and not kernel.mutation_eligible:
+    if experiment not in _NEEDS_ELIGIBLE:
+        A = None
+    elif kernel is not None:
+        if not kernel.mutation_eligible:
             issues.append(
                 "kernel: NotMutationEligible for %s; %s has f'(0) = %g "
                 "and mu = %g (needs fat tail, f'(0) > 0, mu > 1)"
                 % (experiment, kernel.family, kernel.fprime0, kernel.mu))
-        elif experiment in _NEEDS_ELIGIBLE:
+        else:
             # A < 1 - 1/mu keeps e^{A f} Jhat integrable; the kappa
             # envelope also needs A < p_max = f'(0) (1 - 1/mu)
             hi = kernel.a_max
@@ -267,6 +272,9 @@ def validate_config(raw):
                 issues.append("solver.snapshots: times must have distinct "
                               "%%g labels, got %s" % shared)
 
+        if experiment == "HJ" and "dt" in sb:
+            issues.append("solver.dt: HJ steps at its CFL bound and takes "
+                          "no dt")
         given = {key: sb[key] for key in ("dt", "method", "boundary_guard")
                  if key in sb}
         dt = given.get("dt", SolverConfig.dt)
@@ -276,12 +284,20 @@ def validate_config(raw):
         except InvalidParams as exc:
             issues.extend("solver.%s" % msg for msg in exc.issues)
 
-        if (eps_list and _is_num(dt)
-                and experiment in ("Mutation", "CrossValidate")
+        if (eps_list and _is_num(dt) and experiment in _RESCALED
                 and dt > min(eps_list) * DT_MAX + 1e-12):
             issues.append("solver.dt: mutation runs need dt <= %g * "
                           "min(eps) = %g, got %g"
                           % (DT_MAX, min(eps_list) * DT_MAX, dt))
+        if (experiment in _RESCALED and eps_list
+                and None not in (kernel, grid, solver, A)):
+            # n0 = e^{-A f(|x|)/eps} at x = L - dx, the larger edge density
+            edge = math.exp(-A * float(kernel.f(grid.x[-1])) / min(eps_list))
+            if edge >= solver.boundary_guard:
+                issues.append(
+                    "grid.L: the initial edge density e^{-A f(L-dx)/eps} = "
+                    "%.3e (A = %g, eps = %g) reaches solver.boundary_guard"
+                    " = %g" % (edge, A, min(eps_list), solver.boundary_guard))
 
     # ---- output ----
     ob = _block(raw, "output", _OUTPUT_KEYS, issues)

@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import TIME_TOL, Trajectory, _march, times_within
-from .errors import (CFLViolation, GradientOutOfRange, GridMismatch,
-                     InvalidParams, NoConvergence, NonIntegrableTail,
-                     NotMutationEligible, ThinTailedKernel, ValidationError)
+from .cauchy import Trajectory, _march
+from .errors import (CFLViolation, GradientOutOfRange, InvalidParams,
+                     NoConvergence, NonIntegrableTail, NotMutationEligible,
+                     ThinTailedKernel, ValidationError)
 from .gridops import adaptive_integrate, first_doubling
 from .propagation import potential_of
 
@@ -266,29 +266,25 @@ def _lf_step(H, u, dx, dt, sigma):
     return np.maximum(u - dt * hnum, 0.0)
 
 
-def solve_constrained_hj(H, grid, u0, t_end, snapshots=None, dt=None,
-                         sigma=None):
-    """March min{u_t + H(u_x), u} = 0 and record the requested snapshots.
+def solve_constrained_hj(H, config, u0, dt=None, sigma=None):
+    """March min{u_t + H(u_x), u} = 0 on u0's grid to config.t_end and
+    record exactly config.snapshot_times.
 
     The numerical flux is Hhat(pm, pp) = H((pm+pp)/2) - sigma (pp-pm)/2
     with sigma = 1.2 sup|H'| over the initial slope range (central
     differences of eval_H); by convexity and evenness that sup sits at
     the initial Lipschitz constant.  The update is monotone under
     dt <= _CFL_SAFETY*dx/sigma, enforced as a CFLViolation when dt is forced
-    by the caller.  Ghost values extend u linearly, so boundary
-    gradients are one-sided.  Snapshot times are hit exactly (each gap
-    is stepped with a uniform dt dividing it) and the state at t_end is
-    always recorded.  Passing sigma overrides the automatic bound; it
-    must dominate sup|H'| over every slope the run visits (property
-    tests use this to compare two runs under one scheme).
+    by the caller; config.dt is not read.  Ghost values extend u
+    linearly, so boundary gradients are one-sided.  Snapshot times are
+    hit exactly (each gap is stepped with a uniform dt dividing it).
+    Passing sigma overrides the automatic bound; it must dominate
+    sup|H'| over every slope the run visits (property tests use this to
+    compare two runs under one scheme).
     """
-    if u0.grid != grid:
-        raise GridMismatch("u0 lives on %r, not on %r" % (u0.grid, grid))
-    u = u0.values
+    grid, u = u0.grid, u0.values
     if np.any(u < 0.0):
         raise InvalidParams("u0 must be nonnegative")
-    if t_end < 0.0:
-        raise InvalidParams("t_end must be nonnegative")
     dx = grid.dx
     lip0 = float(np.max(np.abs(np.diff(u)))) / dx
     if lip0 >= H.p_table:
@@ -310,13 +306,6 @@ def solve_constrained_hj(H, grid, u0, t_end, snapshots=None, dt=None,
         dt_cap = dt
     else:
         dt_cap = dt_cfl
-    if snapshots is None:
-        snapshots = (t_end,)
-    times = sorted({float(t) for t in snapshots})
-    if not times_within(times, t_end):
-        raise InvalidParams("snapshot times must lie within [0, t_end]")
-    if not times or times[-1] < t_end - TIME_TOL:
-        times.append(float(t_end))
 
     def advance(v, h):
         return _lf_step(H, v, dx, h, sigma)
@@ -340,7 +329,8 @@ def solve_constrained_hj(H, grid, u0, t_end, snapshots=None, dt=None,
         }
         return HJSolution(records, grid, meta)
 
-    return _march(grid, u, times, t_end, dt_cap, advance, observe, finish)
+    return _march(grid, u, config.snapshot_times, config.t_end, dt_cap,
+                  advance, observe, finish)
 
 
 # ----------------------------------------------------------------------

@@ -186,7 +186,7 @@ def mutation_run(kernel, eps, config, u0):
     check_rate(config.dt, eps)
     dk = discretize_mutation_kernel(mk, u0.grid)
     n0 = Field(u0.grid, np.exp(-u0.values / eps))
-    return cauchy_run(kernel, u0.grid, config, n0, dk=dk, eps=eps)
+    return cauchy_run(kernel, config, n0, dk=dk, eps=eps)
 
 
 # ----------------------------------------------------------------------

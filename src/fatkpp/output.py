@@ -10,6 +10,7 @@ templates as text.  SVG output follows the same rules, so a repeated
 run produces byte-identical files.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -31,17 +32,23 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf")
 
 
-def _write_lines(path, lines):
-    """Write an iterable of text lines; OS failures raise IoError."""
+@contextlib.contextmanager
+def _timed():
+    """Add the time spent inside the block to write_s."""
     global write_s
     t0 = time.perf_counter()
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.writelines(lines)
-    except OSError as exc:
-        raise IoError("cannot write %s: %s" % (path, exc))
-    finally:
-        write_s += time.perf_counter() - t0
+    yield
+    write_s += time.perf_counter() - t0
+
+
+def _write_lines(path, lines):
+    """Write an iterable of text lines; OS failures raise IoError."""
+    with _timed():
+        try:
+            with open(path, "w", newline="\n") as fh:
+                fh.writelines(lines)
+        except OSError as exc:
+            raise IoError("cannot write %s: %s" % (path, exc))
     return path
 
 
@@ -109,7 +116,8 @@ def write_rows(path, header, rows):
 def write_snapshots(outdir, run, stride=1):
     """snapshot_t<time>.csv per snapshot, x rendered once; returns paths."""
     x = run.grid.x[::stride]
-    xs = Column([_render(x)], [len(x)])
+    with _timed():
+        xs = Column([_render(x)], [len(x)])
     return [write_csv(os.path.join(outdir, "snapshot_t%g.csv" % t),
                       ("x", "n"), (xs, fld.values[::stride]))
             for t, fld in run.snapshots]
@@ -150,9 +158,11 @@ def write_long_csv(path, names, xs, rows):
     is rendered once, each t once per time block.
     """
     sizes = [len(xs)] * len(rows)
-    ts = "".join(_render([t for t, _ in rows])).split("\n")[:-1]
+    with _timed():
+        ts = "".join(_render([t for t, _ in rows])).split("\n")[:-1]
+        x_text = _render(xs)
     return write_csv(path, ("t", "x") + tuple(names), [
-        Column(ts, sizes), Column([_render(xs)] * len(rows), sizes)] + [
+        Column(ts, sizes), Column([x_text] * len(rows), sizes)] + [
         Column(col, map(len, col)) for col in zip(*(v for _, v in rows))])
 
 

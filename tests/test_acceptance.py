@@ -45,7 +45,7 @@ def poly_run():
     cfg = SolverConfig(dt=0.05, t_end=30.0, method="RK4",
                        snapshot_times=(0.5, 1.0, 2.0, 3.0, 5.0,
                                        10.0, 15.0, 20.0, 25.0, 30.0))
-    run = cauchy_run(k, g, cfg, initial_condition(k, g, 1.0))
+    run = cauchy_run(k, cfg, initial_condition(k, g, 1.0))
     assert not run.contaminated
     return k, run
 
@@ -58,7 +58,7 @@ def subexp_run():
     cfg = SolverConfig(dt=0.05, t_end=20.0, method="RK4",
                        snapshot_times=(1.25, 2.5, 3.75, 5.0,
                                        7.5, 10.0, 15.0, 20.0))
-    run = cauchy_run(k, g, cfg, initial_condition(k, g, 1.0))
+    run = cauchy_run(k, cfg, initial_condition(k, g, 1.0))
     assert not run.contaminated
     return k, run
 
@@ -224,12 +224,14 @@ def test_criterion_09_hamiltonian_suite(loglinear3):
 def test_criterion_10_hj_exactness_controls(loglinear3):
     H = Hamiltonian(loglinear3)
     g = Grid1D(10.0, 256)
-    sol = solve_constrained_hj(H, g, Field(g, np.full(g.N, 0.7)), 1.0,
-                               snapshots=(0.25, 0.5, 1.0))
+    sol = solve_constrained_hj(
+        H, SolverConfig(t_end=1.0, snapshot_times=(0.25, 0.5, 1.0)),
+        Field(g, np.full(g.N, 0.7)))
     for t, fld in sol.snapshots:
         exact = max(0.7 - t, 0.0)
         assert np.max(np.abs(fld.values - exact)) <= 1e-8, t
-    flat = solve_constrained_hj(H, g, Field(g, np.zeros(g.N)), 1.0)
+    flat = solve_constrained_hj(H, SolverConfig(t_end=1.0),
+                                Field(g, np.zeros(g.N)))
     assert np.all(flat.snapshot_at(1.0).values == 0.0)
     rng = np.random.default_rng(11)
     sigma = 1.2 * abs(H.eval_H_prime(1.3))
@@ -240,10 +242,10 @@ def test_criterion_10_hj_exactness_controls(loglinear3):
         base -= base.min()
         bump = rng.uniform(0.0, 0.4) * np.exp(
             -((g.x - rng.uniform(-3.0, 3.0)) / 1.5) ** 2)
-        lo = solve_constrained_hj(H, g, Field(g, base), 0.3,
-                                  dt=dt, sigma=sigma)
-        hi = solve_constrained_hj(H, g, Field(g, base + bump), 0.3,
-                                  dt=dt, sigma=sigma)
+        lo = solve_constrained_hj(H, SolverConfig(t_end=0.3),
+                                  Field(g, base), dt=dt, sigma=sigma)
+        hi = solve_constrained_hj(H, SolverConfig(t_end=0.3),
+                                  Field(g, base + bump), dt=dt, sigma=sigma)
         assert np.all(hi.snapshot_at(0.3).values
                       >= lo.snapshot_at(0.3).values - 1e-12)
 
@@ -262,8 +264,9 @@ def test_criterion_11_cross_validation(loglinear3):
         mr = mutation_run(k, eps, cfg, u0)
         assert not mr.contaminated
         runs.append(mr)
-    hj = solve_constrained_hj(Hamiltonian(k), g, u0, 1.0,
-                              snapshots=(0.5, 1.0))
+    hj = solve_constrained_hj(
+        Hamiltonian(k), SolverConfig(t_end=1.0, snapshot_times=(0.5, 1.0)),
+        u0)
     rows = cross_validate(runs, hj, (-50.0, 50.0))
     assert [e for e, _ in rows] == [0.4, 0.2, 0.1]
     sups = [v for _, v in rows]
@@ -274,9 +277,9 @@ def test_criterion_12_zero_set_and_limit_densities(loglinear3):
     k = loglinear3
     H = Hamiltonian(k)
     g_hj = Grid1D(20.0, 1024)
-    hj = solve_constrained_hj(H, g_hj, mutation_initial_data(k, g_hj,
-                                                             A=0.25),
-                              2.0, snapshots=(0.5, 1.0, 2.0))
+    hj = solve_constrained_hj(
+        H, SolverConfig(t_end=2.0, snapshot_times=(0.5, 1.0, 2.0)),
+        mutation_initial_data(k, g_hj, A=0.25))
     for t in (0.5, 1.0, 2.0):
         lo, hi = inclusion_curves(H, 0.25, t)
         xl, xr = zero_set_boundary(hj.snapshot_at(t))

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from fatkpp.cauchy import (SolverConfig, _advance, _march, _workspace,
                            initial_condition, run)
 from fatkpp.errors import (BoundaryContamination, GradientOutOfRange,
-                           InvalidParams, StabilityViolation)
+                           GridMismatch, InvalidParams, StabilityViolation)
 from fatkpp.gridops import Field, Grid1D, discretize_kernel
 from fatkpp.kernels import KernelSpec, build_kernel
 
@@ -140,7 +140,7 @@ def test_step_in_buffers_is_bit_identical(setup, method, rate):
     """The in-place stages round exactly as the array expressions do."""
     k, g, dk = setup
     n0 = initial_condition(k, g, C=0.5)
-    r = run(k, g, SolverConfig(dt=0.1, t_end=1.0), n0, dk=dk)
+    r = run(k, SolverConfig(dt=0.1, t_end=1.0), n0, dk=dk)
     v = r.snapshots[-1][1].values
     v0 = v.copy()
     work = _workspace(method, g.N)
@@ -158,7 +158,7 @@ def test_step_in_buffers_is_bit_identical(setup, method, rate):
 def test_run_t_end_zero_returns_initial(setup):
     k, g, dk = setup
     n0 = initial_condition(k, g, C=1.0)
-    r = run(k, g, SolverConfig(dt=0.05, t_end=0.0), n0, dk=dk)
+    r = run(k, SolverConfig(dt=0.05, t_end=0.0), n0, dk=dk)
     assert len(r.snapshots) == 1
     t, fld = r.snapshots[0]
     assert t == 0.0
@@ -173,7 +173,7 @@ def test_run_constant_one_stays(poly4):
     ones = Field(g, np.ones(g.N))
     cfg = SolverConfig(dt=0.1, t_end=1.0, snapshot_times=(0.5, 1.0),
                        boundary_guard=2.0)
-    r = run(poly4, g, cfg, ones, dk=dk)
+    r = run(poly4, cfg, ones, dk=dk)
     sel = np.abs(g.x) <= g.L / 2
     for t, fld in r.snapshots:
         assert np.max(np.abs(fld.values[sel] - 1.0)) <= 1e-9
@@ -183,7 +183,7 @@ def test_max_principle_and_monitors(setup):
     k, g, dk = setup
     n0 = initial_condition(k, g, C=1.0)
     cfg = SolverConfig(dt=0.1, t_end=3.0, snapshot_times=(1.0, 3.0))
-    r = run(k, g, cfg, n0, dk=dk)
+    r = run(k, cfg, n0, dk=dk)
     assert np.all(r.monitors["n_min"] >= -1e-10)
     assert np.all(r.monitors["n_max"] <= 1.0 + 1e-10)
     assert r.manifest["clamp_total"] <= 1e-9 * r.manifest["steps_taken"]
@@ -197,7 +197,7 @@ def test_snapshots_monotone_in_time(setup):
     k, g, dk = setup
     n0 = initial_condition(k, g, C=0.5)
     cfg = SolverConfig(dt=0.1, t_end=4.0, snapshot_times=(1.0, 2.0, 4.0))
-    r = run(k, g, cfg, n0, dk=dk)
+    r = run(k, cfg, n0, dk=dk)
     a, b, c = (fld.values for _, fld in r.snapshots)
     assert np.all(b >= a - 1e-12)
     assert np.all(c >= b - 1e-12)
@@ -211,7 +211,7 @@ def test_symmetry_preserved(setup):
     k, g, dk = setup
     n0 = initial_condition(k, g, C=1.0)
     cfg = SolverConfig(dt=0.1, t_end=2.0, snapshot_times=(2.0,))
-    r = run(k, g, cfg, n0, dk=dk)
+    r = run(k, cfg, n0, dk=dk)
     v = r.snapshots[-1][1].values
     err = np.abs(v[1:] - v[1:][::-1])      # position i-1 is v[i]-v[N-i]
     assert np.max(err[dk.K - 1:g.N - dk.K]) <= 1e-10
@@ -222,9 +222,9 @@ def test_euler_vs_rk4_first_order_gap(setup):
     n0 = initial_condition(k, g, C=1.0)
     for dt in (0.05, 0.025):
         snaps = (1.0,)
-        re = run(k, g, SolverConfig(dt=dt, t_end=1.0, snapshot_times=snaps,
+        re = run(k, SolverConfig(dt=dt, t_end=1.0, snapshot_times=snaps,
                                     method="Euler"), n0, dk=dk)
-        r4 = run(k, g, SolverConfig(dt=dt, t_end=1.0, snapshot_times=snaps,
+        r4 = run(k, SolverConfig(dt=dt, t_end=1.0, snapshot_times=snaps,
                                     method="RK4"), n0, dk=dk)
         gap = np.max(np.abs(re.snapshots[0][1].values
                             - r4.snapshots[0][1].values))
@@ -236,7 +236,7 @@ def test_boundary_contamination_aborts_with_partial(poly4):
     n0 = initial_condition(poly4, g, C=1.0)
     cfg = SolverConfig(dt=0.1, t_end=30.0, snapshot_times=(1.0, 30.0))
     with pytest.raises(BoundaryContamination) as exc:
-        run(poly4, g, cfg, n0)
+        run(poly4, cfg, n0)
     partial = exc.value.run
     assert partial is not None and partial.contaminated
     assert partial.manifest["contaminated"]
@@ -252,7 +252,7 @@ def test_recorded_snapshots_own_their_memory(setup):
     n0 = initial_condition(k, g, C=0.5)
     cfg = SolverConfig(dt=0.1, t_end=1.0,
                        snapshot_times=(0.0, 0.1, 0.2, 0.5, 0.6, 1.0))
-    r = run(k, g, cfg, n0, dk=dk)
+    r = run(k, cfg, n0, dk=dk)
     vals = [fld.values for _, fld in r.snapshots]
     for i, a in enumerate(vals):
         for b in vals[i + 1:]:
@@ -273,11 +273,19 @@ def test_manifest_counts_convolutions_and_rate(setup, method, per_step):
     apply = dk.apply
     dk.apply = lambda *a, **kw: calls.append(1) or apply(*a, **kw)
     n0 = initial_condition(k, g, C=1.0)
-    r = run(k, g, SolverConfig(dt=0.1, t_end=1.0, method=method), n0, dk=dk)
+    r = run(k, SolverConfig(dt=0.1, t_end=1.0, method=method), n0, dk=dk)
     man = r.manifest
     assert man["steps_taken"] == 10
     assert man["convolutions"] == len(calls) == per_step * 10
     assert man["steps_per_s"] == 10 / man["wall_time_s"]
+
+
+def test_kernel_sampled_on_another_grid_is_refused(setup):
+    """The run's grid is n0's; a dk sampled on another grid is refused."""
+    k, g, dk = setup
+    n0 = initial_condition(k, Grid1D(L=60.0, N=512), C=1.0)
+    with pytest.raises(GridMismatch):
+        run(k, SolverConfig(dt=0.1, t_end=1.0), n0, dk=dk)
 
 
 def test_effective_step_cap(setup):
@@ -285,7 +293,7 @@ def test_effective_step_cap(setup):
     n0 = initial_condition(k, g, C=1.0)
     cfg = SolverConfig(dt=0.05, t_end=1.0)
     with pytest.raises(InvalidParams):
-        run(k, g, cfg, n0, dk=dk, eps=0.01)
+        run(k, cfg, n0, dk=dk, eps=0.01)
 
 
 @settings(max_examples=15, deadline=None)
@@ -296,8 +304,8 @@ def test_monotone_in_initial_data(lo, bump):
     k, g, dk = _CMP
     ca = SolverConfig(dt=0.1, t_end=0.5, snapshot_times=(0.5,),
                       boundary_guard=2.0)
-    ra = run(k, g, ca, Field(g, lo), dk=dk)
-    rb = run(k, g, ca, Field(g, np.minimum(lo + bump, 1.0)), dk=dk)
+    ra = run(k, ca, Field(g, lo), dk=dk)
+    rb = run(k, ca, Field(g, np.minimum(lo + bump, 1.0)), dk=dk)
     assert np.all(rb.snapshots[0][1].values
                   >= ra.snapshots[0][1].values - 1e-8)
 
@@ -327,8 +335,8 @@ def test_driver_hits_snapshot_times_exactly(snaps, method):
     dt = 0.1
     cfg = SolverConfig(dt=dt, t_end=2.0, snapshot_times=tuple(snaps),
                        method=method, boundary_guard=2.0)
-    r = run(_DRV_K, _DRV_G, cfg, _DRV_N0, dk=_DRV_DK)
-    again = run(_DRV_K, _DRV_G, cfg, _DRV_N0, dk=_DRV_DK)
+    r = run(_DRV_K, cfg, _DRV_N0, dk=_DRV_DK)
+    again = run(_DRV_K, cfg, _DRV_N0, dk=_DRV_DK)
     mon_t = list(r.monitors["t"])
     assert [t for t, _ in r.snapshots] == list(cfg.snapshot_times)
     K, N = _DRV_DK.K, _DRV_G.N

@@ -279,6 +279,7 @@ def test_aborted_mutation_run_names_its_eps(tmp_path, capsys):
     man = _manifest(out)
     assert man["aborted"] is True
     assert man["manifest"]["eps"] == 0.4
+    assert man["manifest"]["A"] == 0.25
 
 
 # f'(0) = b alpha = 0.06 while 1 - 1/mu = 1: the kappa envelope of the HJ
@@ -312,12 +313,29 @@ def test_A_past_the_envelope_bound_is_refused_before_any_output(
 
 
 def test_mutation_default_A_stays_the_midpoint(tmp_path):
-    """Mutation runs need no envelope: their default stays (1 - 1/mu)/2."""
+    """Mutation runs need no envelope: their default stays (1 - 1/mu)/2.
+    (eps = 0.01 keeps the edge density e^{-0.5 f(20)/eps} = 3.5e-6 below
+    the boundary guard.)"""
     doc = {"experiment": "Mutation", "kernel": POWERSHIFT,
            "grid": {"L": 20, "N": 512},
-           "solver": {"t_end": 0.5, "dt": 0.05},
-           "analysis": {"eps": [0.5]}}
+           "solver": {"t_end": 0.5, "dt": 0.003},
+           "analysis": {"eps": [0.01]}}
     assert parse_config(_cfg(tmp_path, doc)).A == 0.5
+
+
+def test_mutation_data_past_the_guard_is_refused_before_any_output(
+        tmp_path, capsys):
+    """e^{-A f(L)/eps} = 0.78 at the edge of this grid already reaches
+    the boundary guard, so the run could only abort at t = 0."""
+    out = str(tmp_path / "out")
+    doc = {"experiment": "Mutation", "kernel": POWERSHIFT,
+           "grid": {"L": 20, "N": 4096},
+           "solver": {"t_end": 0.5, "dt": 0.05},
+           "analysis": {"eps": [0.5]},
+           "output": {"directory": out}}
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 2
+    assert "7.777e-01" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_hj_writes_solution_and_zero_set(tmp_path):
@@ -373,6 +391,23 @@ def test_cross_validate_reports_monotone_errors(tmp_path):
     assert rows[1]["sup_error"] <= rows[0]["sup_error"]
     assert os.path.exists(os.path.join(out, "hj_solution.csv"))
     assert not os.path.exists(os.path.join(out, "crossval.svg"))
+
+
+def test_cross_validate_snapshots_may_omit_t_end(tmp_path):
+    """Both marches record exactly the config's times, so the HJ solution
+    has every time the rescaled runs have, t_end among them or not."""
+    out = str(tmp_path / "out")
+    doc = {"experiment": "CrossValidate",
+           "kernel": {"family": "LogLinear", "beta": 3},
+           "grid": {"L": 200, "N": 65536},
+           "solver": {"method": "Euler", "dt": 0.01, "t_end": 0.1,
+                      "snapshots": [0.05]},
+           "analysis": {"eps": [0.25, 0.125], "A": 0.25,
+                        "compact": [-5, 5]},
+           "output": {"directory": out, "stride": 16, "plot": False}}
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 0
+    rows = _manifest(out)["cross_validation"]
+    assert [r["eps"] for r in rows] == [0.25, 0.125]
 
 
 def test_console_module_reports_usage_errors(tmp_path):

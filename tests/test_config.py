@@ -252,11 +252,26 @@ def test_all_experiment_names_recognized():
                "analysis": {"eps": [0.1], "compact": [-5, 5, 0, 1]}}
         if name == "CrossValidate":
             doc["analysis"]["compact"] = [-5, 5]
+        if name == "HJ":            # it steps at its CFL bound
+            del doc["solver"]["dt"]
         try:
             cfg = validate_config(doc)
         except ValidationError as exc:
             raise AssertionError("%s: %s" % (name, exc))
         assert cfg.experiment == name
+
+
+def test_hj_refuses_a_time_step():
+    """HJ steps at its CFL bound, so a dt in its config is refused."""
+    doc = {"experiment": "HJ",
+           "kernel": {"family": "LogLinear", "beta": 3},
+           "grid": {"L": 20, "N": 512},
+           "solver": {"t_end": 0.5, "dt": 0.01}}
+    with pytest.raises(ValidationError) as ei:
+        validate_config(doc)
+    assert any(s.startswith("solver.dt:") for s in ei.value.issues)
+    del doc["solver"]["dt"]
+    assert validate_config(doc).solver.t_end == 0.5
 
 
 def test_unknown_family_reported_as_kernel_issue():

@@ -18,10 +18,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from fatkpp.errors import (CFLViolation, GradientOutOfRange, GridMismatch,
-                           InvalidParams, NonIntegrableTail,
-                           NotMutationEligible, ThinTailedKernel,
-                           ValidationError)
+from fatkpp.errors import (CFLViolation, GradientOutOfRange, InvalidParams,
+                           NonIntegrableTail, NotMutationEligible,
+                           ThinTailedKernel, ValidationError)
 from fatkpp.gridops import DiscreteKernel, Field, Grid1D
 from fatkpp.hj import (Hamiltonian, HJSolution, cross_validate,
                        hamiltonian_profile, inclusion_curves,
@@ -225,7 +224,8 @@ def test_hamiltonian_profile(H3):
 def cone(H3, ll3):
     g = Grid1D(20.0, 1024)
     u0 = Field(g, 0.3 * ll3.f(np.abs(g.x)))
-    sol = solve_constrained_hj(H3, g, u0, 2.0, snapshots=(0.5, 0.52, 2.0))
+    sol = solve_constrained_hj(
+        H3, SolverConfig(t_end=2.0, snapshot_times=(0.5, 0.52, 2.0)), u0)
     return g, u0, sol
 
 
@@ -234,8 +234,9 @@ def test_constant_data_is_exact(H3):
     dt*H(0) = dt exactly and the run reproduces max(c - t, 0)."""
     g = Grid1D(10.0, 64)
     u0 = Field(g, np.full(g.N, 0.7))
-    sol = solve_constrained_hj(H3, g, u0, 1.0,
-                               snapshots=(0.25, 0.5, 0.69, 0.71, 1.0))
+    sol = solve_constrained_hj(
+        H3, SolverConfig(t_end=1.0,
+                         snapshot_times=(0.25, 0.5, 0.69, 0.71, 1.0)), u0)
     for t, fld in sol.snapshots:
         np.testing.assert_allclose(fld.values, max(0.7 - t, 0.0),
                                    rtol=0.0, atol=1e-12)
@@ -244,8 +245,9 @@ def test_constant_data_is_exact(H3):
 
 def test_zero_data_stays_zero(H3):
     g = Grid1D(10.0, 64)
-    sol = solve_constrained_hj(H3, g, Field(g, np.zeros(g.N)), 2.0,
-                               snapshots=(1.0, 2.0))
+    sol = solve_constrained_hj(
+        H3, SolverConfig(t_end=2.0, snapshot_times=(1.0, 2.0)),
+        Field(g, np.zeros(g.N)))
     for _, fld in sol.snapshots:
         assert np.all(fld.values == 0.0)
 
@@ -306,43 +308,51 @@ def test_scheme_monotone_in_data(H3):
         base -= base.min()
         x0 = rng.uniform(-3.0, 3.0)
         bump = rng.uniform(0.0, 0.4) * np.exp(-((g.x - x0) / 1.5) ** 2)
-        lo = solve_constrained_hj(H3, g, Field(g, base), 0.3,
-                                  dt=dt, sigma=sigma)
-        hi = solve_constrained_hj(H3, g, Field(g, base + bump), 0.3,
-                                  dt=dt, sigma=sigma)
+        lo = solve_constrained_hj(H3, SolverConfig(t_end=0.3),
+                                  Field(g, base), dt=dt, sigma=sigma)
+        hi = solve_constrained_hj(H3, SolverConfig(t_end=0.3),
+                                  Field(g, base + bump), dt=dt, sigma=sigma)
         assert np.all(hi.snapshot_at(0.3).values
                       >= lo.snapshot_at(0.3).values - 1e-12)
 
 
 def test_solver_records_final_time(H3):
+    """The solver records exactly the config's times, as cauchy.run does:
+    it marches on to t_end, and records the state there only when t_end
+    is one of the times (or no times are given)."""
     g = Grid1D(10.0, 64)
-    sol = solve_constrained_hj(H3, g, Field(g, np.zeros(g.N)), 1.5,
-                               snapshots=(0.5,))
-    assert [t for t, _ in sol.snapshots] == [0.5, 1.5]
-    with pytest.raises(KeyError):
-        sol.snapshot_at(0.7)
+    flat = Field(g, np.zeros(g.N))     # sigma = 0: one step per gap
+    for snaps, recorded, steps in (((0.5,), [0.5], 2),
+                                   ((0.5, 1.5), [0.5, 1.5], 2),
+                                   (None, [1.5], 1)):
+        cfg = SolverConfig(t_end=1.5, snapshot_times=snaps)
+        sol = solve_constrained_hj(H3, cfg, flat)
+        assert [t for t, _ in sol.snapshots] == recorded
+        assert sol.meta["steps"] == steps
+        for t in {0.5, 0.7, 1.5} - set(recorded):
+            with pytest.raises(KeyError):
+                sol.snapshot_at(t)
 
 
 def test_solver_rejections(H3):
     g = Grid1D(10.0, 64)
-    flat = Field(g, np.zeros(g.N))
+    cfg = SolverConfig(t_end=1.0)
     with pytest.raises(InvalidParams):
-        solve_constrained_hj(H3, g, Field(g, np.full(g.N, -0.1)), 1.0)
-    with pytest.raises(GridMismatch):
-        solve_constrained_hj(H3, Grid1D(10.0, 128), flat, 1.0)
+        solve_constrained_hj(H3, cfg, Field(g, np.full(g.N, -0.1)))
     with pytest.raises(InvalidParams):
-        solve_constrained_hj(H3, g, flat, -1.0)
+        SolverConfig(t_end=-1.0)
     with pytest.raises(InvalidParams):
-        solve_constrained_hj(H3, g, flat, 1.0, snapshots=(2.0,))
+        SolverConfig(t_end=1.0, snapshot_times=(2.0,))
     with pytest.raises(GradientOutOfRange):
-        solve_constrained_hj(H3, g, Field(g, 1.95 * np.abs(g.x)), 1.0)
+        solve_constrained_hj(H3, cfg, Field(g, 1.95 * np.abs(g.x)))
 
 
 def test_cfl_violation(H3):
     g = Grid1D(10.0, 64)
     u0 = Field(g, 0.2 * np.abs(g.x))
     with pytest.raises(CFLViolation):
-        solve_constrained_hj(H3, g, u0, 1.0, dt=10.0 * g.dx)
+        solve_constrained_hj(H3, SolverConfig(t_end=1.0), u0,
+                             dt=10.0 * g.dx)
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +457,7 @@ def test_cross_validate_identity_control(ll3, H3):
     u0 = mutation_initial_data(ll3, g, A=0.5)
     cfg = SolverConfig(dt=0.05, t_end=1.0, snapshot_times=(0.5, 1.0),
                        method="RK4")
-    mr = cauchy_run(ll3, g, cfg, Field(g, np.exp(-u0.values)), dk=dk)
-    hj = solve_constrained_hj(H3, g, u0, 1.0, snapshots=(0.5, 1.0))
+    mr = cauchy_run(ll3, cfg, Field(g, np.exp(-u0.values)), dk=dk)
+    hj = solve_constrained_hj(H3, cfg, u0)
     (_, gap), = cross_validate([mr], hj, (28.0, 60.0))
     assert gap <= 0.05

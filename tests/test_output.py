@@ -2,11 +2,13 @@
 
 import math
 import os
+import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fatkpp import output
 from fatkpp.errors import IoError
 from fatkpp.gridops import Field, Grid1D
 from fatkpp.output import (_CHUNK, Column, _render, emit_svg_plot,
@@ -193,6 +195,23 @@ def test_snapshots_header_and_stride(tmp_path):
     back = np.loadtxt(path, delimiter=",", skiprows=1)
     assert back.shape == (4, 2)
     assert np.array_equal(back[:, 0], g.x[::4])
+
+
+def test_write_s_counts_the_shared_column_rendering(tmp_path, monkeypatch):
+    """The x column a snapshot set shares is rendered before any file
+    opens; write_s counts that time too."""
+    real = output._render
+
+    def slow(values):
+        time.sleep(0.05)
+        return real(values)
+
+    monkeypatch.setattr(output, "_render", slow)
+    g = Grid1D(4.0, 16)
+    run = SimpleNamespace(grid=g, snapshots=[(0.5, Field(g, np.zeros(16)))])
+    w0 = output.write_s
+    write_snapshots(str(tmp_path), run)
+    assert output.write_s - w0 >= 0.05
 
 
 def test_front_csv_schema_and_ratio_column(tmp_path):
