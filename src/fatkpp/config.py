@@ -11,10 +11,12 @@ raising a single ValidationError, so a bad config is fixed in one pass.
 import json
 import math
 
-from .cauchy import DT_MAX, SolverConfig, _is_num
-from .errors import InvalidParams, IoError, ParseError, ValidationError
+from .cauchy import SolverConfig, _is_num, check_rate
+from .errors import (GridTooCoarse, InvalidParams, IoError, ParseError,
+                     ValidationError)
 from .gridops import Grid1D
 from .kernels import KernelSpec, build_kernel
+from .mutation import check_resolution
 
 EXPERIMENTS = ("KernelValidate", "Simulate", "Front", "HopfCole",
                "Mutation", "HJ", "Hamiltonian", "CrossValidate")
@@ -284,20 +286,27 @@ def validate_config(raw):
         except InvalidParams as exc:
             issues.extend("solver.%s" % msg for msg in exc.issues)
 
-        if (eps_list and _is_num(dt) and experiment in _RESCALED
-                and dt > min(eps_list) * DT_MAX + 1e-12):
-            issues.append("solver.dt: mutation runs need dt <= %g * "
-                          "min(eps) = %g, got %g"
-                          % (DT_MAX, min(eps_list) * DT_MAX, dt))
+        if experiment in _RESCALED and eps_list and _is_num(dt):
+            try:
+                check_rate(dt, min(eps_list))
+            except InvalidParams as exc:
+                issues.append("solver.dt: %s at min(eps) = %g"
+                              % (exc, min(eps_list)))
         if (experiment in _RESCALED and eps_list
                 and None not in (kernel, grid, solver, A)):
-            # n0 = e^{-A f(|x|)/eps} at x = L - dx, the larger edge density
-            edge = math.exp(-A * float(kernel.f(grid.x[-1])) / min(eps_list))
+            # n0 = e^{-A f(|x|)/eps} at x = L - dx, the larger edge density,
+            # grows with eps
+            eps = max(eps_list)
+            edge = math.exp(-A * float(kernel.f(grid.x[-1])) / eps)
             if edge >= solver.boundary_guard:
                 issues.append(
                     "grid.L: the initial edge density e^{-A f(L-dx)/eps} = "
                     "%.3e (A = %g, eps = %g) reaches solver.boundary_guard"
-                    " = %g" % (edge, A, min(eps_list), solver.boundary_guard))
+                    " = %g" % (edge, A, eps, solver.boundary_guard))
+            try:
+                check_resolution(kernel, min(eps_list), grid)
+            except GridTooCoarse as exc:
+                issues.append("grid.N: %s" % exc)
 
     # ---- output ----
     ob = _block(raw, "output", _OUTPUT_KEYS, issues)

@@ -2,7 +2,7 @@
 
 Every failure mode that callers are expected to branch on gets its own
 class here; anything else is allowed to surface as a plain ValueError
-from numpy/scipy.
+from numpy.
 """
 
 

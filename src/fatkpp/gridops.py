@@ -11,34 +11,79 @@ Convolution is block convolution by overlap-save (Oppenheim & Schafer,
 Discrete-Time Signal Processing): the grid is cut into nb equal tiles,
 nb the largest power of two that leaves tiles of at least max(6K, 3072)
 nodes, and each tile is convolved in one block of length
-B = next_fast_len(N/nb + 2K).  A grid shorter than two such tiles is
-one block.  The rounding error at a node is about 1e-16 of the max of
-the data within its block, not of the global max, so far tails stay
-resolved wherever the blocks are short next to the decay of the data.
+B = fast_len(N/nb + 2K), the next 5-smooth size.  A grid shorter than
+two such tiles is one block.  The rounding error at a node is about
+1e-16 of the max of the data within its block, not of the global max,
+so far tails stay resolved wherever the blocks are short next to the
+decay of the data.  The transforms are numpy.fft's (pocketfft).
+
+Quadrature is globally adaptive Gauss-Legendre bisection and root
+solving is bisection, both in plain Python over scalar callables, so
+that the package needs numpy alone.
 """
 
+import heapq
+import math
+
 import numpy as np
-from scipy import fft as sfft
-from scipy import integrate, optimize
+# numpy loads these submodules on first use; importing them here keeps
+# that cost in the import, not in the first run
+import numpy.fft
+from numpy.polynomial.legendre import leggauss
 
 from .errors import GridMismatch, InvalidParams, NoConvergence
 
 _TAIL_TOL = 1e-6        # kernel mass discretize_kernel may cut from the tails
+_GL_N = 10              # a panel's error is its n- against its 2n-point rule
+# (node, weight) pairs of the n- and 2n-point rules on [-1, 1]
+_GL_RULES = tuple(tuple(zip(*(v.tolist() for v in leggauss(n))))
+                  for n in (_GL_N, 2 * _GL_N))
+_MAX_SPLITS = 1000      # bisections adaptive_integrate may make
 
 
 # ----------------------------------------------------------------------
 # quadrature
 
 
-def _quad(g, a, b, epsabs, epsrel):
-    out = integrate.quad(g, a, b, epsabs=epsabs, epsrel=epsrel,
-                         limit=300, full_output=1)
-    if len(out) > 3:
-        # quad appends a message (and possibly an explanation) on trouble
-        raise NoConvergence("quadrature on [%g, %g] failed: %s"
-                            % (a, b, out[3]))
-    val, err = out[0], out[1]
-    return val, err
+def _panel(g, lo, hi):
+    """(2n-point Gauss-Legendre value, its distance from the n-point one)
+    of the integral of g over [lo, hi]."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    coarse, fine = (h * math.fsum(w * g(c + h * x) for x, w in rule)
+                    for rule in _GL_RULES)
+    return fine, abs(fine - coarse)
+
+
+def _bisect(g, edges, target):
+    """Integral of g over the panels between edges, bisecting the panel
+    with the largest error estimate until the summed estimate meets
+    target(value)."""
+    heap = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        v, e = _panel(g, lo, hi)
+        heap.append((-e, lo, hi, v))
+    heapq.heapify(heap)
+    val = math.fsum(p[3] for p in heap)
+    err = -math.fsum(p[0] for p in heap)
+    splits = 0
+    # `not <=` so that a NaN value or estimate keeps bisecting, then raises
+    while not err <= target(val):
+        e, lo, hi, v = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        if splits == _MAX_SPLITS or not lo < mid < hi:
+            raise NoConvergence(
+                "quadrature on [%g, %g] failed: error estimate %g exceeds "
+                "the target after %d bisections (result %g)"
+                % (edges[0], edges[-1], err, splits, val))
+        splits += 1
+        for a, b in ((lo, mid), (mid, hi)):
+            vv, ee = _panel(g, a, b)
+            heapq.heappush(heap, (-ee, a, b, vv))
+            val += vv
+            err += ee
+        val -= v
+        err += e
+    return math.fsum(p[3] for p in heap)
 
 
 def first_doubling(ok, R=1.0, what="doubling search"):
@@ -57,10 +102,17 @@ def first_doubling(ok, R=1.0, what="doubling search"):
 def adaptive_integrate(g, a, b, tail=None, epsabs=1e-10, epsrel=1e-8):
     """Integrate g over (a, b) to absolute error <= epsabs + epsrel*|result|.
 
+    Globally adaptive bisection (as in QUADPACK's QAG, Piessens et al.
+    1983): each panel is integrated by the 2n-point Gauss-Legendre rule,
+    its error is estimated by the distance to the n-point rule, and the
+    panel with the largest estimate is halved until the summed estimate
+    meets the target.
+
     Parameters
     ----------
     g : callable
-        Scalar integrand, continuous on (a, b).
+        Scalar integrand, continuous on (a, b); it is called with floats
+        and never at a or b.
     a, b : float
         Limits; b may be numpy.inf.
     tail : callable, optional
@@ -68,7 +120,7 @@ def adaptive_integrate(g, a, b, tail=None, epsabs=1e-10, epsrel=1e-8):
         with b = inf, the infinite part is cut at the first doubling of R
         whose bound fits in a quarter of the absolute budget; the bound is
         then added to the error estimate of the finite piece.  Without it
-        an infinite range is handed to the library's variable transform.
+        an infinite range is mapped onto (0, 1] by h = a + (1 - s)/s.
 
     Raises
     ------
@@ -78,37 +130,36 @@ def adaptive_integrate(g, a, b, tail=None, epsabs=1e-10, epsrel=1e-8):
     """
     a = float(a)
     rem = 0.0
-    if np.isinf(b) and tail is not None:
+    if not np.isinf(b):
+        edges = [a, float(b)]
+    elif tail is None:
+        f = g
+
+        def g(s):
+            return f(a + (1.0 - s) / s) / (s * s)
+
+        edges = [0.0, 1.0]
+    else:
         budget = 0.25 * epsabs
         R = first_doubling(lambda r: tail(r) <= budget, max(a, 1.0),
                            "fitting the tail bound in %g" % budget)
         rem = tail(R)
         # R can be enormous for slow power-law tails; one decade per panel
-        # keeps each piece trivial for the Gauss-Kronrod rule
-        edges = [a]
+        # starts each piece where the integrand varies by a bounded factor
         e = max(a, 1.0)
+        edges = [a] if a < e else []
         while e < R:
             edges.append(e)
             e *= 10.0
         edges.append(R)
-        val, err = 0.0, 0.0
-        per = 0.5 * epsabs / (len(edges) - 1)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            v, ee = _quad(g, lo, hi, per, epsrel)
-            val += v
-            err += ee
-    else:
-        val, err = _quad(g, a, b, epsabs, epsrel)
-    if err + rem > epsabs + epsrel * abs(val) + 1e-300:
-        raise NoConvergence("quadrature error estimate %g exceeds target "
-                            "(result %g)" % (err + rem, val))
-    return val
+    return _bisect(g, edges, lambda v: epsabs + epsrel * abs(v) - rem)
 
 
 def invert_monotone(g, y):
     """Solve g(x) = y for a nondecreasing g on [0, inf).
 
-    Brackets by doubling from 2, then runs a safeguarded root solve.
+    Brackets by doubling from 2, then bisects the bracket until it is
+    narrower than 2e-12 + 1e-10 x.
     Used as the generic fallback for inverses that have no closed form,
     and as the independent route when testing the ones that do.
     """
@@ -119,8 +170,15 @@ def invert_monotone(g, y):
         raise InvalidParams("g(0)=%g already exceeds target y=%g" % (g0, y))
     if g0 == y:
         return 0.0
-    x = optimize.brentq(lambda s: g(s) - y, 0.0, hi, rtol=1e-10, maxiter=200)
-    return float(x)
+    lo = 0.0
+    mid = 0.5 * hi
+    while hi - lo > 2e-12 + 1e-10 * mid:
+        if g(mid) >= y:
+            hi = mid
+        else:
+            lo = mid
+        mid = 0.5 * (lo + hi)
+    return float(mid)
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +236,20 @@ class Field:
 # discrete kernels
 
 
+def fast_len(n):
+    """Smallest 5-smooth integer (2^i 3^j 5^k) >= n, a fast real FFT size."""
+    best = 1 << (n - 1).bit_length()
+    p35 = 1
+    while p35 < best:           # p35 runs over 3^j 5^k below best
+        p = p35
+        while p < best:
+            p2 = 1 << (-(-n // p) - 1).bit_length()
+            best = min(best, p2 * p)
+            p *= 3
+        p35 *= 5
+    return best
+
+
 class DiscreteKernel:
     """Truncated kernel samples w_j ~ Jhat(j*dx)*dx on offsets |j| <= K.
 
@@ -212,34 +284,38 @@ class DiscreteKernel:
         N = grid.N
         nb = 1 << (max(N // max(6 * K, 3072), 1).bit_length() - 1)
         tile = N // nb
-        B = sfft.next_fast_len(tile + 2 * K, real=True)
+        B = fast_len(tile + 2 * K)
         # the block count and length, both in every run manifest;
         # perfbench/tracing.py reads _P to count flops
         self._nb = nb
         self._P = B
         # apply rounds a node to ~1e-16 of its largest input within reach
         self.reach = B - K
-        self._spectrum = sfft.rfft(w, B)
+        self._spectrum = np.fft.rfft(w, B)
         self._buf = np.zeros(N - tile + B)
         # the blocks are overlapping windows of _buf, a view made once
         self._blocks = np.lib.stride_tricks.sliding_window_view(
             self._buf, B)[::tile]
+        # the block spectra and their inverse transforms; allocated per
+        # call, buffers this size are mapped afresh by malloc each time
+        # (about 170 page faults per apply on the front workload's blocks)
+        self._F = np.empty((nb, B // 2 + 1), dtype=complex)
+        self._R = np.empty((nb, B))
 
     def apply(self, values, out=None):
         """Linear convolution (sum_j w_j v_{i-j}) with zero exterior.
 
         Writes into `out` (a float array of length N) and returns it;
         without `out`, returns a fresh array.  `values` is left unmodified.
-        Only the block spectra and their inverse transforms are allocated
-        per call.  Roundoff (~1e-16 of the block's data scale) can leave
-        tiny negatives where the data vanish; the stepper's clamp to
-        [0, 1] absorbs them.
+        The transforms write into buffers the kernel keeps.  Roundoff
+        (~1e-16 of the block's data scale) can leave tiny negatives where
+        the data vanish; the stepper's clamp to [0, 1] absorbs them.
         """
         K, N, B = self.K, self.grid.N, self._P
         self._buf[K:K + N] = values
-        F = sfft.rfft(self._blocks, axis=1)
+        F = np.fft.rfft(self._blocks, axis=1, out=self._F)
         F *= self._spectrum
-        R = sfft.irfft(F, B, axis=1)
+        R = np.fft.irfft(F, B, axis=1, out=self._R)
         if out is None:
             out = np.empty(N)
         # columns before 2K of each block hold wrapped (circular) sums;

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .cauchy import Trajectory, _march
 from .errors import (CFLViolation, GradientOutOfRange, InvalidParams,
@@ -120,7 +121,7 @@ class Hamiltonian:
         edges = [0.0, min(1.0, S)]
         while edges[-1] < S:
             edges.append(min(2.0 * edges[-1], S))
-        nodes, gl_w = np.polynomial.legendre.leggauss(self._GL_NODES)
+        nodes, gl_w = leggauss(self._GL_NODES)
         ss, ww = [], []
         for lo, hi in zip(edges[:-1], edges[1:]):
             half = 0.5 * (hi - lo)

@@ -28,6 +28,7 @@ steady state.  The two differ only by the constant ln Z in log-scale,
 which is asymptotically irrelevant for front positions.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import (DomainError, InvalidParams, NoConvergence,
                      NonIntegrableTail)
-from .gridops import adaptive_integrate, first_doubling
+from .gridops import adaptive_integrate, first_doubling, invert_monotone
 
 
 @dataclass(frozen=True)
@@ -267,6 +268,14 @@ class Kernel:
     def J_hat(self, x):
         """Probability-normalized density J(x)/Z."""
         return self.J(x) / self.Z
+
+    @functools.cached_property
+    def interquartile(self):
+        """h0 with int_0^{h0} Jhat = 1/4 (half the mass of the right side),
+        computed on first use."""
+        return invert_monotone(
+            lambda h: adaptive_integrate(self.J_hat, 0.0, h) if h > 0 else 0.0,
+            0.25)
 
     def J_inv(self, v):
         """Inverse of J on [0, inf) for v in (0, 1]."""

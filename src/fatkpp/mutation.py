@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random     # numpy loads it on first use; keep that in the import
 
 from .cauchy import check_rate, run as cauchy_run
 from .errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
                      NotMutationEligible)
-from .gridops import (Field, adaptive_integrate, discretize_kernel,
-                      invert_monotone)
+from .gridops import Field, adaptive_integrate, discretize_kernel
 
 _FD_PAIRS = 10_000      # node pairs fd_condition samples
 _FD_SEED = 0            # fd_condition's fixed sampling seed
@@ -90,26 +90,28 @@ class MutationKernel:
         return 2.0 * val
 
 
-def interquartile(kernel):
-    """h0 with int_0^{h0} Jhat = 1/4 (half the mass of the right side)."""
-    return invert_monotone(
-        lambda h: adaptive_integrate(kernel.J_hat, 0.0, h) if h > 0 else 0.0,
-        0.25)
+def check_resolution(kernel, eps, grid):
+    """Refuse a grid too coarse for the rescaled kernel J_eps.
+
+    The density concentrates on a scale m_eps(h0), h0 the base kernel's
+    interquartile point; at least 4 cells must fit under it or the
+    sampled kernel would misrepresent the jump distribution entirely.
+    The scale grows with eps, so a grid that passes at min(eps) passes
+    at every eps.
+    """
+    h0 = kernel.interquartile
+    scale = abs(kernel.contract(h0, eps))
+    if grid.dx > scale / 4.0:
+        raise GridTooCoarse(
+            "dx = %g cannot resolve the rescaled kernel at eps = %g: need "
+            "dx <= m_eps(h0)/4 = %g (h0 = %g)"
+            % (grid.dx, eps, scale / 4.0, h0))
 
 
 def discretize_mutation_kernel(mk, grid):
-    """Sample J_eps on grid offsets, refusing unresolvable spikes.
-
-    The density concentrates on a scale m_eps(h0) (h0 the base kernel's
-    interquartile point); at least 4 cells must fit under it or the
-    sampled kernel would misrepresent the jump distribution entirely.
-    """
-    h0 = interquartile(mk.base)
-    scale = abs(mk.m(h0))
-    if grid.dx > scale / 4.0:
-        raise GridTooCoarse(
-            "dx = %g cannot resolve the rescaled kernel: need dx <= "
-            "m_eps(h0)/4 = %g (h0 = %g)" % (grid.dx, scale / 4.0, h0))
+    """Sample J_eps on grid offsets, refusing unresolvable spikes
+    (check_resolution)."""
+    check_resolution(mk.base, mk.eps, grid)
     return discretize_kernel(mk, grid)
 
 

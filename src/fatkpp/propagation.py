@@ -2,7 +2,7 @@
 
 The traveling quantity behind every check here is the logistic envelope
 
-    phi(t, x) = 1 / (1 + e^{-t} / J(x)) = expit(t - f(|x|)),
+    phi(t, x) = 1 / (1 + e^{-t} / J(x)) = 1 / (1 + e^{f(|x|) - t}),
 
 which solves the spatially-decoupled ODE family exactly and tracks the
 accelerating front of the full dynamics up to a multiplicative error
@@ -14,7 +14,6 @@ run through the kernel's space map Psi_eps (Kernel.dilate).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import GridMismatch, InvalidParams, OutOfDomain
 
@@ -40,7 +39,9 @@ def phi_envelope(kernel, t, x):
     """The logistic envelope phi(t,x), built on the unnormalized shape J."""
     if t < 0.0:
         raise InvalidParams("phi_envelope needs t >= 0")
-    return expit(t - kernel.f(np.abs(x)))
+    # e^{f - t} overflows to inf far out, where phi is 0 exactly
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(kernel.f(np.abs(x)) - t))
 
 
 def theta1(kernel, t):

@@ -338,6 +338,26 @@ def test_mutation_data_past_the_guard_is_refused_before_any_output(
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("grid, eps, message", [
+    ({"L": 30, "N": 16384}, [0.3, 0.2, 0.1, 0.05], "1.869e-04"),
+    ({"L": 50, "N": 8192}, [0.25, 0.2, 0.15, 0.1], "dx = 0.012207"),
+])
+def test_doomed_cross_validation_is_refused_before_any_output(
+        tmp_path, capsys, grid, eps, message):
+    """An edge density past the guard at the largest eps, and a grid too
+    coarse for the rescaled kernel at the smallest, are both known before
+    the first kernel is sampled."""
+    out = str(tmp_path / "out")
+    doc = {"experiment": "CrossValidate",
+           "kernel": {"family": "LogLinear", "beta": 3}, "grid": grid,
+           "solver": {"method": "Euler", "dt": 0.0025, "t_end": 0.25},
+           "analysis": {"eps": eps, "A": 0.25, "compact": [-1, 1]},
+           "output": {"directory": out}}
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_hj_writes_solution_and_zero_set(tmp_path):
     out = str(tmp_path / "out")
     doc = {"experiment": "HJ",
@@ -410,7 +430,7 @@ def test_cross_validate_snapshots_may_omit_t_end(tmp_path):
     assert [r["eps"] for r in rows] == [0.25, 0.125]
 
 
-def test_console_module_reports_usage_errors(tmp_path):
+def _child_env():
     # The child runs outside the checkout, so a relative PYTHONPATH (or
     # none, when the package is not installed) would not find fatkpp:
     # put the directory holding the imported package first.
@@ -418,8 +438,23 @@ def test_console_module_reports_usage_errors(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    return env
+
+
+def test_cli_imports_no_scipy(tmp_path):
+    """scipy is a test dependency only: importing the CLI loads none of
+    it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fatkpp.cli; print(sorted(m for m "
+         "in sys.modules if m == 'scipy' or m.startswith('scipy.')))"],
+        capture_output=True, text=True, cwd=str(tmp_path), env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_console_module_reports_usage_errors(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "fatkpp.cli"],
-        capture_output=True, text=True, cwd=str(tmp_path), env=env)
+        capture_output=True, text=True, cwd=str(tmp_path), env=_child_env())
     assert proc.returncode == 2
     assert "--config" in proc.stderr

@@ -132,7 +132,7 @@ def test_compact_shape_per_experiment():
     doc = {
         "experiment": "CrossValidate",
         "kernel": {"family": "LogLinear", "beta": 3},
-        "grid": {"L": 100, "N": 4096},
+        "grid": {"L": 100, "N": 32768},
         "solver": {"t_end": 1, "dt": 0.01},
         "analysis": {"eps": [0.1], "compact": [0, 5, 0, 1]},
     }
@@ -148,7 +148,7 @@ def test_mutation_dt_must_respect_eps():
     doc = {
         "experiment": "Mutation",
         "kernel": {"family": "LogLinear", "beta": 3},
-        "grid": {"L": 100, "N": 4096},
+        "grid": {"L": 100, "N": 32768},
         "solver": {"t_end": 1, "dt": 0.05},
         "analysis": {"eps": [0.1]},
     }
@@ -157,6 +157,48 @@ def test_mutation_dt_must_respect_eps():
     assert any("min(eps)" in s for s in ei.value.issues)
     doc["solver"]["dt"] = 0.01
     assert validate_config(doc).eps_list == (0.1,)
+
+
+def test_edge_density_is_checked_at_the_largest_eps():
+    """e^{-A f(L-dx)/eps} grows with eps, so the largest eps decides:
+    1.869e-04 at eps = 0.3 reaches the guard 1e-4 on this grid, and the
+    list without 0.3 passes (2.5e-06 at eps = 0.2)."""
+    doc = {
+        "experiment": "CrossValidate",
+        "kernel": {"family": "LogLinear", "beta": 3},
+        "grid": {"L": 30, "N": 16384},
+        "solver": {"method": "Euler", "dt": 0.0025, "t_end": 0.25},
+        "analysis": {"eps": [0.3, 0.2, 0.1, 0.05], "A": 0.25,
+                     "compact": [-1, 1]},
+    }
+    with pytest.raises(ValidationError) as ei:
+        validate_config(doc)
+    assert ei.value.issues == [
+        "grid.L: the initial edge density e^{-A f(L-dx)/eps} = 1.869e-04 "
+        "(A = 0.25, eps = 0.3) reaches solver.boundary_guard = 0.0001"]
+    doc["analysis"]["eps"] = [0.2, 0.1, 0.05]
+    assert validate_config(doc).eps_list == (0.2, 0.1, 0.05)
+
+
+def test_rescaled_kernel_resolution_is_checked_at_validation():
+    """dx = 0.0122 cannot hold four cells under m_0.1(h0) = 0.0353; the
+    refusal names the smallest eps, and twice the nodes pass."""
+    doc = {
+        "experiment": "CrossValidate",
+        "kernel": {"family": "LogLinear", "beta": 3},
+        "grid": {"L": 50, "N": 8192},
+        "solver": {"method": "Euler", "dt": 0.01, "t_end": 0.25},
+        "analysis": {"eps": [0.25, 0.2, 0.15, 0.1], "A": 0.25,
+                     "compact": [-1, 1]},
+    }
+    with pytest.raises(ValidationError) as ei:
+        validate_config(doc)
+    assert len(ei.value.issues) == 1
+    assert ei.value.issues[0].startswith(
+        "grid.N: dx = 0.012207 cannot resolve the rescaled kernel at "
+        "eps = 0.1")
+    doc["grid"]["N"] = 16384
+    assert validate_config(doc).grid.N == 16384
 
 
 def test_snapshot_count_expands_to_even_times():
@@ -247,7 +289,7 @@ def test_all_experiment_names_recognized():
     for name in EXPERIMENTS:
         doc = {"experiment": name,
                "kernel": {"family": "LogLinear", "beta": 3},
-               "grid": {"L": 100, "N": 4096},
+               "grid": {"L": 100, "N": 32768},
                "solver": {"t_end": 1, "dt": 0.01},
                "analysis": {"eps": [0.1], "compact": [-5, 5, 0, 1]}}
         if name == "CrossValidate":

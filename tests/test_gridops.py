@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from fatkpp.errors import (GridMismatch, InvalidParams, NoConvergence)
 from fatkpp.gridops import (DiscreteKernel, Field, Grid1D, adaptive_integrate,
-                            discretize_kernel, invert_monotone)
+                            discretize_kernel, fast_len, invert_monotone)
 from fatkpp.kernels import KernelSpec, build_kernel
 from fatkpp.propagation import phi_envelope
 
@@ -83,6 +83,44 @@ def test_quadrature_finite_interval():
 def test_quadrature_divergent_raises():
     with pytest.raises(NoConvergence):
         adaptive_integrate(lambda x: 1.0 / x, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("family,params", [
+    ("Polynomial", dict(alpha=4.0)),
+    ("Polynomial", dict(alpha=0.5)),
+    ("SubExponential", dict(alpha=0.5)),
+    ("LogLinear", dict(beta=3.0)),
+    ("LogLinear", dict(beta=1.7)),
+    ("PowerShift", dict(b=1.0, alpha=0.5)),
+    ("PowerShift", dict(b=0.3, alpha=0.5)),
+    ("Gaussian", dict(sigma=1.0)),
+])
+def test_kernel_mass_matches_quadpack(family, params):
+    """Z from the decade panels and certified tail cut agrees with
+    QUADPACK's QAGI (scipy.integrate.quad) on the whole half-line."""
+    from scipy.integrate import quad
+    k = build_kernel(KernelSpec(family, **params))
+    half, _ = quad(lambda h: math.exp(-k.f(h)), 0.0, math.inf,
+                   epsabs=0.0, epsrel=1e-13, limit=500)
+    assert abs(k.Z - 2.0 * half) <= 1e-11 * k.Z
+
+
+def test_quadrature_slow_tail_without_bound():
+    """No tail bound: h = (1 - s)/s leaves (1 + h)^{-1.2} an s^{-0.8}
+    singularity at s = 0, which bisection still integrates."""
+    val = adaptive_integrate(lambda h: (1.0 + h) ** -1.2, 0.0, math.inf,
+                             epsabs=1e-12, epsrel=1e-12)
+    assert abs(val - 5.0) <= 1e-10
+
+
+def test_quadrature_nan_integrand_raises():
+    with pytest.raises(NoConvergence):
+        adaptive_integrate(lambda x: math.nan, 0.0, 1.0)
+
+
+def test_invert_monotone_relative_tolerance():
+    root = invert_monotone(lambda x: x, 1e6)
+    assert abs(root - 1e6) <= 1e-10 * 1e6
 
 
 def test_invert_monotone_cubic():
@@ -185,6 +223,39 @@ def test_blocked_resolves_the_deep_tail(poly4, front_dk):
     phi = phi_envelope(poly4, 0.001, g.x)
     direct = np.convolve(phi, dk.samples)[dk.K:dk.K + g.N]
     assert np.max(np.abs(dk.apply(phi) - direct) / direct) <= 1e-4
+
+
+def test_fast_len_is_scipys_real_fast_length():
+    from scipy.fft import next_fast_len
+    assert [fast_len(n) for n in range(1, 5000)] == \
+        [next_fast_len(n, real=True) for n in range(1, 5000)]
+
+
+def _scipy_apply(dk, v):
+    """DiscreteKernel.apply's overlap-save, transformed by scipy.fft."""
+    from scipy import fft as sfft
+    K, N, B, nb = dk.K, dk.grid.N, dk._P, dk._nb
+    tile = N // nb
+    buf = np.zeros(N - tile + B)
+    buf[K:K + N] = v
+    blocks = np.lib.stride_tricks.sliding_window_view(buf, B)[::tile]
+    F = sfft.rfft(blocks, axis=1)
+    F *= sfft.rfft(dk.samples, B)
+    return sfft.irfft(F, B, axis=1)[:, 2 * K:2 * K + tile].ravel()
+
+
+@pytest.mark.parametrize("family, params, L, nb", [
+    ("Polynomial", dict(alpha=4.0), 1000.0, 8),
+    ("SubExponential", dict(alpha=0.5), 1000.0, 1),
+])
+def test_apply_is_bit_identical_to_scipy_fft(family, params, L, nb):
+    """numpy's pocketfft gives the same bits as scipy.fft on a blocked
+    kernel (the front workload's) and on a one-block kernel."""
+    k = build_kernel(KernelSpec(family, **params))
+    dk = discretize_kernel(k, Grid1D(L=L, N=2 ** 15))
+    assert dk._nb == nb
+    v = np.random.default_rng(5).uniform(0.0, 1.0, size=dk.grid.N)
+    assert np.array_equal(dk.apply(v), _scipy_apply(dk, v))
 
 
 @pytest.mark.parametrize("L, N, K, nb", [(1000.0, 2 ** 15, 4680, 1),

@@ -11,9 +11,9 @@ from fatkpp.errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
                            NotMutationEligible)
 from fatkpp.gridops import Field, Grid1D
 from fatkpp.kernels import KernelSpec, build_kernel
-from fatkpp.mutation import (MutationKernel, classify_limit_sets,
-                             discretize_mutation_kernel, fd_condition,
-                             growth_bound, interquartile,
+from fatkpp.mutation import (MutationKernel, check_resolution,
+                             classify_limit_sets, discretize_mutation_kernel,
+                             fd_condition, growth_bound,
                              mutation_initial_data, mutation_run)
 from fatkpp.propagation import potential_of
 
@@ -166,7 +166,7 @@ def test_pushforward_identity(loglin2):
 
 def test_interquartile_closed_form(loglin3):
     """(1/2)(1 - (1+h)^{-2}) = 1/4 at h = sqrt(2) - 1."""
-    assert abs(interquartile(loglin3) - (math.sqrt(2.0) - 1.0)) < 1e-8
+    assert abs(loglin3.interquartile - (math.sqrt(2.0) - 1.0)) < 1e-8
 
 
 def test_grid_too_coarse(loglin3):
@@ -178,6 +178,16 @@ def test_grid_too_coarse(loglin3):
     fine = Grid1D(L=50.0, N=2 ** 15)             # dx ~ 0.003
     dk = discretize_mutation_kernel(mk, fine)
     assert dk.samples.sum() == 1.0
+
+
+def test_resolution_rule_is_checked_at_the_smallest_eps(loglin3):
+    """m_eps(h0) grows with eps: a grid that resolves eps = 0.1 resolves
+    0.25, and one that fails 0.1 can still pass at 0.25."""
+    g = Grid1D(L=50.0, N=8192)                   # dx ~ 0.0122
+    check_resolution(loglin3, 0.25, g)
+    with pytest.raises(GridTooCoarse, match="eps = 0.1"):
+        check_resolution(loglin3, 0.1, g)
+    check_resolution(loglin3, 0.1, Grid1D(L=50.0, N=16384))
 
 
 def test_discrete_mutation_kernel_mass_defect(loglin3):

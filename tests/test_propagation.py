@@ -51,6 +51,19 @@ def test_phi_values(poly4):
         assert gap <= math.exp(poly4.f(x) - 100.0) + 1e-300
 
 
+def test_phi_is_the_logistic_without_overflow(poly4):
+    """phi is expit(t - f) to one rounding, and where t - f = -1000 it is
+    exactly 0 with no overflow warning."""
+    from scipy.special import expit
+    xs = np.linspace(-60.0, 60.0, 2001)
+    for t in (0.5, 5.0, 30.0):
+        np.testing.assert_allclose(phi_envelope(poly4, t, xs),
+                                   expit(t - poly4.f(xs)),
+                                   rtol=4e-16, atol=0.0)
+    with np.errstate(all="raise"):
+        assert phi_envelope(poly4, 2.0, poly4.f_inv(1002.0)) == 0.0
+
+
 def test_phi_is_even(poly4):
     xs = np.linspace(0.1, 50, 23)
     assert np.all(phi_envelope(poly4, 3.0, xs)
