@@ -180,7 +180,8 @@ def _rhs(dk, v, out, tmp):
 
 def _advance(dk, v, dt, method, rate, work):
     """One explicit step clamped to [0,1], written into work[0] (see
-    `_workspace`); returns (work[0], overshoot) and leaves v unmodified.
+    `_workspace`); returns (work[0], (overshoot, min, max)), the extrema
+    those of the clamped state, and leaves v unmodified.
 
     Each stage rounds as the textbook expressions do: Euler is
     v + (dt*r)*rhs(v), and RK4 is v + (dt/6)*(k1 + 2k2 + 2k3 + k4) with
@@ -214,12 +215,13 @@ def _advance(dk, v, dt, method, rate, work):
         out += k
         out *= dt / 6.0
     out += v
-    overshoot = max(float(out.max()) - 1.0, -float(out.min()), 0.0)
+    lo, hi = float(out.min()), float(out.max())
+    overshoot = max(hi - 1.0, -lo, 0.0)
     if overshoot > 1e-6:
         raise StabilityViolation("pre-clamp overshoot %.3e exceeds 1e-6"
                                  % overshoot)
     np.clip(out, 0.0, 1.0, out=out)
-    return out, overshoot
+    return out, (overshoot, min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
 
 
 def check_rate(dt, eps):
@@ -251,18 +253,21 @@ def run(kernel, config, n0, dk=None, eps=1.0):
     t0 = _time.perf_counter()
     rows = []                       # one row of MONITORS per observed state
     clamp_total = 0.0
+    extrema = None                  # (min, max) of the state last advanced
     work = _workspace(config.method, grid.N)
 
     def advance(v, h):
-        nonlocal clamp_total
-        out, overshoot = _advance(dk, v, h, config.method, rate, work)
+        nonlocal clamp_total, extrema
+        out, (overshoot, *extrema) = _advance(dk, v, h, config.method, rate,
+                                              work)
         work[0] = v                 # the old state takes the next result
         clamp_total += overshoot
         return out
 
     def observe(v, t):
         bd = max(float(v[0]), float(v[-1]))
-        rows.append((t, float(v.min()), float(v.max()), bd, clamp_total))
+        lo, hi = extrema or (float(v.min()), float(v.max()))
+        rows.append((t, lo, hi, bd, clamp_total))
         if bd >= config.boundary_guard:
             raise BoundaryContamination(
                 "boundary density %.3e reached the guard %.3e at t=%g"

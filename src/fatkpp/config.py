@@ -12,8 +12,8 @@ import json
 import math
 
 from .cauchy import SolverConfig, _is_num, check_rate
-from .errors import (GridTooCoarse, InvalidParams, IoError, ParseError,
-                     ValidationError)
+from .errors import (GridTooCoarse, InvalidParams, IoError, NoConvergence,
+                     ParseError, ValidationError)
 from .gridops import Grid1D
 from .kernels import KernelSpec, build_kernel
 from .mutation import check_resolution
@@ -168,7 +168,7 @@ def validate_config(raw):
                 kwargs = {key: float(v) for key, v in kwargs.items()}
                 try:
                     kernel = build_kernel(KernelSpec(family=family, **kwargs))
-                except InvalidParams as exc:
+                except (InvalidParams, NoConvergence) as exc:
                     issues.append("kernel: %s" % exc)
 
     # ---- grid ----

@@ -318,7 +318,8 @@ class Kernel:
         R = float(R)
         if R <= 0.0:
             return math.inf
-        d = lam * R * float(self._fpr(np.asarray(R))) - 1.0
+        with np.errstate(over="ignore"):    # R**2 overflows past 1e154
+            d = lam * R * float(self._fpr(np.asarray(R))) - 1.0
         if d <= 1e-12:
             return math.inf
         return -lam * float(self._fr(np.asarray(R))) + math.log(R) \

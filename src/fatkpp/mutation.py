@@ -61,11 +61,16 @@ class MutationKernel:
         return self.base.contract(h, self.eps)
 
     def J_hat(self, h):
-        """Normalized density of the rescaled jumps."""
+        """Normalized density of the rescaled jumps; 0 where exp(-f/eps)
+        underflows (further out, dilate would overflow)."""
         k, eps = self.base, self.eps
         a = np.abs(np.asarray(h, dtype=float))
-        out = (k.f_prime(a) / k.f_prime(k.dilate(a, eps))
-               * np.exp(-k.f(a) / eps)) / (k.Z * eps)
+        w = np.exp(-k.f(a) / eps)
+        live = w > 0.0
+        b = a[live]
+        out = np.zeros(np.shape(a))
+        out[live] = (k.f_prime(b) / k.f_prime(k.dilate(b, eps))
+                     * w[live]) / (k.Z * eps)
         return out if np.ndim(out) else float(out)
 
     def tail_bound(self, R):

@@ -1,16 +1,23 @@
 """CSV, manifest, and SVG writers.
 
-Data files are deterministic: floats print with 17 significant digits
-(so they re-parse to the exact same float64), rows keep grid order, and
-no timestamps appear anywhere except run.json.  CSV rows are formatted
-in chunks of rows, each chunk by one %-template of per-column formats.
+Data files are deterministic: floats print as "%.17g" prints them (17
+significant digits, so they re-parse to the exact same float64), rows
+keep grid order, and no timestamps appear anywhere except run.json.
+
+CSV cells are rendered by numpy a chunk of rows at a time, each cell a
+row of a byte matrix padded with NUL bytes; joining a chunk's rows drops
+the pads.  A float's 17 digits come from |v| * 10**(16 - E), formed in
+double-double arithmetic from an exact table of powers of ten and then
+rounded.  Python's "%.17g" renders the cells whose rounding that product
+cannot certify (fraction within 1e-7 of one half), subnormals and |v|
+outside [1e-280, 1e280].
 Columns that several files or time blocks share (a snapshot set's x, a
-long table's t and x) are rendered once per write and spliced into the
-templates as text.  SVG output follows the same rules, so a repeated
-run produces byte-identical files.
+long table's t and x) are rendered once per write.  SVG output follows
+the same rules, so a repeated run produces byte-identical files.
 """
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -22,10 +29,8 @@ import numpy as np
 from .errors import IoError
 from .propagation import potential_of
 
-FLOAT_FMT = "%.17g"
-# cell formats by dtype kind; write_csv refuses columns of any other kind
-_FORMATS = {"f": FLOAT_FMT, "i": "%d", "u": "%d", "b": "%d", "U": "%s"}
-_CHUNK = 2048       # rows per template; longer chunks only add memory
+_KINDS = "fiubU"    # dtype kinds with a cell rule; write_csv refuses others
+_CHUNK = 2048       # rows per rendered chunk; longer chunks only add memory
 write_s = 0.0       # seconds spent writing files, CSV formatting included
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
@@ -41,70 +46,214 @@ def _timed():
     write_s += time.perf_counter() - t0
 
 
-def _write_lines(path, lines):
-    """Write an iterable of text lines; OS failures raise IoError."""
+def _write_lines(path, lines, mode="w"):
+    """Write an iterable of text lines (bytes with mode "wb"); OS failures
+    raise IoError."""
     with _timed():
         try:
-            with open(path, "w", newline="\n") as fh:
+            with open(path, mode, newline=None if "b" in mode else "\n") as fh:
                 fh.writelines(lines)
         except OSError as exc:
             raise IoError("cannot write %s: %s" % (path, exc))
     return path
 
 
-class Column:
-    """A column in consecutive blocks of rows (one per time in a long
-    table).  A block is an array of cells, a _render list (cells as text,
-    a line each, a string per _CHUNK rows; one such column per table) or
-    a str (one rendered cell on every row).  Text is copied verbatim."""
-
-    def __init__(self, blocks, rows):
-        self.blocks = [b if isinstance(b, (list, str)) else np.asarray(b)
-                       for b in blocks]
-        self.rows = list(rows)
-
-    def __len__(self):
-        return sum(self.rows)
+# A float cell is a column of 29 byte slots: the sign, "0.000" (shown in
+# part for 1e-5 <= |v| < 1), 18 slots for the 17 digits and the point,
+# then "e", the exponent's sign and three exponent digits.  Unused slots
+# hold NUL.
+_WIDTH = 29
+_KMAX = 300                                     # exponents -300..300
+_J = np.arange(18, dtype=np.uint8)[:, None]     # digit and point slots
+_SPECIAL = np.zeros((_WIDTH, 3), np.uint8)      # "0", "nan", "inf"
+_SPECIAL[6:9] = np.frombuffer(b"0\0\0naninf", np.uint8).reshape(3, 3).T
 
 
-def _chunks(columns):
-    """The rows of Columns with equal blocks as text, a string per chunk."""
-    for b, size in enumerate(columns[0].rows if columns else ()):
-        blocks = [c.blocks[b] for c in columns]
-        text = [x for x in blocks if isinstance(x, list)]
-        row = ",".join("\0" if isinstance(x, list)   # the rendered lines
-                       else x.replace("%", "%%") if isinstance(x, str)
-                       else _FORMATS[x.dtype.kind] for x in blocks)
-        pre, _, post = (row + "\n").partition("\0")
-        for j, lo in enumerate(range(0, size, _CHUNK)):
-            lines = text[0][j] if text else "\n" * min(_CHUNK, size - lo)
-            # each line becomes pre + cell + post; the last pre is cut
-            tpl = pre + lines.replace("%", "%%").replace("\n", post + pre)
-            cells = [x[lo:lo + _CHUNK].tolist() for x in blocks
-                     if isinstance(x, np.ndarray)]
-            yield (tpl[:len(tpl) - len(pre)]
-                   % tuple(itertools.chain.from_iterable(zip(*cells))))
+@functools.lru_cache(maxsize=None)
+def _tables():
+    """Tables over the decimal exponent k = -_KMAX.._KMAX, built on first
+    use.  Floats: hi, the double nearest 10**k; lo, the double nearest
+    10**k - hi; hi's two 26-bit halves; the least double >= 10**k.
+    Bytes for a value of exponent k: the digits before the point, the
+    digits always shown, and the slots "0.000" and "e+ddd"."""
+    num = np.empty((5, 2 * _KMAX + 1))
+    for i, k in enumerate(range(-_KMAX, _KMAX + 1)):
+        top, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        m, n = (top / den).as_integer_ratio()    # int / int rounds exactly
+        num[:2, i] = m / n, (top * n - m * den) / (den * n)
+    c = 134217729.0 * num[0]                    # Dekker's split
+    num[2] = c - (c - num[0])
+    num[3] = num[0] - num[2]
+    num[4] = np.where(num[1] > 0, np.nextafter(num[0], np.inf), num[0])
+    k = np.arange(-_KMAX, _KMAX + 1)
+    fixed, ak = (k >= -4) & (k < 17), np.abs(k)   # else exponent form
+    ints, small, ex = fixed & (k >= 0), fixed & (k < 0), ~fixed
+    form = np.array([
+        np.where(ints, k + 1, np.where(fixed, 18, 1)), ints * (k + 1),
+        small * 48, small * 46, (small & (k <= -2)) * 48,
+        (small & (k <= -3)) * 48, (small & (k <= -4)) * 48,
+        ex * 101, ex * np.where(k < 0, 45, 43),
+        (ex & (ak >= 100)) * (48 + ak // 100),
+        ex * (48 + ak // 10 % 10), ex * (48 + ak % 10)], np.uint8)
+    return num, form
+
+
+def _put(cells, where, texts):
+    """Write Python-formatted texts into the chosen columns of a slot
+    matrix."""
+    cells[:, where] = np.array(texts, dtype="S%d" % _WIDTH).view(
+        np.uint8).reshape(-1, _WIDTH).T
+
+
+def _float_cells(v):
+    """The "%.17g" texts of a float64 vector as a (29, n) slot matrix."""
+    num, form = _tables()
+    a = np.abs(v)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a[~fast] = 1.0
+    # E = floor(log10 a): the estimate is never low, one exact test fixes it
+    e = np.floor(np.log10(a) + 1e-10).astype(np.int16) + _KMAX
+    e -= a < num[4].take(e)
+    # a * 10**(16 - E) in [1e16, 1e17) as p + r, p an integer: with a
+    # split in 26 and 27 bits every partial product is exact
+    hi, lo, hh, hl = num[:4].take((16 + 2 * _KMAX) - e, axis=1)
+    p = a * hi
+    ah = (a.view(np.uint64) & ~np.uint64(2 ** 27 - 1)).view(np.float64)
+    al = a - ah
+    r = ((ah * hh - p) + ah * hl + al * hh) + al * hl
+    r += a * lo
+    f = np.floor(r)
+    r -= f
+    unsure = np.abs(r - 0.5) < 1e-7
+    d = p.astype(np.int64) + (f + (r > 0.5)).astype(np.int64)
+    carry = d == 10 ** 17                       # rounded up to 10**(E+1)
+    d[carry] = 10 ** 16
+    e += carry
+    # the digits: buf[1:19] holds d // 10**9 and d % 10**9 as nine-digit
+    # groups (the first digit a zero), between two NUL rows
+    buf = np.zeros((20, len(v)), np.uint8)
+    groups = np.empty((2, len(v)), np.uint32)
+    groups[0] = d // 10 ** 9
+    groups[1] = d - groups[0] * np.int64(10 ** 9)
+    digits = buf[1:19].reshape(2, 9, len(v))
+    for row in range(8, -1, -1):
+        q = groups // 10
+        np.subtract(groups, q * 10, out=digits[:, row], casting="unsafe")
+        groups = q
+    kept = ((buf[2:19] != 0) * _J[1:]).max(axis=0)     # no trailing zeros
+    buf[2:19] += 48
+    form = form.take(e, axis=1)
+    point, shown = form[0], np.maximum(kept, form[1])
+    # slot j < point holds digit j, slot point the ".", digit j - 1 after
+    cells = np.empty((_WIDTH, len(v)), np.uint8)
+    cells[0] = np.signbit(v) * np.uint8(45)
+    cells[1:6] = form[2:7]
+    body = cells[6:24]
+    np.subtract(buf[2:], buf[1:19], out=body)
+    body *= _J < point
+    body += buf[1:19]
+    body += (_J == point) * (46 - buf[1:19])
+    body *= _J < shown + (shown > point)
+    cells[24:] = form[7:]
+    if not fast.all():
+        odd = v[~fast]
+        special = (odd == 0) | ~np.isfinite(odd)
+        kind = np.where(odd[special] == 0, 0, 2 - np.isnan(odd[special]))
+        at = np.flatnonzero(~fast)[special]
+        cells[1:, at] = _SPECIAL[1:, kind]
+        cells[0, at] *= kind != 1                   # nan has no sign
+        unsure[~fast] = ~special
+    if unsure.any():
+        _put(cells, unsure, [b"%.17g" % x for x in v[unsure].tolist()])
+    return cells
+
+
+def _int_cells(values):
+    """The "%d" texts of an integer or bool vector as a (1 + digits, n)
+    slot matrix."""
+    if values.dtype.kind == "u":
+        m = values.astype(np.uint64)
+    else:           # abs(-2**63) wraps to -2**63, which is 2**63 unsigned
+        m = np.abs(values.astype(np.int64)).view(np.uint64)
+    width = len(str(int(m.max(initial=0))))
+    cells = np.empty((1 + width, len(m)), np.uint8)
+    cells[0] = (values < 0) * np.uint8(45)
+    for row in range(width, 0, -1):         # no leading zeros
+        q = m // 10
+        cells[row] = (m - q * 10 + 48) * ((m > 0) | (row == width))
+        m = q
+    return cells
+
+
+def _cells(values):
+    """A column's cells as an (n, width) byte matrix padded with NUL:
+    floats as "%.17g", integers and bools as "%d", strings in UTF-8 (four
+    bytes a character, so every chunk of a column is as wide)."""
+    if values.dtype.kind == "f":
+        return _float_cells(values.astype(np.float64)).T
+    if values.dtype.kind != "U":
+        return _int_cells(values).T
+    cells = np.zeros((len(values), values.itemsize), np.uint8)
+    codes = np.ascontiguousarray(values).view(np.uint32).reshape(
+        len(values), values.itemsize // 4)
+    if codes.max(initial=0) < 128:
+        cells[:, :codes.shape[1]] = codes
+    else:
+        text = np.char.encode(values, "utf-8")
+        cells[:, :text.itemsize] = text.view(np.uint8).reshape(
+            len(values), text.itemsize)
+    return cells
 
 
 def _render(values):
-    """A column's cells as Column text, formatted as write_csv would."""
-    return list(_chunks([Column([np.asarray(values)], [len(values)])]))
+    """A whole column's cells as one byte matrix, a chunk at a time, less
+    the slots that no cell uses."""
+    values = np.asarray(values)
+    cells = np.concatenate([_cells(values[lo:lo + _CHUNK]) for lo in range(
+        0, len(values), _CHUNK)] or [_cells(values)])
+    return cells[:, cells.any(axis=0)]
+
+
+class Column:
+    """A column in consecutive blocks of rows (one per time in a long
+    table).  A block is an array of cells or, two-dimensional, a byte
+    matrix of rendered cells (from _render, a row per cell)."""
+
+    def __init__(self, blocks):
+        self.blocks = [np.asarray(b) for b in blocks]
+
+    def __len__(self):
+        return sum(map(len, self.blocks))
+
+
+def _chunks(columns):
+    """The rows of Columns with equal blocks as CSV bytes, a string per
+    chunk of rows."""
+    for block in zip(*(c.blocks for c in columns)):
+        for lo in range(0, len(block[0]), _CHUNK):
+            cells = [b[lo:lo + _CHUNK] if b.ndim == 2 else
+                     _cells(b[lo:lo + _CHUNK]) for b in block]
+            ends = np.cumsum([c.shape[1] + 1 for c in cells])
+            rows = np.empty((len(cells[0]), ends[-1]), np.uint8)
+            for c, end in zip(cells, ends):
+                rows[:, end - 1 - c.shape[1]:end - 1] = c
+            rows[:, ends - 1] = [44] * (len(ends) - 1) + [10]   # "," "\n"
+            yield rows.tobytes().translate(None, b"\0")
 
 
 def write_csv(path, header, columns):
     """Write equal-length columns (cells or Columns) under a header."""
-    columns = [c if isinstance(c, Column) else
-               Column([np.asarray(c)], [len(c)]) for c in columns]
+    columns = [c if isinstance(c, Column) else Column([c]) for c in columns]
     for c in columns:
-        if c.rows != columns[0].rows:
-            raise IoError("column lengths disagree: %s vs %s"
-                          % (c.rows, columns[0].rows))
+        sizes = [list(map(len, x.blocks)) for x in (c, columns[0])]
+        if sizes[0] != sizes[1]:
+            raise IoError("column lengths disagree: %s vs %s" % tuple(sizes))
         for b in c.blocks:
-            if isinstance(b, np.ndarray) and b.dtype.kind not in _FORMATS:
+            if b.ndim == 1 and b.dtype.kind not in _KINDS:
                 raise IoError("cannot write %s: no cell format for dtype %s"
                               % (path, b.dtype))
     return _write_lines(path, itertools.chain(
-        [",".join(header) + "\n"], _chunks(columns)))
+        [(",".join(header) + "\n").encode()], _chunks(columns)), "wb")
 
 
 def write_rows(path, header, rows):
@@ -117,7 +266,7 @@ def write_snapshots(outdir, run, stride=1):
     """snapshot_t<time>.csv per snapshot, x rendered once; returns paths."""
     x = run.grid.x[::stride]
     with _timed():
-        xs = Column([_render(x)], [len(x)])
+        xs = _render(x)
     return [write_csv(os.path.join(outdir, "snapshot_t%g.csv" % t),
                       ("x", "n"), (xs, fld.values[::stride]))
             for t, fld in run.snapshots]
@@ -157,13 +306,13 @@ def write_long_csv(path, names, xs, rows):
     the order of names; rows keep time order, then x order.  The x column
     is rendered once, each t once per time block.
     """
-    sizes = [len(xs)] * len(rows)
     with _timed():
-        ts = "".join(_render([t for t, _ in rows])).split("\n")[:-1]
-        x_text = _render(xs)
+        ts = _render([t for t, _ in rows])
+        x_cells = _render(xs)
     return write_csv(path, ("t", "x") + tuple(names), [
-        Column(ts, sizes), Column([x_text] * len(rows), sizes)] + [
-        Column(col, map(len, col)) for col in zip(*(v for _, v in rows))])
+        Column(np.broadcast_to(t, (len(xs), t.size)) for t in ts),
+        Column([x_cells] * len(rows))] + [
+        Column(col) for col in zip(*(v for _, v in rows))])
 
 
 def write_hopfcole_csv(outdir, hc):

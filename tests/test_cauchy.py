@@ -144,8 +144,9 @@ def test_step_in_buffers_is_bit_identical(setup, method, rate):
     v = r.snapshots[-1][1].values
     v0 = v.copy()
     work = _workspace(method, g.N)
-    got, _ = _advance(dk, v, 0.1, method, rate, work)
+    got, (_, lo, hi) = _advance(dk, v, 0.1, method, rate, work)
     assert got is work[0]
+    assert (lo, hi) == (got.min(), got.max())
     assert np.array_equal(got, _allocating_step(dk, v0, 0.1, method,
                                                 rate))
     assert np.array_equal(v, v0)

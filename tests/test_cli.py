@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -44,6 +45,21 @@ def test_invalid_config_lists_issues_and_exits_2(tmp_path, capsys):
     assert main(["--config", _cfg(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert "invalid config" in err and "alpha" in err
+
+
+def test_kernel_without_a_tail_bound_is_a_config_issue(tmp_path, capsys):
+    """alpha = 0.05 (mu = 1.05) is admissible, but no radius up to 1e300
+    bounds its tail within the quadrature budget: building the kernel
+    fails, and validation reports that as a kernel issue, warning-free."""
+    doc = {"experiment": "KernelValidate",
+           "kernel": {"family": "Polynomial", "alpha": 0.05}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", _cfg(tmp_path, doc),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "kernel: fitting the tail bound" in err
+    assert "Traceback" not in err
 
 
 def test_kernel_validate_writes_the_report(tmp_path):

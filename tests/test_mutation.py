@@ -1,6 +1,7 @@
 """Rescaled kernels: jump map, pushforward identities, rescaled runs."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,17 @@ def test_density_eps_one_is_base(loglin2, powershift):
         np.testing.assert_array_equal(mk.J_hat(hs), k.J_hat(hs))
         for R in hs[1:]:
             assert mk.tail_bound(R) == k.tail_bound(R)
+
+
+def test_density_vanishes_far_out_without_warnings(loglin3):
+    """Past where exp(-f/eps) underflows, dilate would overflow; J_hat is
+    0 there, for scalars and inside arrays, and warns of nothing."""
+    mk = MutationKernel(loglin3, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mk.J_hat(1e25) == 0.0 and mk.J_hat(1e31) == 0.0
+        got = mk.J_hat(np.array([1.0, 1e31, -1e300]))
+    np.testing.assert_array_equal(got, [mk.J_hat(1.0), 0.0, 0.0])
 
 
 def test_density_origin_limit(loglin2):

@@ -88,6 +88,70 @@ def test_csv_matches_per_cell_formatting_across_chunks(tmp_path, n):
     assert open(path, "rb").read() == want.encode()
 
 
+def _column_bytes(tmp_path, values, fmt="%.17g"):
+    """The bytes write_csv gives a one-column table, and those of
+    formatting each cell by fmt."""
+    path = write_csv(str(tmp_path / "a.csv"), ("v",), (values,))
+    want = "v\n" + "".join(fmt % v + "\n" for v in values.tolist())
+    return open(path, "rb").read(), want.encode()
+
+
+def test_floats_match_percent_g_on_random_bit_patterns(tmp_path):
+    """2**20 doubles from random bits: every exponent, subnormals, nan
+    payloads and both signs."""
+    bits = np.random.default_rng(17).integers(0, 2 ** 64, 2 ** 20,
+                                              dtype=np.uint64)
+    got, want = _column_bytes(tmp_path, bits.view(np.float64))
+    assert got == want
+
+
+def test_floats_match_percent_g_at_powers_of_ten(tmp_path):
+    """Every 10**k from 1e-300 to 1e300, its neighbours one ulp away and
+    their negatives: the exponent is fixed from the exact value."""
+    p = np.array([float("1e%d" % k) for k in range(-300, 301)])
+    p = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    got, want = _column_bytes(tmp_path, np.concatenate([p, -p]))
+    assert got == want
+
+
+@pytest.mark.parametrize("values", [
+    [1e15 + 0.25, 1e15 + 0.75, 2.5, 0.5, 0.125],              # ties
+    [99999999999999999.0, 9.9999999999999999e22, 0.99999999999999999]
+    + [np.nextafter(float("1e%d" % k), 0.0) for k in range(-307, 309)],
+    [1e16, 31965997121011360.0, 1e17, 1e22, 123456789e8],   # trailing 0s
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+     1.7976931348623157e308, -1.7976931348623157e308, float("nan"),
+     -float("nan"), float("inf"), -float("inf")],            # specials
+    [1e-5, 1e-4, 0.1, 1e16, 12345678901234567.0, 1e-280, 1e280,
+     9.9999999999999996e-281, 1.0000000000000001e280],      # form edges
+], ids=["ties", "decade-round-up", "trailing-zeros", "specials", "edges"])
+def test_floats_match_percent_g_at_edge_cases(tmp_path, values):
+    got, want = _column_bytes(tmp_path, np.array(values))
+    assert got == want
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0, 1, -1, 2 ** 53, -2 ** 53, 2 ** 53 + 1, -2 ** 53 - 1,
+              10 ** 17, 2 ** 63 - 1, -2 ** 63]),
+    np.array([0, 2 ** 53 + 1, 2 ** 64 - 1], dtype=np.uint64),
+    np.array([-7, 0, 7], dtype=np.int8),
+    np.array([True, False]),
+], ids=["int64", "uint64", "int8", "bool"])
+def test_integers_match_percent_d(tmp_path, values):
+    got, want = _column_bytes(tmp_path, values, "%d")
+    assert got == want
+
+
+def test_strings_are_utf8_in_every_chunk(tmp_path):
+    """ASCII and wider characters, in a column rendered once and in one
+    rendered a chunk at a time, with chunks of either kind."""
+    cells = np.array(["a"] * _CHUNK + ["\u00e9", "\u03a9\u20ac", ""])
+    path = write_csv(str(tmp_path / "a.csv"), ("c", "d"),
+                     (Column([_render(cells)]), cells))
+    want = "c,d\n" + "".join("%s,%s\n" % (c, c) for c in cells)
+    assert open(path, "rb").read() == want.encode("utf-8")
+
+
 _SPECIAL = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]
 
 
@@ -152,13 +216,13 @@ def test_long_csv_matches_per_cell_formatting(tmp_path, rows, stride,
 
 
 def test_csv_copies_rendered_text_verbatim(tmp_path):
-    """Rendered cells, a column's lines or one cell for a whole block,
+    """Rendered cells, a column's matrix or one cell for a whole block,
     are copied as they are, '%' included, wherever the column sits."""
     cells = np.array(["%", "%s", "a%%b", "%d"] * (_CHUNK // 2 + 1))
     n = len(cells)
     path = write_csv(str(tmp_path / "a.csv"), ("v", "c", "k", "w"), (
-        np.arange(n), Column([_render(cells)], [n]),
-        Column(["%s"], [n]), np.full(n, 0.5)))
+        np.arange(n), Column([_render(cells)]),
+        Column([np.broadcast_to(_render(["%s"]), (n, 2))]), np.full(n, 0.5)))
     want = "v,c,k,w\n" + "".join(
         "%d,%s,%%s,0.5\n" % (i, c) for i, c in enumerate(cells))
     assert open(path, "rb").read() == want.encode()
