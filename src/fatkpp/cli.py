@@ -3,7 +3,8 @@
     fatkpp --config <path> [--out <dir>] [--quiet]
 
 One experiment per invocation, named in the JSON config.  Exit codes:
-0 success, 2 config or parameter validation failure, 3 runtime abort
+0 success, 2 config or parameter validation failure (a config key the
+experiment does not read is one), 3 runtime abort
 (boundary contamination, stability or gradient-range violations), 4
 output I/O failure.  A contaminated simulation still writes whatever
 snapshots it reached plus run.json with the abort flag set.

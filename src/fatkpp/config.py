@@ -18,27 +18,40 @@ from .gridops import Grid1D
 from .kernels import KernelSpec, build_kernel
 from .mutation import check_resolution
 
-EXPERIMENTS = ("KernelValidate", "Simulate", "Front", "HopfCole",
-               "Mutation", "HJ", "Hamiltonian", "CrossValidate")
+# The config keys each experiment reads, besides the kernel block that
+# all of them read, with the other facts that differ by experiment: the
+# entries its analysis.compact window has, whether it steps rescaled runs
+# at rate 1/eps, and whether its A must also stay below p_max =
+# f'(0) (1 - 1/mu), where the kappa envelope converges.  A key outside an
+# experiment's row is refused: its run would ignore it.
+_GRID = ("grid.L", "grid.N")
+_TIMES = ("solver.t_end", "solver.snapshots", "solver.snapshot_count")
+_STEPS = _GRID + _TIMES + ("solver.dt", "solver.method",
+                           "solver.boundary_guard")
+_OUT = ("output.directory", "output.plot", "output.stride")
+_CAUCHY = _STEPS + ("solver.C",) + _OUT
+_RESCALED = _STEPS + ("analysis.eps", "analysis.A") + _OUT
+READS = {   # experiment: (keys, compact entries, rate 1/eps, A < p_max)
+    "KernelValidate": (("output.directory",), None, False, False),
+    "Simulate": (_CAUCHY, None, False, False),
+    "Front": (_CAUCHY + ("analysis.levels",), None, False, False),
+    "HopfCole": (_CAUCHY + ("analysis.eps", "analysis.compact"), 4, False,
+                 False),
+    "Mutation": (_RESCALED, None, True, False),
+    "HJ": (_GRID + _TIMES + ("analysis.A",) + _OUT, None, False, True),
+    "Hamiltonian": (("analysis.A", "output.directory", "output.plot"), None,
+                    False, True),
+    "CrossValidate": (_RESCALED + ("analysis.compact",), 2, True, False),
+}
+EXPERIMENTS = tuple(READS)
 
-# Blocks each experiment actually reads, beyond the always-required
-# kernel block.  Listed analysis keys are required; the rest default.
-_NEEDS_GRID = {"Simulate", "Front", "HopfCole", "Mutation", "HJ",
-               "CrossValidate"}
-_NEEDS_EPS = {"HopfCole", "Mutation", "CrossValidate"}
-_NEEDS_COMPACT = {"HopfCole": 4, "CrossValidate": 2}
-_NEEDS_ELIGIBLE = {"Mutation", "HJ", "Hamiltonian", "CrossValidate"}
-_RESCALED = {"Mutation", "CrossValidate"}  # they step runs at rate 1/eps
-_NEEDS_KAPPA = {"HJ", "Hamiltonian"}   # their envelope needs A < p_max
-
-_KERNEL_KEYS = {"family", "alpha", "beta", "b", "sigma"}
-_GRID_KEYS = {"L", "N"}
-_SOLVER_KEYS = {"dt", "t_end", "snapshots", "snapshot_count", "method",
-                "C", "boundary_guard"}
-_ANALYSIS_KEYS = {"levels", "eps", "A", "compact"}
-_OUTPUT_KEYS = {"directory", "plot", "stride"}
-_TOP_KEYS = {"experiment", "kernel", "grid", "solver", "analysis",
-             "output"}
+_KERNEL = {"kernel.family", "kernel.alpha", "kernel.beta", "kernel.b",
+           "kernel.sigma"}
+_KNOWN = _KERNEL.union(*(keys for keys, *_ in READS.values()))
+# keys without a default: an experiment that reads one needs it
+_REQUIRED = ("kernel.family", "grid.L", "grid.N", "solver.t_end",
+             "analysis.eps", "analysis.compact")
+_BLOCKS = ("kernel", "grid", "solver", "analysis", "output")
 
 
 class RunConfig:
@@ -91,20 +104,6 @@ def parse_config(path):
     return validate_config(raw)
 
 
-def _block(raw, name, allowed, issues, needed_by=None):
-    """raw[name] with its unknown keys reported; {} when it is absent or
-    not an object, which is an issue when experiment needed_by needs it."""
-    v = raw.get(name)
-    if v is not None and not isinstance(v, dict):
-        issues.append("%s: must be an object" % name)
-    v = v if isinstance(v, dict) else {}
-    for key in sorted(set(v) - allowed):
-        issues.append("%s.%s: unknown key" % (name, key))
-    if needed_by and not v:
-        issues.append("%s: block is required for %s" % (name, needed_by))
-    return v
-
-
 def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -139,73 +138,75 @@ def _shared_labels(values):
 def validate_config(raw):
     """Check a parsed config dict and return the filled-in RunConfig."""
     issues = []
-    for key in sorted(set(raw) - _TOP_KEYS):
-        issues.append("%s: unknown top-level key" % key)
-
     experiment = raw.get("experiment")
     if experiment not in EXPERIMENTS:
         issues.append("experiment: must be one of %s, got %r"
                       % (", ".join(EXPERIMENTS), experiment))
         experiment = None
+    reads, want, rescaled, kappa = READS.get(experiment,
+                                             ((), None, False, False))
+    # an unknown experiment is checked against the keys any experiment reads
+    allowed = _KERNEL.union(reads) if experiment else _KNOWN
 
-    # ---- kernel (required for every experiment) ----
-    kernel = None
-    kb = raw.get("kernel")
-    if not isinstance(kb, dict):
-        issues.append("kernel: block is required and must be an object")
-    else:
-        for key in sorted(set(kb) - _KERNEL_KEYS):
-            issues.append("kernel.%s: unknown key" % key)
-        family = kb.get("family")
-        if not isinstance(family, str):
-            issues.append("kernel.family: must be a string")
+    blocks = {}
+    for name in sorted(set(raw) - {"experiment"}):
+        if name not in _BLOCKS:
+            issues.append("%s: unknown top-level key" % name)
+        elif not isinstance(raw[name], dict):
+            issues.append("%s: must be an object" % name)
         else:
-            kwargs = {key: kb[key] for key in ("alpha", "beta", "b", "sigma")
-                      if key in kb}
-            bad = [key for key, v in kwargs.items() if not _is_num(v)]
-            issues.extend("kernel.%s: must be a number" % key for key in bad)
-            if not bad:
-                kwargs = {key: float(v) for key, v in kwargs.items()}
-                try:
-                    kernel = build_kernel(KernelSpec(family=family, **kwargs))
-                except (InvalidParams, NoConvergence) as exc:
-                    issues.append("kernel: %s" % exc)
+            blocks[name] = raw[name]
+            for key in sorted("%s.%s" % (name, k) for k in raw[name]):
+                if key not in _KNOWN:
+                    issues.append("%s: unknown key" % key)
+                elif key not in allowed:
+                    issues.append("%s: not read by %s" % (key, experiment))
+    for key in _REQUIRED:
+        name, k = key.split(".")
+        if (key in _KERNEL or key in reads) and k not in blocks.get(name, {}):
+            issues.append("%s: required for %s"
+                          % (key, experiment or "every experiment"))
+    kb, gb, sb, ab, ob = (blocks.get(name, {}) for name in _BLOCKS)
+
+    # ---- kernel ----
+    kernel = None
+    family = _take(kb, "kernel", "family", lambda v: isinstance(v, str),
+                   "must be a string", issues)
+    if family is not None:
+        kwargs = {key: kb[key] for key in ("alpha", "beta", "b", "sigma")
+                  if key in kb}
+        bad = [key for key, v in kwargs.items() if not _is_num(v)]
+        issues.extend("kernel.%s: must be a number" % key for key in bad)
+        if not bad:
+            kwargs = {key: float(v) for key, v in kwargs.items()}
+            try:
+                kernel = build_kernel(KernelSpec(family=family, **kwargs))
+            except (InvalidParams, NoConvergence) as exc:
+                issues.append("kernel: %s" % exc)
 
     # ---- grid ----
     grid = None
-    needed_by = experiment if experiment in _NEEDS_GRID else None
-    gb = _block(raw, "grid", _GRID_KEYS, issues, needed_by)
-    if gb:
-        L = gb.get("L")
-        N = gb.get("N")
-        if not _is_num(L):
-            issues.append("grid.L: must be a number")
-        elif not _is_int(N):
-            issues.append("grid.N: must be an integer")
-        else:
-            try:
-                grid = Grid1D(float(L), N)
-            except InvalidParams as exc:
-                issues.append("grid: %s" % exc)
+    L = _take(gb, "grid", "L", _is_num, "must be a number", issues)
+    N = _take(gb, "grid", "N", _is_int, "must be an integer", issues)
+    if L is not None and N is not None:
+        try:
+            grid = Grid1D(float(L), N)
+        except InvalidParams as exc:
+            issues.append("grid: %s" % exc)
 
     # ---- analysis (validated before solver so eps can gate dt) ----
-    ab = _block(raw, "analysis", _ANALYSIS_KEYS, issues)
-
     levels = tuple(float(c) for c in _take(
         ab, "analysis", "levels", _num_list(lambda c: 0.0 < c < 1.0),
         "must be a nonempty list of numbers in (0, 1)", issues, (0.5,)))
     eps_list = tuple(float(c) for c in _take(
         ab, "analysis", "eps", _num_list(lambda c: 0.0 < c <= 1.0),
         "must be a nonempty list of numbers in (0, 1]", issues, ()))
-    if "eps" not in ab and experiment in _NEEDS_EPS:
-        issues.append("analysis.eps: required for %s" % experiment)
     shared = _shared_labels(eps_list)
     if shared:
         issues.append("analysis.eps: values must have distinct %%g labels, "
                       "got %s" % shared)
 
     compact = None
-    want = _NEEDS_COMPACT.get(experiment)
     if "compact" in ab:
         v = ab["compact"]
         if (not isinstance(v, list) or len(v) not in (2, 4)
@@ -218,17 +219,13 @@ def validate_config(raw):
                           % (experiment, want, len(v)))
         else:
             compact = tuple(float(c) for c in v)
-    elif want is not None:
-        issues.append("analysis.compact: required for %s" % experiment)
 
     A = _take(ab, "analysis", "A", lambda v: _is_num(v) and v > 0.0,
               "must be a positive number", issues)
     A = None if A is None else float(A)
 
     # ---- eligibility and A range (need the built kernel) ----
-    if experiment not in _NEEDS_ELIGIBLE:
-        A = None
-    elif kernel is not None:
+    if "analysis.A" in reads and kernel is not None:
         if not kernel.mutation_eligible:
             issues.append(
                 "kernel: NotMutationEligible for %s; %s has f'(0) = %g "
@@ -238,7 +235,7 @@ def validate_config(raw):
             # A < 1 - 1/mu keeps e^{A f} Jhat integrable; the kappa
             # envelope also needs A < p_max = f'(0) (1 - 1/mu)
             hi = kernel.a_max
-            if experiment in _NEEDS_KAPPA:
+            if kappa:
                 hi = min(hi, kernel.fprime0 * kernel.a_max)
             if A is None:
                 # the midpoint of (0, 1 - 1/mu) where it is admissible
@@ -250,7 +247,6 @@ def validate_config(raw):
 
     # ---- solver ----
     solver = None
-    sb = _block(raw, "solver", _SOLVER_KEYS, issues, needed_by)
     C = float(_take(sb, "solver", "C", lambda v: _is_num(v) and v > 0.0,
                     "must be a positive number", issues, 1.0))
     if sb:
@@ -274,9 +270,6 @@ def validate_config(raw):
                 issues.append("solver.snapshots: times must have distinct "
                               "%%g labels, got %s" % shared)
 
-        if experiment == "HJ" and "dt" in sb:
-            issues.append("solver.dt: HJ steps at its CFL bound and takes "
-                          "no dt")
         given = {key: sb[key] for key in ("dt", "method", "boundary_guard")
                  if key in sb}
         dt = given.get("dt", SolverConfig.dt)
@@ -284,16 +277,17 @@ def validate_config(raw):
             solver = SolverConfig(t_end=t_end, snapshot_times=times,
                                   **given)
         except InvalidParams as exc:
-            issues.extend("solver.%s" % msg for msg in exc.issues)
+            # a missing t_end is reported as required above
+            issues.extend("solver.%s" % msg for msg in exc.issues
+                          if "t_end" in sb or not msg.startswith("t_end"))
 
-        if experiment in _RESCALED and eps_list and _is_num(dt):
+        if rescaled and eps_list and _is_num(dt):
             try:
                 check_rate(dt, min(eps_list))
             except InvalidParams as exc:
                 issues.append("solver.dt: %s at min(eps) = %g"
                               % (exc, min(eps_list)))
-        if (experiment in _RESCALED and eps_list
-                and None not in (kernel, grid, solver, A)):
+        if rescaled and eps_list and None not in (kernel, grid, solver, A):
             # n0 = e^{-A f(|x|)/eps} at x = L - dx, the larger edge density,
             # grows with eps
             eps = max(eps_list)
@@ -309,7 +303,6 @@ def validate_config(raw):
                 issues.append("grid.N: %s" % exc)
 
     # ---- output ----
-    ob = _block(raw, "output", _OUTPUT_KEYS, issues)
     out_dir = _take(ob, "output", "directory",
                     lambda v: isinstance(v, str) and bool(v),
                     "must be a nonempty string", issues, ".")

@@ -125,8 +125,9 @@ def adaptive_integrate(g, a, b, tail=None, epsabs=1e-10, epsrel=1e-8):
     Raises
     ------
     NoConvergence
-        If the subdivision limit is hit or the combined error estimate
-        misses the requested target.
+        If the subdivision limit is hit, the combined error estimate
+        misses the requested target, or a panel of the mapped infinite
+        range comes so close to s = 0 that 1/s^2 overflows.
     """
     a = float(a)
     rem = 0.0
@@ -136,6 +137,9 @@ def adaptive_integrate(g, a, b, tail=None, epsabs=1e-10, epsrel=1e-8):
         f = g
 
         def g(s):
+            if s * s == 0.0:    # a panel below s ~ 1e-162
+                raise NoConvergence("quadrature of h = a + (1 - s)/s reached "
+                                    "s = %g, where 1/s^2 overflows" % s)
             return f(a + (1.0 - s) / s) / (s * s)
 
         edges = [0.0, 1.0]

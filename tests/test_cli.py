@@ -12,7 +12,7 @@ import pytest
 
 import fatkpp
 from fatkpp.cli import main
-from fatkpp.config import parse_config
+from fatkpp.config import READS, parse_config
 
 
 def _cfg(tmp_path, doc, name="run.json"):
@@ -83,6 +83,21 @@ def test_kernel_validate_classifies_the_thin_tailed_control(tmp_path):
     assert doc["manifest"]["hypotheses_passed"] is True
     assert doc["report"]["mutation_eligible"] is False
     assert doc["report"]["ratio_tail_max"] > 1.0
+
+
+def test_kernel_validate_survives_a_mass_quadrature_that_fails(
+        tmp_path, capsys):
+    """beta = 1.05 builds, but its unit-mass check cannot converge: the
+    quadrature toward s = 0 ends in NoConvergence, which the report
+    records as an infinite mass error, with no traceback."""
+    doc = {"experiment": "KernelValidate",
+           "kernel": {"family": "LogLinear", "beta": 1.05},
+           "output": {"directory": str(tmp_path / "out")}}
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    doc = _manifest(str(tmp_path / "out"))
+    assert doc["report"]["mass_error"] == float("inf")
+    assert doc["manifest"]["hypotheses_passed"] is False
 
 
 SIMULATE = {
@@ -306,11 +321,18 @@ HJ_POWERSHIFT = {"experiment": "HJ", "kernel": POWERSHIFT,
                  "solver": {"t_end": 0.5, "snapshots": [0.5]}}
 
 
+def _powershift(experiment):
+    """HJ_POWERSHIFT, or for Hamiltonian without the grid and solver it
+    does not read."""
+    if experiment == "HJ":
+        return dict(HJ_POWERSHIFT)
+    return {"experiment": experiment, "kernel": POWERSHIFT}
+
+
 @pytest.mark.parametrize("experiment", ["HJ", "Hamiltonian"])
 def test_default_A_respects_the_envelope_bound(tmp_path, experiment):
     out = str(tmp_path / "out")
-    doc = dict(HJ_POWERSHIFT, experiment=experiment,
-               output={"directory": out})
+    doc = dict(_powershift(experiment), output={"directory": out})
     assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 0
     man = _manifest(out)
     assert man["aborted"] is False
@@ -321,8 +343,8 @@ def test_default_A_respects_the_envelope_bound(tmp_path, experiment):
 def test_A_past_the_envelope_bound_is_refused_before_any_output(
         tmp_path, capsys, experiment):
     out = str(tmp_path / "out")
-    doc = dict(HJ_POWERSHIFT, experiment=experiment,
-               analysis={"A": 0.5}, output={"directory": out})
+    doc = dict(_powershift(experiment), analysis={"A": 0.5},
+               output={"directory": out})
     assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 2
     assert "analysis.A" in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "hj_solution.csv"))
@@ -391,6 +413,69 @@ def test_hj_writes_solution_and_zero_set(tmp_path):
     man = _manifest(out)["manifest"]
     assert man["sigma"] > 0.0
     assert os.path.exists(os.path.join(out, "hj_solution.csv"))
+
+
+def test_hj_refuses_the_solver_keys_it_ignores(tmp_path, capsys):
+    """The HJ solver steps at its CFL bound from u0 = A f: it reads no
+    method, boundary guard or initial amplitude, so a config setting them
+    is refused before any output instead of running without them."""
+    out = str(tmp_path / "out")
+    doc = {"experiment": "HJ",
+           "kernel": {"family": "LogLinear", "beta": 3},
+           "grid": {"L": 20, "N": 512},
+           "solver": {"t_end": 0.5, "snapshots": [0.25, 0.5],
+                      "method": "Euler", "boundary_guard": 1e-30, "C": 5},
+           "analysis": {"A": 0.25},
+           "output": {"directory": out}}
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    for key in ("solver.C", "solver.boundary_guard", "solver.method"):
+        assert "%s: not read by HJ" % key in err
+    assert not os.path.exists(out)
+
+
+# the keys of each experiment without a default, and a valid value for
+# every key some experiment reads
+_NEEDED = {"grid.L": 20, "grid.N": 4096, "solver.t_end": 0.5,
+           "analysis.eps": [0.25]}
+_VALUES = dict(_NEEDED, **{
+    "solver.dt": 0.01, "solver.snapshots": [0.5],
+    "solver.snapshot_count": 2, "solver.method": "Euler",
+    "solver.boundary_guard": 1e-30, "solver.C": 5,
+    "analysis.levels": [0.5], "analysis.A": 0.25,
+    "analysis.compact": [-1, 1], "output.directory": "out",
+    "output.plot": False, "output.stride": 2})
+_UNREAD = [(name, key) for name, (keys, *_) in READS.items()
+           for key in sorted(set(_VALUES) - set(keys))]
+
+
+def _set(doc, key, value):
+    block, _, k = key.partition(".")
+    doc.setdefault(block, {})[k] = value
+
+
+@pytest.mark.parametrize("experiment, key", _UNREAD)
+def test_a_key_the_experiment_does_not_read_is_refused(
+        tmp_path, capsys, experiment, key):
+    """The config that sets only what the experiment needs validates; one
+    key more that its run would ignore exits 2, names the key and the
+    experiment, and writes nothing."""
+    keys, entries = READS[experiment][:2]
+    doc = {"experiment": experiment,
+           "kernel": {"family": "LogLinear", "beta": 3}}
+    for k in keys:
+        if k in _NEEDED:
+            _set(doc, k, _NEEDED[k])
+    if entries:
+        _set(doc, "analysis.compact", [0.5, 3, 0.25, 0.5][:entries])
+    parse_config(_cfg(tmp_path, doc))
+    _set(doc, key, _VALUES[key])
+    out = str(tmp_path / "out")
+    assert main(["--config", _cfg(tmp_path, doc), "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "fatkpp: invalid config:",
+        "  - %s: not read by %s" % (key, experiment)]
+    assert not os.path.exists(out)
 
 
 def test_hamiltonian_profile_and_kappa_bounds(tmp_path):

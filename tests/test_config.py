@@ -2,11 +2,14 @@
 one-pass listing of every violated constraint."""
 
 import json
+import os
 
 import pytest
 
-from fatkpp.config import EXPERIMENTS, parse_config, validate_config
+from fatkpp.config import READS, parse_config, validate_config
 from fatkpp.errors import IoError, ParseError, ValidationError
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MINIMAL = {
     "experiment": "Simulate",
@@ -286,21 +289,33 @@ def test_grid_requires_power_of_two():
 
 
 def test_all_experiment_names_recognized():
-    for name in EXPERIMENTS:
+    """Each experiment accepts a doc built from keys it reads."""
+    values = {"grid.L": 100, "grid.N": 32768, "solver.t_end": 1,
+              "solver.dt": 0.01, "analysis.eps": [0.1]}
+    for name, (keys, entries, _, _) in READS.items():
         doc = {"experiment": name,
-               "kernel": {"family": "LogLinear", "beta": 3},
-               "grid": {"L": 100, "N": 32768},
-               "solver": {"t_end": 1, "dt": 0.01},
-               "analysis": {"eps": [0.1], "compact": [-5, 5, 0, 1]}}
-        if name == "CrossValidate":
-            doc["analysis"]["compact"] = [-5, 5]
-        if name == "HJ":            # it steps at its CFL bound
-            del doc["solver"]["dt"]
+               "kernel": {"family": "LogLinear", "beta": 3}}
+        for key in keys:
+            block, _, k = key.partition(".")
+            v = ([-5, 5, 0, 1][:entries] if key == "analysis.compact"
+                 else values.get(key))
+            if v is not None:
+                doc.setdefault(block, {})[k] = v
         try:
             cfg = validate_config(doc)
         except ValidationError as exc:
             raise AssertionError("%s: %s" % (name, exc))
         assert cfg.experiment == name
+
+
+def test_the_table_counts_the_keys_each_experiment_reads():
+    """79 of the 8 x 16 (experiment, key) pairs outside the kernel block
+    are read; the other 49 are refused."""
+    counts = {name: len(keys) for name, (keys, *_) in READS.items()}
+    assert counts == {"KernelValidate": 1, "Simulate": 12, "Front": 13,
+                      "HopfCole": 14, "Mutation": 13, "HJ": 9,
+                      "Hamiltonian": 3, "CrossValidate": 14}
+    assert all(len(set(keys)) == len(keys) for keys, *_ in READS.values())
 
 
 def test_hj_refuses_a_time_step():
@@ -322,3 +337,37 @@ def test_unknown_family_reported_as_kernel_issue():
     with pytest.raises(ValidationError) as ei:
         validate_config(doc)
     assert any(s.startswith("kernel:") for s in ei.value.issues)
+
+
+def test_unread_keys_are_refused_and_required_keys_named():
+    doc = {"experiment": "Hamiltonian",
+           "kernel": {"family": "LogLinear", "beta": 3},
+           "analysis": {"levels": [0.5]},
+           "output": {"stride": 2}}
+    with pytest.raises(ValidationError) as ei:
+        validate_config(doc)
+    assert ei.value.issues == ["analysis.levels: not read by Hamiltonian",
+                               "output.stride: not read by Hamiltonian"]
+    doc = {"experiment": "HopfCole", "kernel": {"family": "LogLinear",
+                                                "beta": 3},
+           "solver": {"dt": 0.01}}
+    with pytest.raises(ValidationError) as ei:
+        validate_config(doc)
+    assert ei.value.issues == [
+        "%s: required for HopfCole" % key
+        for key in ("grid.L", "grid.N", "solver.t_end", "analysis.eps",
+                    "analysis.compact")]
+
+
+@pytest.mark.parametrize("path", [
+    "README.md", "perfbench/configs/front.json",
+    "perfbench/configs/snapshots.json", "perfbench/configs/crossval.json"])
+def test_shipped_configs_validate(path):
+    """The README's JSON example and the benchmark's configs set only
+    keys their experiments read."""
+    with open(os.path.join(_ROOT, path)) as fh:
+        text = fh.read()
+    if path == "README.md":
+        text = text.split("```json")[1].split("```")[0]
+    doc = json.loads(text)
+    assert validate_config(doc).experiment == doc["experiment"]

@@ -113,6 +113,15 @@ def test_quadrature_slow_tail_without_bound():
     assert abs(val - 5.0) <= 1e-10
 
 
+def test_quadrature_too_slow_tail_without_bound_raises():
+    """(1 + h)^{-1.05} leaves an s^{-0.95} singularity: bisection toward
+    s = 0 reaches s ~ 1e-162, where s * s underflows, before it meets
+    1e-12.  That is NoConvergence, not a division by zero."""
+    with pytest.raises(NoConvergence, match="1/s\\^2 overflows"):
+        adaptive_integrate(lambda h: (1.0 + h) ** -1.05, 0.0, math.inf,
+                           epsabs=1e-12, epsrel=1e-12)
+
+
 def test_quadrature_nan_integrand_raises():
     with pytest.raises(NoConvergence):
         adaptive_integrate(lambda x: math.nan, 0.0, 1.0)
