@@ -3,11 +3,14 @@
     fatkpp --config <path> [--out <dir>] [--quiet]
 
 One experiment per invocation, named in the JSON config.  Exit codes:
-0 success, 2 config or parameter validation failure (a config key the
-experiment does not read is one), 3 runtime abort
+0 success, 2 config or parameter validation failure (any InvalidParams;
+a config key the experiment does not read is one), 3 runtime abort
 (boundary contamination, stability or gradient-range violations), 4
 output I/O failure.  A contaminated simulation still writes whatever
-snapshots it reached plus run.json with the abort flag set.
+snapshots it reached, with the writer of its experiment, plus run.json
+with the abort flag set.  CrossValidate reports its sup errors in
+run.json and makes no verdict on them: a sup error that grows as eps
+falls still exits 0.
 """
 
 import argparse
@@ -18,12 +21,10 @@ import time
 from dataclasses import asdict
 
 from .cauchy import initial_condition, run as run_cauchy
-from .config import parse_config
-from .errors import (BoundaryContamination, CFLViolation, DomainError,
-                     GradientOutOfRange, GridTooCoarse, InvalidParams,
-                     IoError, NoConvergence, NonIntegrableTail,
-                     OutOfDomain, ParseError, StabilityViolation,
-                     ValidationError)
+from .config import READS, parse_config
+from .errors import (BoundaryContamination, CFLViolation, GradientOutOfRange,
+                     InvalidParams, IoError, NoConvergence, ParseError,
+                     StabilityViolation, ValidationError)
 from .gridops import discretize_kernel
 from .hj import (HJSolution, Hamiltonian, hamiltonian_profile,
                  inclusion_curves, cross_validate, solve_constrained_hj,
@@ -35,8 +36,6 @@ from .propagation import (envelope_sandwich_report, hopf_cole_field,
                           potential_of, track_level)
 from . import output as out_io
 
-_VALIDATION_ERRORS = (InvalidParams, DomainError, OutOfDomain,
-                      GridTooCoarse, NonIntegrableTail, ValidationError)
 _RUNTIME_ERRORS = (BoundaryContamination, StabilityViolation, CFLViolation,
                    GradientOutOfRange, NoConvergence)
 _MAX_SERIES = 5         # density curves in one plot
@@ -179,14 +178,19 @@ def _do_cross_validate(cfg, out):
         {"eps": e, "sup_error": v} for e, v in rows]}
 
 
-def _write_partial(out, partial, stride):
-    """Write what an aborted march recorded; returns its manifest."""
+def _write_partial(out, partial, cfg):
+    """Write what an aborted march recorded with the writer of its kind;
+    returns its manifest."""
     if partial is None:
         return {}
     if isinstance(partial, HJSolution):
-        out_io.write_hj_solution_csv(out, partial, stride)
+        out_io.write_hj_solution_csv(out, partial, cfg.stride)
         return partial.meta
-    out_io.write_snapshots(out, partial, stride)
+    _, _, rescaled, _ = READS[cfg.experiment]
+    if rescaled:                # a mutation run, eps = 1 included
+        out_io.write_mutation_csv(out, partial, cfg.stride)
+    else:
+        out_io.write_snapshots(out, partial, cfg.stride)
     out_io.write_monitors(out, partial)
     return partial.manifest
 
@@ -245,14 +249,14 @@ def main(argv=None):
             manifest, extra = _DISPATCH[cfg.experiment](cfg, out)
         except _RUNTIME_ERRORS as exc:
             abort, extra = exc, None
-            manifest = _write_partial(out, exc.run, cfg.stride)
+            manifest = _write_partial(out, exc.run, cfg)
         if cfg.A is not None:   # an experiment that reads A records it
             manifest = dict(manifest, A=cfg.A)
         out_io.write_run_json(
             out, cfg.raw, manifest, aborted=abort is not None,
             abort_reason=None if abort is None else str(abort),
             extra=dict(extra or {}, write_s=out_io.write_s - w0))
-    except _VALIDATION_ERRORS as exc:
+    except InvalidParams as exc:
         print("fatkpp: invalid parameters: %s" % exc, file=sys.stderr)
         return 2
     except IoError as exc:

@@ -13,9 +13,9 @@ import math
 
 from .cauchy import SolverConfig, _is_num, check_rate
 from .errors import (GridTooCoarse, InvalidParams, IoError, NoConvergence,
-                     ParseError, ValidationError)
+                     NonIntegrableTail, ParseError, ValidationError)
 from .gridops import Grid1D
-from .kernels import KernelSpec, build_kernel
+from .kernels import _FAMILIES, KernelSpec, build_kernel
 from .mutation import check_resolution
 
 # The config keys each experiment reads, besides the kernel block that
@@ -45,8 +45,10 @@ READS = {   # experiment: (keys, compact entries, rate 1/eps, A < p_max)
 }
 EXPERIMENTS = tuple(READS)
 
-_KERNEL = {"kernel.family", "kernel.alpha", "kernel.beta", "kernel.b",
-           "kernel.sigma"}
+# a kernel parameter is known when some family reads it
+_PARAMS = tuple(dict.fromkeys(p for _, ranges in _FAMILIES.values()
+                              for p in ranges))
+_KERNEL = {"kernel.family"}.union("kernel." + p for p in _PARAMS)
 _KNOWN = _KERNEL.union(*(keys for keys, *_ in READS.values()))
 # keys without a default: an experiment that reads one needs it
 _REQUIRED = ("kernel.family", "grid.L", "grid.N", "solver.t_end",
@@ -173,15 +175,18 @@ def validate_config(raw):
     family = _take(kb, "kernel", "family", lambda v: isinstance(v, str),
                    "must be a string", issues)
     if family is not None:
-        kwargs = {key: kb[key] for key in ("alpha", "beta", "b", "sigma")
-                  if key in kb}
+        kwargs = {key: kb[key] for key in _PARAMS if key in kb}
         bad = [key for key, v in kwargs.items() if not _is_num(v)]
         issues.extend("kernel.%s: must be a number" % key for key in bad)
         if not bad:
             kwargs = {key: float(v) for key, v in kwargs.items()}
             try:
                 kernel = build_kernel(KernelSpec(family=family, **kwargs))
-            except (InvalidParams, NoConvergence) as exc:
+            except InvalidParams as exc:
+                # a parameter's issues start with its name
+                sep = "." if family in _FAMILIES else ": "
+                issues.extend("kernel%s%s" % (sep, msg) for msg in exc.issues)
+            except NoConvergence as exc:
                 issues.append("kernel: %s" % exc)
 
     # ---- grid ----
@@ -226,24 +231,20 @@ def validate_config(raw):
 
     # ---- eligibility and A range (need the built kernel) ----
     if "analysis.A" in reads and kernel is not None:
-        if not kernel.mutation_eligible:
-            issues.append(
-                "kernel: NotMutationEligible for %s; %s has f'(0) = %g "
-                "and mu = %g (needs fat tail, f'(0) > 0, mu > 1)"
-                % (experiment, kernel.family, kernel.fprime0, kernel.mu))
-        else:
-            # A < 1 - 1/mu keeps e^{A f} Jhat integrable; the kappa
-            # envelope also needs A < p_max = f'(0) (1 - 1/mu)
-            hi = kernel.a_max
-            if kappa:
-                hi = min(hi, kernel.fprime0 * kernel.a_max)
-            if A is None:
-                # the midpoint of (0, 1 - 1/mu) where it is admissible
-                A = 0.5 * kernel.a_max
-                A = A if A < hi else 0.5 * hi
-            elif not (0.0 < A < hi):
-                issues.append("analysis.A: must lie in (0, %g) for this "
-                              "kernel, got %g" % (hi, A))
+        hi = kernel.a_cap(envelope=kappa)
+        if A is None:
+            # the midpoint of (0, 1 - 1/mu) where it is admissible
+            A = 0.5 * kernel.a_max
+            A = A if A < hi else 0.5 * hi
+        try:
+            kernel.check_A(A, envelope=kappa)
+        except NonIntegrableTail:
+            issues.append("analysis.A: must lie in (0, %g) for this "
+                          "kernel, got %g" % (hi, A))
+        except InvalidParams as exc:    # a kernel the regime cannot take
+            issues.append("kernel: %s for %s; %s"
+                          % (type(exc).__name__, experiment, exc))
+            A = None
 
     # ---- solver ----
     solver = None

@@ -2,7 +2,9 @@
 
 Every failure mode that callers are expected to branch on gets its own
 class here; anything else is allowed to surface as a plain ValueError
-from numpy.
+from numpy.  InvalidParams and its subclasses mean inadmissible input
+(the CLI exits 2 on them); the other classes are failures of a run on
+admissible input, of its output, or of parsing the config.
 """
 
 
@@ -25,27 +27,27 @@ class InvalidParams(FatKppError):
         super().__init__("; ".join(self.issues))
 
 
-class DomainError(FatKppError):
+class DomainError(InvalidParams):
     """Function evaluated outside its mathematical domain."""
 
 
-class ThinTailedKernel(FatKppError):
+class ThinTailedKernel(InvalidParams):
     """A fat-tail-only operation was requested on a thin-tailed kernel."""
 
 
-class NotMutationEligible(FatKppError):
+class NotMutationEligible(InvalidParams):
     """Kernel lacks the small-jump regularity the mutation regime needs."""
 
 
-class NonIntegrableTail(FatKppError):
+class NonIntegrableTail(InvalidParams):
     """A tail integral required by the requested quantity diverges."""
 
 
-class GridMismatch(FatKppError):
+class GridMismatch(InvalidParams):
     """Two discrete objects live on different grids."""
 
 
-class GridTooCoarse(FatKppError):
+class GridTooCoarse(InvalidParams):
     """Grid spacing cannot resolve the requested kernel or regime."""
 
 
@@ -74,7 +76,7 @@ class ValidationError(InvalidParams):
     problem found."""
 
 
-class OutOfDomain(FatKppError):
+class OutOfDomain(InvalidParams):
     """A rescaled coordinate landed outside the computed domain."""
 
 

@@ -27,8 +27,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .cauchy import Trajectory, _march
 from .errors import (CFLViolation, GradientOutOfRange, InvalidParams,
-                     NoConvergence, NonIntegrableTail, NotMutationEligible,
-                     ThinTailedKernel, ValidationError)
+                     NoConvergence)
 from .gridops import adaptive_integrate, first_doubling
 from .propagation import potential_of
 
@@ -85,16 +84,9 @@ class Hamiltonian:
     _GL_NODES = 48
 
     def __init__(self, kernel):
-        if not kernel.fat_tailed:
-            raise ThinTailedKernel(
-                "the limit Hamiltonian degenerates for thin tails "
-                "(p_max = 0): %r" % (kernel,))
-        if not kernel.mutation_eligible:
-            raise NotMutationEligible(
-                "the limit Hamiltonian needs f'(0) finite positive: %r"
-                % (kernel,))
+        kernel.check_eligible()
         self.kernel = kernel
-        self.p_max = kernel.fprime0 * kernel.a_max
+        self.p_max = kernel.p_max
         self._kappa_cache = {}
         self._build_table()
 
@@ -201,20 +193,14 @@ class Hamiltonian:
         band |p| <= A f'(0) they sandwich 1 + kap p^2 around H(p) (lower
         bound always, upper bound in the small-A regime the envelope is
         used in).  The upper constant needs (1 - A/f'(0)) mu > 1, that is
-        A < p_max, or its integral diverges.
+        A < p_max, or its integral diverges (Kernel.check_A).
         """
         k = self.kernel
         A = float(A)
-        if not 0.0 < A < k.a_max:
-            raise InvalidParams("A must lie in (0, %g), got %g"
-                                % (k.a_max, A))
+        k.check_A(A, envelope=True)
         if A in self._kappa_cache:
             return self._kappa_cache[A]
         fp0 = k.fprime0
-        if A >= self.p_max:
-            raise NonIntegrableTail(
-                "e^{A f/f'(0)} envelope diverges: need (1 - A/f'(0)) "
-                "mu > 1, got A = %g, f'(0) = %g, mu = %g" % (A, fp0, k.mu))
         vals = []
         for lam in (1.0 + A / fp0, 1.0 - A / fp0):
             R = _certified_radius(k, lam, math.log(2.5e-11 * k.Z),
@@ -385,12 +371,11 @@ def cross_validate(runs, hj, x_window):
 
     Returns one row (eps, sup_error) per run, sorted by decreasing eps,
     measured over the window at every positive snapshot time of the
-    limit solution, each of which must exist in every run; raises
-    ValidationError when the errors fail to be nonincreasing along
-    decreasing eps.  The window must stay _MIN_CELLS nodes away from the
-    limit grid's edges (the ghost extrapolation pollutes the outermost
-    cells); run potentials -eps ln n are interpolated onto the limit
-    nodes inside the window.
+    limit solution, each of which must exist in every run; whether the
+    errors fall with eps is the caller's verdict to make.  The window
+    must stay _MIN_CELLS nodes away from the limit grid's edges (the
+    ghost extrapolation pollutes the outermost cells); run potentials
+    -eps ln n are interpolated onto the limit nodes inside the window.
     """
     g = hj.grid
     xlo, xhi = float(x_window[0]), float(x_window[1])
@@ -416,10 +401,4 @@ def cross_validate(runs, hj, x_window):
             gap = float(np.max(np.abs(ui - hj.snapshot_at(t).values[sel])))
             worst = max(worst, gap)
         rows.append((mr.eps, worst))
-    issues = ["sup error grew from %g (eps=%g) to %g (eps=%g)"
-              % (v_big, e_big, v_small, e_small)
-              for (e_big, v_big), (e_small, v_small) in zip(rows, rows[1:])
-              if v_small > v_big]
-    if issues:
-        raise ValidationError(*issues)
     return rows

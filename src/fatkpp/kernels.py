@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DomainError, InvalidParams, NoConvergence,
-                     NonIntegrableTail)
+                     NonIntegrableTail, NotMutationEligible, ThinTailedKernel)
 from .gridops import adaptive_integrate, first_doubling, invert_monotone
 
 
@@ -49,21 +49,13 @@ class KernelSpec:
     sigma: float = None
 
 
-def _require(cond, msg):
-    if not cond:
-        raise InvalidParams(msg)
-
-
 # ----------------------------------------------------------------------
-# family builders: each returns the closures (all take r = |x| >= 0 as an
-# ndarray and vectorize), x_peak, the tail index mu and the fat-tail flag
+# family builders: each takes its parameters in the order of its _FAMILIES
+# row and returns the closures (all take r = |x| >= 0 as an ndarray and
+# vectorize), x_peak, the tail index mu and the fat-tail flag
 
 
-def _build_subexponential(spec):
-    a = spec.alpha
-    _require(a is not None and 0.0 < a < 1.0,
-             "SubExponential needs alpha in (0,1)")
-
+def _build_subexponential(a):
     def f(r):
         return np.expm1(0.5 * a * np.log1p(r * r))
 
@@ -79,13 +71,10 @@ def _build_subexponential(spec):
 
     x_star = 1.0 / math.sqrt(1.0 - a)    # where f' peaks and f'' changes sign
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
-                x_peak=x_star, mu=math.inf, fat_tailed=True,
-                params={"alpha": a})
+                x_peak=x_star, mu=math.inf, fat_tailed=True)
 
 
-def _build_polynomial(spec):
-    a = spec.alpha
-    _require(a is not None and a > 0.0, "Polynomial needs alpha > 0")
+def _build_polynomial(a):
     q = 0.5 * (1.0 + a)
 
     def f(r):
@@ -102,14 +91,10 @@ def _build_polynomial(spec):
         return np.sqrt(np.expm1(y / q))
 
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
-                x_peak=1.0, mu=1.0 + a, fat_tailed=True,
-                params={"alpha": a})
+                x_peak=1.0, mu=1.0 + a, fat_tailed=True)
 
 
-def _build_loglinear(spec):
-    b = spec.beta
-    _require(b is not None and b > 1.0, "LogLinear needs beta > 1")
-
+def _build_loglinear(b):
     def f(r):
         return b * np.log1p(r)
 
@@ -123,16 +108,10 @@ def _build_loglinear(spec):
         return np.expm1(y / b)
 
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
-                x_peak=0.0, mu=b, fat_tailed=True,
-                params={"beta": b})
+                x_peak=0.0, mu=b, fat_tailed=True)
 
 
-def _build_powershift(spec):
-    b, a = spec.b, spec.alpha
-    _require(b is not None and b > 0.0, "PowerShift needs b > 0")
-    _require(a is not None and 0.0 < a < 1.0,
-             "PowerShift needs alpha in (0,1)")
-
+def _build_powershift(b, a):
     def f(r):
         return b * np.expm1(a * np.log1p(r))
 
@@ -146,13 +125,10 @@ def _build_powershift(spec):
         return np.expm1(np.log1p(y / b) / a)
 
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
-                x_peak=0.0, mu=math.inf, fat_tailed=True,
-                params={"b": b, "alpha": a})
+                x_peak=0.0, mu=math.inf, fat_tailed=True)
 
 
-def _build_gaussian(spec):
-    s = spec.sigma
-    _require(s is not None and s > 0.0, "Gaussian needs sigma > 0")
+def _build_gaussian(s):
     s2 = s * s
 
     def f(r):
@@ -169,16 +145,18 @@ def _build_gaussian(spec):
 
     # x f'/f = 2 for every x: exponential moments exist, tails are thin.
     return dict(f=f, fp=fp, fpp=fpp, finv=finv,
-                x_peak=math.inf, mu=math.inf, fat_tailed=False,
-                params={"sigma": s})
+                x_peak=math.inf, mu=math.inf, fat_tailed=False)
 
 
+# family: (builder, the open range of each parameter it reads); the one
+# place a KernelSpec is checked, by build_kernel
 _FAMILIES = {
-    "SubExponential": _build_subexponential,
-    "Polynomial": _build_polynomial,
-    "LogLinear": _build_loglinear,
-    "PowerShift": _build_powershift,
-    "Gaussian": _build_gaussian,
+    "SubExponential": (_build_subexponential, {"alpha": (0.0, 1.0)}),
+    "Polynomial": (_build_polynomial, {"alpha": (0.0, math.inf)}),
+    "LogLinear": (_build_loglinear, {"beta": (1.0, math.inf)}),
+    "PowerShift": (_build_powershift, {"b": (0.0, math.inf),
+                                       "alpha": (0.0, 1.0)}),
+    "Gaussian": (_build_gaussian, {"sigma": (0.0, math.inf)}),
 }
 
 
@@ -202,13 +180,16 @@ class Kernel:
     fprime0 : float
         One-sided slope f'(0); positive and finite exactly for the
         mutation-eligible families.
+    p_max : float
+        f'(0) (1 - 1/mu), the slope bound of the limit Hamiltonian and the
+        ceiling on A where its quadratic (kappa) envelope is used.
     x_peak : float
         Where f' peaks; f'' <= 0 beyond it.
     """
 
-    def __init__(self, spec, impl, Z):
-        self.family = spec.family
-        self.params = impl["params"]
+    def __init__(self, family, params, impl, Z):
+        self.family = family
+        self.params = params
         self._fr = impl["f"]
         self._fpr = impl["fp"]
         self._fppr = impl["fpp"]
@@ -217,6 +198,7 @@ class Kernel:
             setattr(self, name, impl[name])
         self.a_max = 1.0 - 1.0 / self.mu
         self.fprime0 = self.f_prime(0.0)
+        self.p_max = self.fprime0 * self.a_max
         self.Z = float(Z)
 
     def __repr__(self):
@@ -233,6 +215,37 @@ class Kernel:
         """True when f'(0) is finite positive (and the tail is fat)."""
         return (self.fat_tailed and self.fprime0 > 0.0
                 and np.isfinite(self.fprime0))
+
+    def check_eligible(self):
+        """Refuse a kernel the small-mutation regime cannot take:
+        ThinTailedKernel for a thin tail (p_max = 0), NotMutationEligible
+        for an origin slope f'(0) that is not finite positive."""
+        if not self.fat_tailed:
+            raise ThinTailedKernel(
+                "%r has a thin tail; the small-mutation limit degenerates "
+                "(p_max = 0)" % (self,))
+        if not self.mutation_eligible:
+            raise NotMutationEligible(
+                "%r has f'(0) = %g; the small-jump rescaling needs a "
+                "finite positive origin slope" % (self, self.fprime0))
+
+    def a_cap(self, envelope=False):
+        """Ceiling on the slope A of initial data A f: a_max, and also
+        p_max where the kappa envelope is used."""
+        return min(self.a_max, self.p_max) if envelope else self.a_max
+
+    def check_A(self, A, envelope=False):
+        """Refuse A outside (0, a_cap(envelope)) with NonIntegrableTail,
+        naming the integral that diverges, after check_eligible."""
+        self.check_eligible()
+        if not 0.0 < A < self.a_max:
+            raise NonIntegrableTail(
+                "A = %g outside (0, 1 - 1/mu) = (0, %g): e^{A f} Jhat has "
+                "a divergent tail" % (A, self.a_max))
+        if envelope and A >= self.p_max:
+            raise NonIntegrableTail(
+                "A = %g outside (0, p_max) = (0, %g): the envelope "
+                "e^{A f/f'(0)} Jhat has a divergent tail" % (A, self.p_max))
 
     # -- evaluators (accept scalars or arrays, return matching shape) --
 
@@ -356,25 +369,38 @@ class Kernel:
 def build_kernel(spec):
     """Construct and normalize a Kernel from its spec.
 
-    Z is computed by adaptive quadrature of the shape with the analytic
-    tail remainder bound; parameters outside their admissible open
-    intervals raise InvalidParams, and a tail index <= 1 (a tail at least
-    as fat as 1/|x|, not integrable) raises NonIntegrableTail.
+    The spec is checked against its family's _FAMILIES row: one
+    InvalidParams lists an issue per parameter that is missing, outside
+    its open range or not read by the family, each starting with the
+    parameter's name.  Z is computed by adaptive quadrature of the shape
+    with the analytic tail remainder bound.
     """
     if isinstance(spec, str):
         raise InvalidParams("build_kernel takes a KernelSpec, got a string")
     if spec.family not in _FAMILIES:
         raise InvalidParams("unknown kernel family %r (known: %s)"
                             % (spec.family, ", ".join(sorted(_FAMILIES))))
-    impl = _FAMILIES[spec.family](spec)
-    if impl["mu"] <= 1.0:
-        raise NonIntegrableTail("tail index mu=%g <= 1; the kernel mass "
-                                "diverges" % impl["mu"])
-    probe = Kernel(spec, impl, Z=1.0)    # Z placeholder to reuse the bound
+    builder, ranges = _FAMILIES[spec.family]
+    issues = []
+    for name, v in vars(spec).items():
+        if name in ranges:
+            lo, hi = ranges[name]
+            if v is None:
+                issues.append("%s: required by %s" % (name, spec.family))
+            elif not lo < v < hi:
+                issues.append("%s: must lie in (%g, %g) for %s, got %g"
+                              % (name, lo, hi, spec.family, v))
+        elif name != "family" and v is not None:
+            issues.append("%s: not read by %s" % (name, spec.family))
+    if issues:
+        raise InvalidParams(*issues)
+    params = {name: getattr(spec, name) for name in ranges}
+    impl = builder(*params.values())
+    probe = Kernel(spec.family, params, impl, Z=1.0)    # for its tail bound
     Z = 2.0 * adaptive_integrate(lambda h: math.exp(-impl["f"](np.asarray(h))),
                                  0.0, np.inf, tail=probe.tail_bound,
                                  epsabs=1e-12, epsrel=1e-12)
-    return Kernel(spec, impl, Z=Z)
+    return Kernel(spec.family, params, impl, Z=Z)
 
 
 # ----------------------------------------------------------------------

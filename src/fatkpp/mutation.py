@@ -19,20 +19,12 @@ import numpy as np
 import numpy.random     # numpy loads it on first use; keep that in the import
 
 from .cauchy import check_rate, run as cauchy_run
-from .errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
-                     NotMutationEligible)
+from .errors import GridTooCoarse, InvalidParams
 from .gridops import Field, adaptive_integrate, discretize_kernel
 
 _FD_PAIRS = 10_000      # node pairs fd_condition samples
 _FD_SEED = 0            # fd_condition's fixed sampling seed
 _FD_TOL = 1e-8          # worst fd violation initial data may show
-
-
-def _require_eligible(kernel):
-    if not kernel.mutation_eligible:
-        raise NotMutationEligible(
-            "%r has f'(0) = %g; the small-jump rescaling needs a finite "
-            "positive origin slope" % (kernel, kernel.fprime0))
 
 
 @dataclass
@@ -52,7 +44,7 @@ class MutationKernel:
     eps: float
 
     def __post_init__(self):
-        _require_eligible(self.base)
+        self.base.check_eligible()
         if not (0.0 < self.eps <= 1.0):
             raise InvalidParams("eps must lie in (0, 1]")
 
@@ -127,11 +119,7 @@ def discretize_mutation_kernel(mk, grid):
 def growth_bound(kernel, A):
     """r_hat = int e^{A f} dJhat = (1/Z) int e^{-(1-A) f} dh (finite for
     A below 1 - 1/mu; this is the sub-solution decay rate of u)."""
-    _require_eligible(kernel)
-    if not (0.0 < A < kernel.a_max):
-        raise NonIntegrableTail(
-            "A = %g outside (0, 1 - 1/mu) = (0, %g): e^{A f} Jhat has a "
-            "divergent tail" % (A, kernel.a_max))
+    kernel.check_A(A)
     lam = 1.0 - A
     val = adaptive_integrate(lambda h: np.exp(-lam * kernel.f(h)),
                              0.0, np.inf,
@@ -160,13 +148,11 @@ def fd_condition(kernel, u0, A):
 def mutation_initial_data(kernel, grid, A):
     """The validated initial potential u0 = A f(|x|), a Field.
 
-    Validation: A in (0, 1 - 1/mu), and the sampled finite-difference
-    condition u0(x+h) - u0(x) >= -A f(|h|) within _FD_TOL.
+    Validation: A in (0, 1 - 1/mu) (Kernel.check_A), and the sampled
+    finite-difference condition u0(x+h) - u0(x) >= -A f(|h|) within
+    _FD_TOL.
     """
-    _require_eligible(kernel)
-    if not (0.0 < A < kernel.a_max):
-        raise InvalidParams("A = %g outside the admissible (0, %g)"
-                            % (A, kernel.a_max))
+    kernel.check_A(A)
     u0 = Field(grid, A * kernel.f(np.abs(grid.x)))
     worst = fd_condition(kernel, u0, A)
     if worst > _FD_TOL:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fatkpp
+from fatkpp import cli, errors
 from fatkpp.cli import main
 from fatkpp.config import READS, parse_config
 
@@ -60,6 +61,34 @@ def test_kernel_without_a_tail_bound_is_a_config_issue(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "kernel: fitting the tail bound" in err
     assert "Traceback" not in err
+
+
+def test_kernel_parameters_the_family_does_not_read_are_refused(
+        tmp_path, capsys):
+    """Polynomial reads alpha only; beta and sigma were once ignored."""
+    doc = {"experiment": "KernelValidate",
+           "kernel": {"family": "Polynomial", "alpha": 4, "beta": 7,
+                      "sigma": 2}}
+    out = tmp_path / "out"
+    assert main(["--config", _cfg(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "kernel.beta: not read by Polynomial" in err
+    assert "kernel.sigma: not read by Polynomial" in err
+    assert not out.exists()
+
+
+def test_every_error_class_has_an_exit_code():
+    """Inadmissible input exits 2, a failed run 3, a malformed config 2
+    and an output failure 4; no package error reaches main unhandled."""
+    classes = [c for c in vars(errors).values() if isinstance(c, type)
+               and issubclass(c, errors.FatKppError)
+               and c is not errors.FatKppError]
+    assert len(classes) == 16
+    for c in classes:
+        kinds = [issubclass(c, errors.InvalidParams),
+                 c in cli._RUNTIME_ERRORS,
+                 c is errors.ParseError, c is errors.IoError]
+        assert sum(kinds) == 1, c.__name__
 
 
 def test_kernel_validate_writes_the_report(tmp_path):
@@ -291,8 +320,8 @@ def test_mutation_writes_density_and_limit_sets(tmp_path):
 
 def test_aborted_mutation_run_names_its_eps(tmp_path, capsys):
     """A rescaled run that hits the boundary guard still writes the
-    snapshots it reached, its monitors and a run.json saying which eps
-    it was stepping at."""
+    snapshots it reached, through its own writer, its monitors and a
+    run.json saying which eps it was stepping at."""
     out = str(tmp_path / "out")
     doc = {"experiment": "Mutation",
            "kernel": {"family": "LogLinear", "beta": 3},
@@ -303,14 +332,46 @@ def test_aborted_mutation_run_names_its_eps(tmp_path, capsys):
            "output": {"directory": out, "stride": 8}}
     assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 3
     assert "t=0.52" in capsys.readouterr().err
-    for name in ("snapshot_t0.1.csv", "snapshot_t0.2.csv",
-                 "snapshot_t0.3.csv", "monitors.csv"):
-        assert os.path.exists(os.path.join(out, name)), name
-    assert not os.path.exists(os.path.join(out, "snapshot_t1.csv"))
+    assert sorted(os.listdir(out)) == ["monitors.csv", "mutation_eps0.4.csv",
+                                       "run.json"]
+    ts = np.loadtxt(os.path.join(out, "mutation_eps0.4.csv"),
+                    delimiter=",", skiprows=1, usecols=0)
+    assert np.unique(ts).tolist() == [0.1, 0.2, 0.3]
     man = _manifest(out)
     assert man["aborted"] is True
     assert man["manifest"]["eps"] == 0.4
     assert man["manifest"]["A"] == 0.25
+
+
+@pytest.mark.parametrize("grid, solver, eps, name, times", [
+    # the eps = 0.2 run of three reaches the guard at t = 0.65
+    ({"L": 20, "N": 16384},
+     {"dt": 0.005, "t_end": 1, "snapshots": [0.25, 0.5, 1]},
+     [0.2, 0.1, 0.05], "mutation_eps0.2.csv", [0.25, 0.5]),
+    # eps = 1 is a mutation run too; it reaches the guard at t = 4.2
+    ({"L": 20, "N": 2048},
+     {"dt": 0.05, "t_end": 10, "snapshots": [0.5, 1, 10],
+      "boundary_guard": 0.5},
+     [1.0], "mutation_eps1.csv", [0.5, 1.0]),
+], ids=["eps0.2", "eps1"])
+def test_aborted_rescaled_run_goes_through_its_own_writer(
+        tmp_path, grid, solver, eps, name, times):
+    """The long-format mutation CSV that a finished run would write holds
+    the snapshots the aborted run reached."""
+    out = str(tmp_path / "out")
+    doc = {"experiment": "Mutation",
+           "kernel": {"family": "LogLinear", "beta": 3}, "grid": grid,
+           "solver": dict(solver, method="Euler"),
+           "analysis": {"eps": eps, "A": 0.25},
+           "output": {"directory": out}}
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 3
+    assert sorted(os.listdir(out)) == ["monitors.csv", name, "run.json"]
+    data = np.loadtxt(os.path.join(out, name), delimiter=",", skiprows=1)
+    assert np.unique(data[:, 0]).tolist() == times
+    assert data.shape == (len(times) * grid["N"], 5)
+    man = _manifest(out)
+    assert man["aborted"] is True
+    assert man["manifest"]["eps"] == eps[0]
 
 
 # f'(0) = b alpha = 0.06 while 1 - 1/mu = 1: the kappa envelope of the HJ

@@ -7,7 +7,9 @@ import os
 import pytest
 
 from fatkpp.config import READS, parse_config, validate_config
-from fatkpp.errors import IoError, ParseError, ValidationError
+from fatkpp.errors import (InvalidParams, IoError, ParseError,
+                           ValidationError)
+from fatkpp.kernels import KernelSpec, build_kernel
 
 _ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -337,6 +339,30 @@ def test_unknown_family_reported_as_kernel_issue():
     with pytest.raises(ValidationError) as ei:
         validate_config(doc)
     assert any(s.startswith("kernel:") for s in ei.value.issues)
+
+
+# each family with admissible values of the parameters it reads; the
+# other 14 of the 5 x 4 (family, parameter) pairs are unread
+_READ = {"SubExponential": {"alpha": 0.5}, "Polynomial": {"alpha": 4.0},
+         "LogLinear": {"beta": 3.0}, "PowerShift": {"b": 1.0, "alpha": 0.5},
+         "Gaussian": {"sigma": 1.0}}
+_UNREAD = [(family, p) for family, read in _READ.items()
+           for p in ("alpha", "beta", "b", "sigma") if p not in read]
+
+
+@pytest.mark.parametrize("family,param", _UNREAD)
+def test_a_parameter_the_family_does_not_read_is_refused(family, param):
+    given = dict(_READ[family], **{param: 2.0})
+    with pytest.raises(InvalidParams) as info:
+        build_kernel(KernelSpec(family, **given))
+    assert info.value.issues == ["%s: not read by %s" % (param, family)]
+    doc = {"experiment": "KernelValidate",
+           "kernel": dict(given, family=family)}
+    with pytest.raises(ValidationError) as ei:
+        validate_config(doc)
+    assert ei.value.issues == ["kernel.%s: not read by %s" % (param, family)]
+    del doc["kernel"][param]
+    assert validate_config(doc).kernel.params == _READ[family]
 
 
 def test_unread_keys_are_refused_and_required_keys_named():

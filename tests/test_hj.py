@@ -20,14 +20,14 @@ from scipy.integrate import simpson
 
 from fatkpp.errors import (CFLViolation, GradientOutOfRange, InvalidParams,
                            NonIntegrableTail, NotMutationEligible,
-                           ThinTailedKernel, ValidationError)
+                           ThinTailedKernel)
 from fatkpp.gridops import DiscreteKernel, Field, Grid1D
 from fatkpp.hj import (Hamiltonian, HJSolution, cross_validate,
                        hamiltonian_profile, inclusion_curves,
                        solve_constrained_hj, zero_set_boundary)
 from fatkpp.cauchy import SolverConfig, Trajectory, run as cauchy_run
 from fatkpp.kernels import KernelSpec, build_kernel
-from fatkpp.mutation import mutation_initial_data
+from fatkpp.mutation import growth_bound, mutation_initial_data
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +206,23 @@ def test_kappa_rejects(H3, Hps):
     # passes the (0, 1) range test but tilts the tail by e^{1.6 f}
     with pytest.raises(NonIntegrableTail):
         Hps.kappa_bounds(0.8)
+
+
+def test_one_inadmissible_A_gets_one_refusal(Hps):
+    """A = 1.2 is past 1 - 1/mu = 1 for PowerShift(b=1, alpha=0.5), so the
+    integrability rule, the one all three callers share, refuses it."""
+    k = Hps.kernel
+    refusals = []
+    for call in (lambda: growth_bound(k, 1.2),
+                 lambda: mutation_initial_data(k, Grid1D(20.0, 512), 1.2),
+                 lambda: Hps.kappa_bounds(1.2)):
+        with pytest.raises(InvalidParams) as info:
+            call()
+        refusals.append((type(info.value), str(info.value)))
+    assert refusals == [refusals[0]] * 3
+    assert refusals[0] == (NonIntegrableTail,
+                           "A = 1.2 outside (0, 1 - 1/mu) = (0, 1): "
+                           "e^{A f} Jhat has a divergent tail")
 
 
 def test_hamiltonian_profile(H3):
@@ -417,11 +434,13 @@ def test_cross_validate_monotone_table():
 
 
 def test_cross_validate_flags_growth():
+    """A sup error that grows as eps falls is returned as measured; the
+    verdict is the caller's."""
     g = Grid1D(10.0, 256)
     hj, runs = _fake_pair(g, {0.4: 0.1, 0.2: 0.25})
-    with pytest.raises(ValidationError) as info:
-        cross_validate(runs, hj, (-5.0, 5.0))
-    assert any("grew" in issue for issue in info.value.issues)
+    rows = cross_validate(runs, hj, (-5.0, 5.0))
+    assert [e for e, _ in rows] == [0.4, 0.2]
+    assert [v for _, v in rows] == pytest.approx([0.1, 0.25])
 
 
 def test_cross_validate_window_margin():

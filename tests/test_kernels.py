@@ -232,6 +232,17 @@ def test_bad_params_rejected(family, params):
         K(family, **params)
 
 
+def test_spec_issues_name_their_parameter():
+    """One InvalidParams lists every parameter at fault: missing, out of
+    its open range, or not read by the family."""
+    with pytest.raises(InvalidParams) as info:
+        build_kernel(KernelSpec("PowerShift", alpha=1.0, sigma=2.0))
+    assert info.value.issues == [
+        "alpha: must lie in (0, 1) for PowerShift, got 1",
+        "b: required by PowerShift",
+        "sigma: not read by PowerShift"]
+
+
 def test_unknown_family_rejected():
     with pytest.raises(InvalidParams):
         K("Cauchy", alpha=1.0)
