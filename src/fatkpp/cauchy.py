@@ -220,7 +220,8 @@ def _advance(dk, v, dt, method, rate, work):
     if overshoot > 1e-6:
         raise StabilityViolation("pre-clamp overshoot %.3e exceeds 1e-6"
                                  % overshoot)
-    np.clip(out, 0.0, 1.0, out=out)
+    if not (lo > 0.0 and hi <= 1.0):    # else no value, nor -0.0, moves
+        np.clip(out, 0.0, 1.0, out=out)
     return out, (overshoot, min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0))
 
 

@@ -15,8 +15,10 @@ from .cauchy import SolverConfig, _is_num, check_rate
 from .errors import (GridTooCoarse, InvalidParams, IoError, NoConvergence,
                      NonIntegrableTail, ParseError, ValidationError)
 from .gridops import Grid1D
+from .hj import window_nodes
 from .kernels import _FAMILIES, KernelSpec, build_kernel
 from .mutation import check_resolution
+from .propagation import dilated_window
 
 # The config keys each experiment reads, besides the kernel block that
 # all of them read, with the other facts that differ by experiment: the
@@ -224,6 +226,15 @@ def validate_config(raw):
                           % (experiment, want, len(v)))
         else:
             compact = tuple(float(c) for c in v)
+    # a window off the grid would fail the run after its first files
+    try:
+        if experiment == "CrossValidate" and None not in (compact, grid):
+            window_nodes(grid, compact)
+        if experiment == "HopfCole" and None not in (compact, grid, kernel):
+            for eps in eps_list:
+                dilated_window(kernel, grid, eps, compact[:2])
+    except InvalidParams as exc:
+        issues.append("analysis.compact: %s" % exc)
 
     A = _take(ab, "analysis", "A", lambda v: _is_num(v) and v > 0.0,
               "must be a positive number", issues)

@@ -11,8 +11,10 @@ Convolution is block convolution by overlap-save (Oppenheim & Schafer,
 Discrete-Time Signal Processing): the grid is cut into nb equal tiles,
 nb the largest power of two that leaves tiles of at least max(6K, 3072)
 nodes, and each tile is convolved in one block of length
-B = fast_len(N/nb + 2K), the next 5-smooth size.  A grid shorter than
-two such tiles is one block.  The rounding error at a node is about
+B = block_len(N/nb + 2K): the next 5-smooth size, or one up to 5%
+longer whose transform takes at least 10% fewer radix-pass operations
+by pocketfft's factorization.  A grid shorter than two such tiles is
+one block.  The rounding error at a node is about
 1e-16 of the max of the data within its block, not of the global max,
 so far tails stay resolved wherever the blocks are short next to the
 decay of the data.  The transforms are numpy.fft's (pocketfft).
@@ -254,6 +256,50 @@ def fast_len(n):
     return best
 
 
+def _passes(m):
+    """Radix passes of pocketfft's real transform of a 5-smooth length m,
+    in the order its rfftp factorizes m: one per factor 4, taken first,
+    then one per factor 2, 3 or 5 left."""
+    k = 0
+    while m % 4 == 0:
+        m //= 4
+        k += 1
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+            k += 1
+    return k
+
+
+def block_len(n):
+    """A 5-smooth length >= n whose real transform costs little.
+
+    The cost of a length m is m * _passes(m).  Among the 5-smooth m from
+    fast_len(n) up to 5% above it, the cheapest is taken where it costs
+    at least 10% less than fast_len(n) itself, else fast_len(n): 2*3^9
+    takes 10 passes and 4^3*5^4, 1.6% longer, 7.  The window and the
+    floor keep off lengths that the count favours but that measured
+    slower: 46875 in place of 43200, past a cache size, and 2812500 in
+    place of 2700000 (BENCH_20.json).
+    """
+    base = fast_len(n)
+    top = base * 21 // 20
+    cands = []
+    p5 = 1
+    while p5 <= top:
+        p = p5
+        while p <= top:
+            # p runs over 3^j 5^k; 2 base > top, so the least p 2^i >= base
+            # is the only one that can lie in [base, top]
+            m = p << (-(-base // p) - 1).bit_length()
+            if m <= top:
+                cands.append(m)
+            p *= 3
+        p5 *= 5
+    m = min(cands, key=lambda m: (m * _passes(m), m))
+    return m if 10 * m * _passes(m) <= 9 * base * _passes(base) else base
+
+
 class DiscreteKernel:
     """Truncated kernel samples w_j ~ Jhat(j*dx)*dx on offsets |j| <= K.
 
@@ -284,11 +330,12 @@ class DiscreteKernel:
         # N/nb >= max(6K, 3072), else 1; N is a power of two, so the tiles
         # cover the grid exactly.  A block holds its tile and 2K more, so
         # padding is at most a quarter of each transform, and the 3072
-        # floor spares narrow kernels many small transforms
+        # floor spares narrow kernels many small transforms.  A B longer
+        # than tile + 2K only adds columns that apply drops
         N = grid.N
         nb = 1 << (max(N // max(6 * K, 3072), 1).bit_length() - 1)
         tile = N // nb
-        B = fast_len(tile + 2 * K)
+        B = block_len(tile + 2 * K)
         # the block count and length, both in every run manifest;
         # perfbench/tracing.py reads _P to count flops
         self._nb = nb

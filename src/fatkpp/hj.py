@@ -366,6 +366,23 @@ def inclusion_curves(H, A, t):
 # cross-validation against rescaled runs
 
 
+def window_nodes(grid, x_window):
+    """Mask of the grid nodes in x_window = (x_lo, x_hi), which must hold
+    one at least and stay _MIN_CELLS nodes away from the grid's edges
+    (the ghost extrapolation pollutes the outermost cells)."""
+    xlo, xhi = float(x_window[0]), float(x_window[1])
+    if not xlo < xhi:
+        raise InvalidParams("window needs x_lo < x_hi")
+    if xlo < grid.x[_MIN_CELLS] or xhi > grid.x[grid.N - 1 - _MIN_CELLS]:
+        raise InvalidParams(
+            "window [%g, %g] is closer than %d cells to the grid edge"
+            % (xlo, xhi, _MIN_CELLS))
+    sel = (grid.x >= xlo) & (grid.x <= xhi)
+    if not sel.any():
+        raise InvalidParams("window contains no grid nodes")
+    return sel
+
+
 def cross_validate(runs, hj, x_window):
     """Sup gap between each rescaled run's potential and the limit solution.
 
@@ -373,21 +390,11 @@ def cross_validate(runs, hj, x_window):
     measured over the window at every positive snapshot time of the
     limit solution, each of which must exist in every run; whether the
     errors fall with eps is the caller's verdict to make.  The window
-    must stay _MIN_CELLS nodes away from the limit grid's edges (the
-    ghost extrapolation pollutes the outermost cells); run potentials
-    -eps ln n are interpolated onto the limit nodes inside the window.
+    is checked by window_nodes on the limit grid; run potentials
+    -eps ln n are interpolated onto the limit nodes inside it.
     """
     g = hj.grid
-    xlo, xhi = float(x_window[0]), float(x_window[1])
-    if not xlo < xhi:
-        raise InvalidParams("window needs x_lo < x_hi")
-    if xlo < g.x[_MIN_CELLS] or xhi > g.x[g.N - 1 - _MIN_CELLS]:
-        raise InvalidParams(
-            "window [%g, %g] is closer than %d cells to the grid edge"
-            % (xlo, xhi, _MIN_CELLS))
-    sel = (g.x >= xlo) & (g.x <= xhi)
-    if not sel.any():
-        raise InvalidParams("window contains no grid nodes")
+    sel = window_nodes(g, x_window)
     xs = g.x[sel]
     times = [t for t, _ in hj.snapshots if t > 1e-12]
     if not times:

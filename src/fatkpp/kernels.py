@@ -74,18 +74,36 @@ def _build_subexponential(a):
                 x_peak=x_star, mu=math.inf, fat_tailed=True)
 
 
+_R_SQ_MAX = math.sqrt(np.finfo(float).max)     # r * r overflows past this
+
+
+def _far(r, near, far, top=_R_SQ_MAX):
+    """near(r), but far(r) past top, where near would overflow."""
+    big = r > top
+    if not big.any():
+        return near(r)
+    return np.where(big, far(np.where(big, r, 1.0)),
+                    near(np.where(big, 1.0, r)))
+
+
 def _build_polynomial(a):
     q = 0.5 * (1.0 + a)
 
     def f(r):
-        return q * np.log1p(r * r)
+        return _far(r, lambda r: q * np.log1p(r * r),
+                    lambda r: 2.0 * q * np.log(r) + q * np.log1p(r ** -2.0))
 
     def fp(r):
-        return (1.0 + a) * r / (1.0 + r * r)
+        return _far(r, lambda r: (1.0 + a) * r / (1.0 + r * r),
+                    lambda r: (1.0 + a) / (r + 1.0 / r))
 
     def fpp(r):
-        rr = r * r
-        return (1.0 + a) * (1.0 - rr) / (1.0 + rr) ** 2
+        def near(r):
+            rr = r * r
+            return (1.0 + a) * (1.0 - rr) / (1.0 + rr) ** 2
+        # (1 + r*r)^2 overflows past sqrt(_R_SQ_MAX)
+        return _far(r, near, lambda r: -(1.0 + a) * r ** -2.0,
+                    math.sqrt(_R_SQ_MAX))
 
     def finv(y):
         return np.sqrt(np.expm1(y / q))

@@ -210,6 +210,19 @@ class HopfColeField:
         return float(np.max(np.abs(self.u - self.limit)))
 
 
+def dilated_window(kernel, grid, eps, x_span):
+    """hopf_cole_field's sample points xs across x_span and their
+    dilations Psi_eps(xs), which must stay on the grid: |y| <= x_{N-1}."""
+    xs = np.linspace(x_span[0], x_span[1], _HC_NX)
+    ys = kernel.dilate(xs, eps)
+    usable = grid.x[-1]
+    if np.max(np.abs(ys)) > usable:
+        raise OutOfDomain(
+            "dilated coordinate %.6g exceeds the usable grid |x| <= %.6g"
+            % (float(np.max(np.abs(ys))), usable))
+    return xs, ys
+
+
 def hopf_cole_field(run, eps, x_span, t_span):
     """Sample u_eps = -eps ln n(t/eps, Psi_eps(x)) over a compact window.
 
@@ -227,14 +240,7 @@ def hopf_cole_field(run, eps, x_span, t_span):
     if not (x_lo < x_hi and t_lo <= t_hi):
         raise InvalidParams("empty compact window")
     kernel, grid = run.kernel, run.grid
-    xs = np.linspace(x_lo, x_hi, _HC_NX)
-    ys = kernel.dilate(xs, eps)
-    usable = grid.x[-1]
-    if np.max(np.abs(ys)) > usable:
-        raise OutOfDomain(
-            "dilated coordinate %.6g exceeds the usable grid |x| <= %.6g"
-            % (float(np.max(np.abs(ys))), usable))
-
+    xs, ys = dilated_window(kernel, grid, eps, x_span)
     kept = [(eps * s,) + potential_of(np.interp(ys, grid.x, fld.values), eps)
             for s, fld in run.snapshots
             if t_lo - 1e-12 <= eps * s <= t_hi + 1e-12]

@@ -49,11 +49,11 @@ def test_invalid_config_lists_issues_and_exits_2(tmp_path, capsys):
 
 
 def test_kernel_without_a_tail_bound_is_a_config_issue(tmp_path, capsys):
-    """alpha = 0.05 (mu = 1.05) is admissible, but no radius up to 1e300
+    """beta = 1.01 (mu = 1.01) is admissible, but no radius up to 1e300
     bounds its tail within the quadrature budget: building the kernel
     fails, and validation reports that as a kernel issue, warning-free."""
     doc = {"experiment": "KernelValidate",
-           "kernel": {"family": "Polynomial", "alpha": 0.05}}
+           "kernel": {"family": "LogLinear", "beta": 1.01}}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["--config", _cfg(tmp_path, doc),
@@ -457,6 +457,36 @@ def test_doomed_cross_validation_is_refused_before_any_output(
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"experiment": "CrossValidate",
+      "kernel": {"family": "LogLinear", "beta": 3},
+      "grid": {"L": 600, "N": 131072},
+      "solver": {"method": "Euler", "dt": 0.005, "t_end": 0.05,
+                 "snapshots": [0.05]},
+      "analysis": {"eps": [0.2], "A": 0.25,
+                   "compact": [-599.99, 599.99]},
+      "output": {"stride": 64}},
+     "closer than 10 cells to the grid edge"),
+    # Psi_0.5(40) = sqrt(1601^2 - 1) for Polynomial alpha=4, past L
+    ({"experiment": "HopfCole",
+      "kernel": {"family": "Polynomial", "alpha": 4},
+      "grid": {"L": 1000, "N": 16384},
+      "solver": {"t_end": 2, "dt": 0.05, "snapshots": [1, 2]},
+      "analysis": {"eps": [1, 0.5], "compact": [0.5, 40, 0.5, 1]}},
+     "dilated coordinate 1601 exceeds"),
+], ids=["CrossValidate", "HopfCole"])
+def test_a_window_off_the_grid_is_refused_before_any_output(
+        tmp_path, capsys, doc, message):
+    """The window is checked against the grid at validation; the run
+    used to refuse it after writing the files of its first eps."""
+    out = str(tmp_path / "out")
+    doc = dict(doc, output=dict(doc.get("output", {}), directory=out))
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "analysis.compact: " in err and message in err
+    assert not os.path.exists(out)
+
+
 def test_hj_writes_solution_and_zero_set(tmp_path):
     out = str(tmp_path / "out")
     doc = {"experiment": "HJ",
@@ -528,7 +558,7 @@ def test_a_key_the_experiment_does_not_read_is_refused(
         if k in _NEEDED:
             _set(doc, k, _NEEDED[k])
     if entries:
-        _set(doc, "analysis.compact", [0.5, 3, 0.25, 0.5][:entries])
+        _set(doc, "analysis.compact", [0.5, 1, 0.25, 0.5][:entries])
     parse_config(_cfg(tmp_path, doc))
     _set(doc, key, _VALUES[key])
     out = str(tmp_path / "out")

@@ -299,7 +299,7 @@ def test_all_experiment_names_recognized():
                "kernel": {"family": "LogLinear", "beta": 3}}
         for key in keys:
             block, _, k = key.partition(".")
-            v = ([-5, 5, 0, 1][:entries] if key == "analysis.compact"
+            v = ([-0.5, 0.5, 0, 1][:entries] if key == "analysis.compact"
                  else values.get(key))
             if v is not None:
                 doc.setdefault(block, {})[k] = v

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fatkpp.errors import (GridMismatch, InvalidParams, NoConvergence)
-from fatkpp.gridops import (DiscreteKernel, Field, Grid1D, adaptive_integrate,
-                            discretize_kernel, fast_len, invert_monotone)
+from fatkpp.gridops import (DiscreteKernel, Field, Grid1D, _passes,
+                            adaptive_integrate, block_len, discretize_kernel,
+                            fast_len, invert_monotone)
 from fatkpp.kernels import KernelSpec, build_kernel
 from fatkpp.propagation import phi_envelope
 
@@ -240,6 +241,47 @@ def test_fast_len_is_scipys_real_fast_length():
         [next_fast_len(n, real=True) for n in range(1, 5000)]
 
 
+# every 5-smooth number up to 3e6, by brute force
+_SMOOTH = sorted(2 ** i * 3 ** j * 5 ** k for i in range(22)
+                 for j in range(14) for k in range(10)
+                 if 2 ** i * 3 ** j * 5 ** k <= 3_000_000)
+
+
+def test_passes_count_pocketffts_radix_passes():
+    """One pass per factor 4, then one per factor 2, 3 or 5 left."""
+    assert [_passes(m) for m in (1, 2, 4, 8, 39366, 40000, 4608, 4800)] \
+        == [0, 1, 1, 2, 10, 7, 7, 6]
+
+
+def test_block_len_is_the_cheapest_near_fast_len():
+    """The cheapest 5-smooth m in [fast_len(n), 1.05 fast_len(n)] by
+    m * passes(m), where it costs at least 10% less than fast_len(n)."""
+    rng = np.random.default_rng(20)
+    for n in list(range(1, 3000)) + rng.integers(3000, 2_800_000,
+                                                 300).tolist():
+        base = fast_len(n)
+        m = block_len(n)
+        assert m in _SMOOTH and n <= base <= m and 20 * m <= 21 * base
+        assert m * _passes(m) <= base * _passes(base)
+        best = min((c * _passes(c), c) for c in _SMOOTH
+                   if base <= c and 20 * c <= 21 * base)
+        assert m == (best[1] if 10 * best[0] <= 9 * base * _passes(base)
+                     else base), n
+
+
+@pytest.mark.parametrize("n, fast, B", [
+    (39258, 39366, 40000),          # crossval eps=0.4: 2*3^9 -> 4^3 5^4
+    (5400, 5400, 5625),             # crossval eps=0.2
+    (4532, 4608, 4800),             # crossval eps=0.1
+    (4908, 5000, 5000),             # front
+    (42128, 43200, 43200),          # snapshots; 46875 is past a cache cliff
+    (43142, 43200, 43200),          # Tier-1 front fixture
+    (2696188, 2700000, 2700000),    # criterion 6; 2812500 measured slower
+])
+def test_block_len_of_the_known_kernels(n, fast, B):
+    assert (fast_len(n), block_len(n)) == (fast, B)
+
+
 def _scipy_apply(dk, v):
     """DiscreteKernel.apply's overlap-save, transformed by scipy.fft."""
     from scipy import fft as sfft
@@ -308,7 +350,7 @@ def _random_dk(L, N, K):
         "Polynomial", alpha=4.0)), Grid1D(L=1000.0, N=2 ** 15)),
      406, 8, 5000),
     # blocks of a length that is no power of two: 2
-    (lambda: _random_dk(100.0, 2 ** 14, 700), 700, 2, 9600),
+    (lambda: _random_dk(100.0, 2 ** 14, 700), 700, 2, 10000),
     # one block whose kept columns are exactly the grid
     (lambda: _random_dk(100.0, 2 ** 14, 1808), 1808, 1, 20000),
 ])

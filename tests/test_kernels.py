@@ -53,6 +53,28 @@ def test_Z_polynomial_exact(poly4):
     assert abs(poly4.Z - expect) < 1e-10
 
 
+def test_Z_polynomial_past_the_square_overflow():
+    """r*r overflows past r = 1.3e154, and f, f', f'' take their large-r
+    forms there: alpha=0.05, whose tail bound 20 R^-0.05 meets its
+    budget only near R = 1e278, builds with its closed-form Z (the tail
+    search used to read f' = 0 past 1.3e154 and fail).  Below the
+    overflow every value keeps its bits, Z of alpha 0.5 and 4 too."""
+    a = 0.05
+    k = K("Polynomial", alpha=a)
+    expect = math.sqrt(math.pi) * gamma_fn(a / 2) / gamma_fn((1 + a) / 2)
+    assert abs(k.Z - expect) < 1e-10 * expect
+    r = np.array([1e77, 1.2e77, 1.3e154, 1.4e154, 1e200, 1e300])
+    with np.errstate(over="raise", invalid="raise"):
+        f, fp, fpp = k.f(r), k.f_prime(r), k.f_second(r)
+    np.testing.assert_allclose(f, (1 + a) * np.log(r), rtol=1e-15)
+    np.testing.assert_allclose(fp * r, 1 + a, rtol=1e-15)
+    np.testing.assert_allclose(fpp[:4] * r[:4] * r[:4], -(1 + a),
+                               rtol=1e-15)
+    assert np.all(fpp[4:] == 0.0)
+    assert (K("Polynomial", alpha=0.5).Z, K("Polynomial", alpha=4.0).Z) \
+        == (5.244115108583784, 1.3333333333328785)
+
+
 def test_Z_powershift_incomplete_gamma(powershift):
     """With f = b((1+x)^a - 1), substituting u = b(1+x)^a gives
 
