@@ -11,6 +11,14 @@ snapshots it reached, with the writer of its experiment, plus run.json
 with the abort flag set.  CrossValidate reports its sup errors in
 run.json and makes no verdict on them: a sup error that grows as eps
 falls still exits 0.
+
+CrossValidate solves the Hamilton-Jacobi limit on one worker thread
+while its rescaled runs step on the main thread, which alone writes
+files.  Each run is written as it ends and then dropped but for its
+potentials at the window nodes.  Aborts end as in a sequential run: a
+run that aborts propagates once the worker is joined, and the limit is
+discarded; a limit solve that fails surfaces, with its partial
+solution, only after every run is written.
 """
 
 import argparse
@@ -27,8 +35,8 @@ from .errors import (BoundaryContamination, CFLViolation, GradientOutOfRange,
                      StabilityViolation, ValidationError)
 from .gridops import discretize_kernel
 from .hj import (HJSolution, Hamiltonian, hamiltonian_profile,
-                 inclusion_curves, cross_validate, solve_constrained_hj,
-                 zero_set_boundary)
+                 inclusion_curves, solve_constrained_hj, sup_gap,
+                 window_potentials, zero_set_boundary)
 from .kernels import validate_hypotheses
 from .mutation import classify_limit_sets, mutation_initial_data, \
     mutation_run
@@ -111,14 +119,16 @@ def _do_hopf_cole(cfg, out):
     return manifest, None
 
 
-def _mutation_runs(cfg, out, u0):
-    """One rescaled run per eps, largest first, each written as it ends."""
-    runs = []
+def _mutation_runs(cfg, out, u0, keep=lambda run: run):
+    """keep(run) of one rescaled run per eps, largest first, each run
+    written as it ends."""
+    kept = []
     for eps in sorted(cfg.eps_list, reverse=True):
         run = mutation_run(cfg.kernel, eps, cfg.solver, u0)
         out_io.write_mutation_csv(out, run, cfg.stride)
-        runs.append(run)
-    return runs
+        kept.append(keep(run))
+        del run         # what keep left out goes before the next run steps
+    return kept
 
 
 def _do_mutation(cfg, out):
@@ -165,17 +175,26 @@ def _do_hamiltonian(cfg, out):
 
 
 def _do_cross_validate(cfg, out):
+    # imported here: it loads logging, about 10 ms and 0.8 MB that the
+    # experiments without a thread would pay at start-up
+    from concurrent.futures import ThreadPoolExecutor
     H = Hamiltonian(cfg.kernel)
     u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
-    runs = _mutation_runs(cfg, out, u0)
-    sol = solve_constrained_hj(H, cfg.solver, u0)
+    # the limit needs none of the runs, so it is solved on a second thread
+    # while they step; of each run only its window potentials are kept
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        limit = pool.submit(solve_constrained_hj, H, cfg.solver, u0)
+        kept = _mutation_runs(cfg, out, u0, keep=lambda run: (
+            window_potentials(run, cfg.compact), run.manifest))
+        sol = limit.result()
     out_io.write_hj_solution_csv(out, sol, cfg.stride)
-    rows = cross_validate(runs, sol, cfg.compact)
+    rows = [{"eps": pots.eps, "sup_error": sup_gap(pots, sol),
+             "wall_time_s": man["wall_time_s"]} for pots, man in kept]
     _plot(cfg, out, "crossval.svg",
-          [("sup |u_eps - u|", [e for e, _ in rows], [v for _, v in rows])],
+          [("sup |u_eps - u|", [r["eps"] for r in rows],
+            [r["sup_error"] for r in rows])],
           "mutation runs vs the limit equation", "eps", "sup error")
-    return dict(runs[-1].manifest, **sol.meta), {"cross_validation": [
-        {"eps": e, "sup_error": v} for e, v in rows]}
+    return dict(kept[-1][1], **sol.meta), {"cross_validation": rows}
 
 
 def _write_partial(out, partial, cfg):

@@ -15,10 +15,10 @@ from .cauchy import SolverConfig, _is_num, check_rate
 from .errors import (GridTooCoarse, InvalidParams, IoError, NoConvergence,
                      NonIntegrableTail, ParseError, ValidationError)
 from .gridops import Grid1D
-from .hj import window_nodes
+from .hj import comparison_times, window_nodes
 from .kernels import _FAMILIES, KernelSpec, build_kernel
 from .mutation import check_resolution
-from .propagation import dilated_window
+from .propagation import dilated_window, mapped_times
 
 # The config keys each experiment reads, besides the kernel block that
 # all of them read, with the other facts that differ by experiment: the
@@ -313,6 +313,21 @@ def validate_config(raw):
                 check_resolution(kernel, min(eps_list), grid)
             except GridTooCoarse as exc:
                 issues.append("grid.N: %s" % exc)
+
+    # times the analysis reads that no snapshot gives would fail the run
+    # after its first files
+    if experiment == "CrossValidate" and solver is not None:
+        try:
+            comparison_times(solver.snapshot_times)
+        except InvalidParams as exc:
+            issues.append("solver.snapshots: %s" % exc)
+    if experiment == "HopfCole" and None not in (solver, compact):
+        for eps in eps_list:
+            try:
+                mapped_times(eps, solver.snapshot_times, compact[2:])
+            except InvalidParams as exc:
+                issues.append("analysis.compact: %s at eps = %g"
+                              % (exc, eps))
 
     # ---- output ----
     out_dir = _take(ob, "output", "directory",

@@ -20,14 +20,15 @@ the scheme converges to the viscosity solution.
 """
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .cauchy import Trajectory, _march
-from .errors import (CFLViolation, GradientOutOfRange, InvalidParams,
-                     NoConvergence)
+from .errors import (CFLViolation, GradientOutOfRange, GridMismatch,
+                     InvalidParams, NoConvergence)
 from .gridops import adaptive_integrate, first_doubling
 from .propagation import potential_of
 
@@ -36,6 +37,7 @@ _ZERO_TOL = 1e-12       # roundoff that zero_set_boundary counts as zero
 _N_R = 101              # inclusion_curves' scan points over r in [0, 1]
 _N_P = 257              # hamiltonian_profile's rows over the p band
 _MIN_CELLS = 10         # cross_validate's window margin from the edges
+_T_POS = 1e-12          # cross_validate compares at snapshot times above it
 
 
 def _tail_log(kernel, lam, R, quad_factor=False):
@@ -245,8 +247,10 @@ class HJSolution(Trajectory):
 
 def _lf_step(H, u, dx, dt, sigma):
     """One obstacle-projected Lax-Friedrichs update with linear ghosts."""
-    upad = np.concatenate(([2.0 * u[0] - u[1]], u, [2.0 * u[-1] - u[-2]]))
-    d = np.diff(upad) / dx
+    # the padded copy goes before the flux is formed: in a worker thread's
+    # malloc arena, what the step holds at once stays resident after it
+    d = np.diff(np.concatenate(
+        ([2.0 * u[0] - u[1]], u, [2.0 * u[-1] - u[-2]]))) / dx
     pm = d[:-1]
     pp = d[1:]
     hnum = H.table_eval(0.5 * (pm + pp)) - 0.5 * sigma * (pp - pm)
@@ -267,8 +271,11 @@ def solve_constrained_hj(H, config, u0, dt=None, sigma=None):
     hit exactly (each gap is stepped with a uniform dt dividing it).
     Passing sigma overrides the automatic bound; it must dominate
     sup|H'| over every slope the run visits (property tests use this to
-    compare two runs under one scheme).
+    compare two runs under one scheme).  meta records the scheme's
+    constants, the steps taken and hj_wall_time_s, the seconds the call
+    took.
     """
+    t0 = time.perf_counter()
     grid, u = u0.grid, u0.values
     if np.any(u < 0.0):
         raise InvalidParams("u0 must be nonnegative")
@@ -313,6 +320,7 @@ def solve_constrained_hj(H, config, u0, dt=None, sigma=None):
             "safety": _CFL_SAFETY,
             "steps": steps,
             "p_table": H.p_table,
+            "hj_wall_time_s": time.perf_counter() - t0,
         }
         return HJSolution(records, grid, meta)
 
@@ -383,29 +391,56 @@ def window_nodes(grid, x_window):
     return sel
 
 
+def comparison_times(times):
+    """The positive times among times, those at which cross-validation
+    compares a run with the limit; there must be one at least."""
+    kept = [t for t in times if t > _T_POS]
+    if not kept:
+        raise InvalidParams("no positive comparison times")
+    return kept
+
+
+@dataclass
+class WindowPotentials(Trajectory):
+    """A rescaled run's potential -eps ln n at its window nodes, one array
+    per positive snapshot time: all that cross-validation reads of a run."""
+
+    grid: object
+    eps: float
+    nodes: np.ndarray           # the window_nodes mask on grid
+
+
+def window_potentials(run, x_window):
+    """The potentials of run (a rescaled run, or any trajectory of
+    densities with grid and eps) on window_nodes(run.grid, x_window)."""
+    sel = window_nodes(run.grid, x_window)
+    return WindowPotentials(
+        [(t, potential_of(fld.values[sel], run.eps)[0])
+         for t, fld in run.snapshots if t > _T_POS], run.grid, run.eps, sel)
+
+
+def sup_gap(pots, hj):
+    """Sup of |u_eps - u| over the window nodes of pots and the positive
+    snapshot times of the limit solution hj, each of which pots must
+    hold; pots must live on hj's grid."""
+    if pots.grid != hj.grid:
+        raise GridMismatch("run potentials on %r, limit solution on %r"
+                           % (pots.grid, hj.grid))
+    worst = 0.0
+    for t in comparison_times(t for t, _ in hj.snapshots):
+        gap = float(np.max(np.abs(pots.snapshot_at(t)
+                                  - hj.snapshot_at(t).values[pots.nodes])))
+        worst = max(worst, gap)
+    return worst
+
+
 def cross_validate(runs, hj, x_window):
     """Sup gap between each rescaled run's potential and the limit solution.
 
-    Returns one row (eps, sup_error) per run, sorted by decreasing eps,
-    measured over the window at every positive snapshot time of the
-    limit solution, each of which must exist in every run; whether the
-    errors fall with eps is the caller's verdict to make.  The window
-    is checked by window_nodes on the limit grid; run potentials
-    -eps ln n are interpolated onto the limit nodes inside it.
+    Returns one row (eps, sup_error) per run, sorted by decreasing eps:
+    sup_gap of the run's window_potentials, so every run lives on the
+    limit solution's grid and holds each of its positive snapshot times.
+    Whether the errors fall with eps is the caller's verdict to make.
     """
-    g = hj.grid
-    sel = window_nodes(g, x_window)
-    xs = g.x[sel]
-    times = [t for t, _ in hj.snapshots if t > 1e-12]
-    if not times:
-        raise InvalidParams("no positive comparison times")
-    rows = []
-    for mr in sorted(runs, key=lambda m: -m.eps):
-        worst = 0.0
-        for t in times:
-            ue, _ = potential_of(mr.snapshot_at(t).values, mr.eps)
-            ui = np.interp(xs, mr.grid.x, ue)
-            gap = float(np.max(np.abs(ui - hj.snapshot_at(t).values[sel])))
-            worst = max(worst, gap)
-        rows.append((mr.eps, worst))
-    return rows
+    return [(mr.eps, sup_gap(window_potentials(mr, x_window), hj))
+            for mr in sorted(runs, key=lambda m: -m.eps)]

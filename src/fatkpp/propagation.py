@@ -223,6 +223,16 @@ def dilated_window(kernel, grid, eps, x_span):
     return xs, ys
 
 
+def mapped_times(eps, times, t_span):
+    """The times s whose rescaled times eps*s fall in t_span (to 1e-12),
+    those hopf_cole_field samples; there must be one at least."""
+    t_lo, t_hi = t_span
+    kept = [s for s in times if t_lo - 1e-12 <= eps * s <= t_hi + 1e-12]
+    if not kept:
+        raise InvalidParams("no snapshot maps into the requested t window")
+    return kept
+
+
 def hopf_cole_field(run, eps, x_span, t_span):
     """Sample u_eps = -eps ln n(t/eps, Psi_eps(x)) over a compact window.
 
@@ -241,11 +251,9 @@ def hopf_cole_field(run, eps, x_span, t_span):
         raise InvalidParams("empty compact window")
     kernel, grid = run.kernel, run.grid
     xs, ys = dilated_window(kernel, grid, eps, x_span)
-    kept = [(eps * s,) + potential_of(np.interp(ys, grid.x, fld.values), eps)
-            for s, fld in run.snapshots
-            if t_lo - 1e-12 <= eps * s <= t_hi + 1e-12]
-    if not kept:
-        raise InvalidParams("no snapshot maps into the requested t window")
+    kept = [(eps * s,) + potential_of(
+        np.interp(ys, grid.x, run.snapshot_at(s).values), eps)
+        for s in mapped_times(eps, [s for s, _ in run.snapshots], t_span)]
     times, u, floored = (np.array(c) for c in zip(*kept))
     limit = np.maximum(kernel.f(np.abs(xs))[None, :] - times[:, None], 0.0)
     return HopfColeField(eps, times, xs, u, limit, floored)

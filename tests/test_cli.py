@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import warnings
 
@@ -11,9 +12,12 @@ import numpy as np
 import pytest
 
 import fatkpp
-from fatkpp import cli, errors
+from fatkpp import cli, errors, output
 from fatkpp.cli import main
 from fatkpp.config import READS, parse_config
+from fatkpp.hj import (HJSolution, Hamiltonian, cross_validate,
+                       solve_constrained_hj)
+from fatkpp.mutation import mutation_initial_data, mutation_run
 
 
 def _cfg(tmp_path, doc, name="run.json"):
@@ -215,7 +219,6 @@ def test_run_json_reports_the_seconds_spent_writing(tmp_path, monkeypatch):
     """write_s counts this invocation's file writing, CSV formatting
     included: above zero and below the whole invocation, whatever earlier
     calls in the same process wrote."""
-    from fatkpp import output
     monkeypatch.setattr(output, "write_s", 1000.0)
     out = str(tmp_path / "out")
     doc = dict(SIMULATE, output={"directory": out})
@@ -487,6 +490,37 @@ def test_a_window_off_the_grid_is_refused_before_any_output(
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"experiment": "CrossValidate",
+      "kernel": {"family": "LogLinear", "beta": 3},
+      "grid": {"L": 600, "N": 262144},
+      "solver": {"method": "Euler", "dt": 0.005, "t_end": 0.1,
+                 "snapshots": [0]},
+      "analysis": {"eps": [0.4], "A": 0.25, "compact": [-10, 10]}},
+     "solver.snapshots: no positive comparison times"),
+    # eps * 1 = 0.5 lies outside [0.9, 1]; eps = 1 alone would pass
+    ({"experiment": "HopfCole",
+      "kernel": {"family": "Polynomial", "alpha": 4},
+      "grid": {"L": 1000, "N": 16384},
+      "solver": {"method": "RK4", "dt": 0.05, "t_end": 1,
+                 "snapshots": [1]},
+      "analysis": {"eps": [1, 0.5], "compact": [0.5, 3, 0.9, 1]}},
+     "analysis.compact: no snapshot maps into the requested t window at "
+     "eps = 0.5"),
+], ids=["CrossValidate", "HopfCole"])
+def test_times_the_analysis_reads_are_checked_before_any_output(
+        tmp_path, capsys, doc, message):
+    """A comparison time that no snapshot gives is known at validation;
+    the run used to fail on it after writing the files of its first
+    eps."""
+    out = str(tmp_path / "out")
+    doc = dict(doc, output={"directory": out})
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "fatkpp: invalid config:", "  - " + message]
+    assert not os.path.exists(out)
+
+
 def test_hj_writes_solution_and_zero_set(tmp_path):
     out = str(tmp_path / "out")
     doc = {"experiment": "HJ",
@@ -558,7 +592,7 @@ def test_a_key_the_experiment_does_not_read_is_refused(
         if k in _NEEDED:
             _set(doc, k, _NEEDED[k])
     if entries:
-        _set(doc, "analysis.compact", [0.5, 1, 0.25, 0.5][:entries])
+        _set(doc, "analysis.compact", [0.5, 1, 0.1, 0.5][:entries])
     parse_config(_cfg(tmp_path, doc))
     _set(doc, key, _VALUES[key])
     out = str(tmp_path / "out")
@@ -620,6 +654,116 @@ def test_cross_validate_snapshots_may_omit_t_end(tmp_path):
     assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 0
     rows = _manifest(out)["cross_validation"]
     assert [r["eps"] for r in rows] == [0.25, 0.125]
+
+
+def _crossval(out):
+    return dict(CROSSVAL_SMALL, output={"directory": out, "plot": False})
+
+
+def _times(out, name):
+    return np.unique(np.loadtxt(os.path.join(out, name), delimiter=",",
+                                skiprows=1, usecols=0)).tolist()
+
+
+def test_cross_validate_equals_the_sequential_reference(tmp_path):
+    """The limit is solved on a second thread while the runs step, and of
+    each run only its window potentials are kept: the CSVs and sup errors
+    are those of the runs and the solve done one after the other and
+    compared whole by cross_validate.  run.json also gives each run's
+    wall time and the solve's."""
+    out, ref = str(tmp_path / "out"), str(tmp_path / "ref")
+    path = _cfg(tmp_path, _crossval(out))
+    assert main(["--config", path, "--quiet"]) == 0
+    cfg = parse_config(path)
+    u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
+    runs = [mutation_run(cfg.kernel, eps, cfg.solver, u0)
+            for eps in (0.25, 0.2)]
+    sol = solve_constrained_hj(Hamiltonian(cfg.kernel), cfg.solver, u0)
+    os.makedirs(ref)
+    for run in runs:
+        output.write_mutation_csv(ref, run, cfg.stride)
+    output.write_hj_solution_csv(ref, sol, cfg.stride)
+    names = sorted(os.listdir(ref))
+    assert sorted(os.listdir(out)) == names + ["run.json"]
+    for name in names:
+        with open(os.path.join(out, name), "rb") as a, \
+                open(os.path.join(ref, name), "rb") as b:
+            assert a.read() == b.read(), name
+    doc = _manifest(out)
+    rows = doc["cross_validation"]
+    assert [(r["eps"], r["sup_error"]) for r in rows] == \
+        cross_validate(runs, sol, cfg.compact)
+    assert all(r["wall_time_s"] > 0.0 for r in rows)
+    man = doc["manifest"]
+    assert man["wall_time_s"] == rows[-1]["wall_time_s"]
+    assert man["hj_wall_time_s"] > 0.0
+    assert man["steps"] == sol.meta["steps"]
+
+
+def test_a_failed_limit_solve_surfaces_after_every_run(
+        tmp_path, capsys, monkeypatch):
+    """A solve that fails on its thread leaves what a sequential one did:
+    every run's CSV, the solve's partial and an aborted run.json."""
+    solve = cli.solve_constrained_hj
+
+    def failing(H, config, u0):
+        sol = solve(H, config, u0)
+        exc = errors.GradientOutOfRange("slope left the table")
+        exc.run = HJSolution(sol.snapshots[:1], sol.grid, sol.meta)
+        raise exc
+
+    monkeypatch.setattr(cli, "solve_constrained_hj", failing)
+    out = str(tmp_path / "out")
+    assert main(["--config", _cfg(tmp_path, _crossval(out)),
+                 "--quiet"]) == 3
+    assert "slope left the table" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == [
+        "hj_solution.csv", "mutation_eps0.2.csv", "mutation_eps0.25.csv",
+        "run.json"]
+    for name in ("mutation_eps0.2.csv", "mutation_eps0.25.csv"):
+        assert _times(out, name) == [0.125, 0.25]
+    assert _times(out, "hj_solution.csv") == [0.125]
+    doc = _manifest(out)
+    assert doc["aborted"] is True
+    assert doc["abort_reason"] == "slope left the table"
+    assert "cross_validation" not in doc
+
+
+def test_a_run_that_aborts_during_the_limit_solve_joins_it(
+        tmp_path, capsys, monkeypatch):
+    """The abort propagates once the solve's thread is joined; the solve's
+    result is dropped, and main leaves no thread running."""
+    solve, step = cli.solve_constrained_hj, cli.mutation_run
+    started, solved = threading.Event(), threading.Event()
+
+    def slow(H, config, u0):
+        started.set()
+        time.sleep(0.5)
+        sol = solve(H, config, u0)
+        solved.set()
+        return sol
+
+    def aborting(kernel, eps, config, u0):
+        run = step(kernel, eps, config, u0)
+        assert started.wait(10) and not solved.is_set()
+        exc = errors.BoundaryContamination("guard reached")
+        exc.run = run
+        raise exc
+
+    monkeypatch.setattr(cli, "solve_constrained_hj", slow)
+    monkeypatch.setattr(cli, "mutation_run", aborting)
+    out = str(tmp_path / "out")
+    before = threading.active_count()
+    assert main(["--config", _cfg(tmp_path, _crossval(out)),
+                 "--quiet"]) == 3
+    assert solved.is_set()
+    assert threading.active_count() == before
+    assert "guard reached" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["monitors.csv", "mutation_eps0.25.csv",
+                                       "run.json"]
+    man = _manifest(out)
+    assert man["aborted"] is True
+    assert man["manifest"]["eps"] == 0.25 and "steps" not in man["manifest"]
 
 
 def _child_env():

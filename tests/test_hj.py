@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from fatkpp.errors import (CFLViolation, GradientOutOfRange, InvalidParams,
-                           NonIntegrableTail, NotMutationEligible,
-                           ThinTailedKernel)
+from fatkpp.errors import (CFLViolation, GradientOutOfRange, GridMismatch,
+                           InvalidParams, NonIntegrableTail,
+                           NotMutationEligible, ThinTailedKernel)
 from fatkpp.gridops import DiscreteKernel, Field, Grid1D
 from fatkpp.hj import (Hamiltonian, HJSolution, cross_validate,
                        hamiltonian_profile, inclusion_curves,
@@ -450,6 +450,15 @@ def test_cross_validate_window_margin():
         cross_validate(runs, hj, (-9.99, 5.0))
     with pytest.raises(InvalidParams):
         cross_validate(runs, hj, (5.0, -5.0))
+
+
+def test_cross_validate_needs_runs_on_the_limit_grid():
+    """Runs are read at the limit's own window nodes, not interpolated."""
+    g = Grid1D(10.0, 256)
+    hj, _ = _fake_pair(g, {})
+    _, runs = _fake_pair(Grid1D(10.0, 512), {0.4: 0.1})
+    with pytest.raises(GridMismatch):
+        cross_validate(runs, hj, (-5.0, 5.0))
 
 
 def test_cross_validate_locality():
