@@ -2,15 +2,14 @@
 
     fatkpp --config <path> [--out <dir>] [--quiet]
 
-One experiment per invocation, named in the JSON config.  Exit codes:
-0 success, 2 config or parameter validation failure (any InvalidParams;
-a config key the experiment does not read is one), 3 runtime abort
-(boundary contamination, stability or gradient-range violations), 4
-output I/O failure.  A contaminated simulation still writes whatever
-snapshots it reached, with the writer of its experiment, plus run.json
-with the abort flag set.  CrossValidate reports its sup errors in
-run.json and makes no verdict on them: a sup error that grows as eps
-falls still exits 0.
+One experiment per invocation, named in the JSON config.  It exits 0 on
+success and otherwise with the code its error's class owns (see
+`errors`).  A failure after the output directory exists keeps the files
+already written, writes the partial run an aborted march carries with
+the writer of its experiment, and leaves run.json with the abort flag
+and reason set.  CrossValidate reports its sup errors in run.json and
+makes no verdict on them: a sup error that grows as eps falls still
+exits 0.
 
 CrossValidate solves the Hamilton-Jacobi limit on one worker thread
 while its rescaled runs step on the main thread, which alone writes
@@ -30,9 +29,7 @@ from dataclasses import asdict
 
 from .cauchy import initial_condition, run as run_cauchy
 from .config import READS, parse_config
-from .errors import (BoundaryContamination, CFLViolation, GradientOutOfRange,
-                     InvalidParams, IoError, NoConvergence, ParseError,
-                     StabilityViolation, ValidationError)
+from .errors import FatKppError, IoError, ValidationError
 from .gridops import discretize_kernel
 from .hj import (HJSolution, Hamiltonian, hamiltonian_profile,
                  inclusion_curves, solve_constrained_hj, sup_gap,
@@ -44,14 +41,12 @@ from .propagation import (envelope_sandwich_report, hopf_cole_field,
                           potential_of, track_level)
 from . import output as out_io
 
-_RUNTIME_ERRORS = (BoundaryContamination, StabilityViolation, CFLViolation,
-                   GradientOutOfRange, NoConvergence)
 _MAX_SERIES = 5         # density curves in one plot
 
 
-def _simulate(cfg):
+def _simulate(cfg, dk=None):
     n0 = initial_condition(cfg.kernel, cfg.grid, cfg.C)
-    return run_cauchy(cfg.kernel, cfg.solver, n0)
+    return run_cauchy(cfg.kernel, cfg.solver, n0, dk=dk)
 
 
 def _plot(cfg, out, name, series, title, xlabel, ylabel, logy=False):
@@ -87,8 +82,7 @@ def _do_simulate(cfg, out):
 def _do_front(cfg, out):
     # one sampled kernel serves the run and its envelope report
     dk = discretize_kernel(cfg.kernel, cfg.grid)
-    n0 = initial_condition(cfg.kernel, cfg.grid, cfg.C)
-    sim = run_cauchy(cfg.kernel, cfg.solver, n0, dk=dk)
+    sim = _simulate(cfg, dk)
     tracks = [track_level(sim, lv) for lv in cfg.levels]
     out_io.write_front_csv(out, tracks, cfg.kernel)
     rows = envelope_sandwich_report(sim, dk, cfg.C)
@@ -226,6 +220,16 @@ _DISPATCH = {
 }
 
 
+def _fail(exc):
+    """Print why the invocation failed; returns exc's exit code."""
+    if isinstance(exc, ValidationError):
+        print("fatkpp: invalid config:", *("  - %s" % i for i in exc.issues),
+              sep="\n", file=sys.stderr)
+    else:
+        print("fatkpp: %s%s" % (exc.label, exc), file=sys.stderr)
+    return exc.exit_code
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="fatkpp",
@@ -241,49 +245,33 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
-    except IoError as exc:
-        print("fatkpp: %s" % exc, file=sys.stderr)
-        return 4
-    except ParseError as exc:
-        print("fatkpp: %s" % exc, file=sys.stderr)
-        return 2
-    except ValidationError as exc:
-        print("fatkpp: invalid config:", file=sys.stderr)
-        for issue in exc.issues:
-            print("  - %s" % issue, file=sys.stderr)
-        return 2
-
-    out = args.out if args.out is not None else cfg.out_dir
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        print("fatkpp: cannot create %s: %s" % (out, exc),
-              file=sys.stderr)
-        return 4
+        out = args.out if args.out is not None else cfg.out_dir
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise IoError("cannot create %s: %s" % (out, exc))
+    except FatKppError as exc:
+        return _fail(exc)
 
     t0, w0 = time.perf_counter(), out_io.write_s
-    abort = None
+    abort = extra = None
     try:
-        try:
-            manifest, extra = _DISPATCH[cfg.experiment](cfg, out)
-        except _RUNTIME_ERRORS as exc:
-            abort, extra = exc, None
-            manifest = _write_partial(out, exc.run, cfg)
+        manifest, extra = _DISPATCH[cfg.experiment](cfg, out)
+    except FatKppError as exc:
+        abort = exc
+    try:
+        if abort is not None:
+            manifest = _write_partial(out, abort.run, cfg)
         if cfg.A is not None:   # an experiment that reads A records it
             manifest = dict(manifest, A=cfg.A)
         out_io.write_run_json(
             out, cfg.raw, manifest, aborted=abort is not None,
             abort_reason=None if abort is None else str(abort),
             extra=dict(extra or {}, write_s=out_io.write_s - w0))
-    except InvalidParams as exc:
-        print("fatkpp: invalid parameters: %s" % exc, file=sys.stderr)
-        return 2
     except IoError as exc:
-        print("fatkpp: %s" % exc, file=sys.stderr)
-        return 4
+        return _fail(exc)
     if abort is not None:
-        print("fatkpp: aborted: %s" % abort, file=sys.stderr)
-        return 3
+        return _fail(abort)
     if not args.quiet:
         print("fatkpp: %s finished in %.1fs, outputs in %s"
               % (cfg.experiment, time.perf_counter() - t0, out))

@@ -1,10 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, each with its exit code.
 
 Every failure mode that callers are expected to branch on gets its own
 class here; anything else is allowed to surface as a plain ValueError
-from numpy.  InvalidParams and its subclasses mean inadmissible input
-(the CLI exits 2 on them); the other classes are failures of a run on
-admissible input, of its output, or of parsing the config.
+from numpy.  A class owns the CLI's exit code and stderr label for it:
+InvalidParams and its subclasses (inadmissible input) and ParseError (a
+malformed config) exit 2, IoError 4, every other class (a run failed on
+admissible input) 3.
 """
 
 
@@ -16,11 +17,15 @@ class FatKppError(Exception):
     what was computed before the abort; elsewhere ``.run`` is None.
     """
 
+    exit_code = 3
+    label = "aborted: "
     run = None
 
 
 class InvalidParams(FatKppError):
     """Parameters outside their admissible range; ``.issues`` lists each."""
+    exit_code = 2
+    label = "invalid parameters: "
 
     def __init__(self, *issues):
         self.issues = list(issues)
@@ -82,7 +87,11 @@ class OutOfDomain(InvalidParams):
 
 class ParseError(FatKppError):
     """Configuration file is not well-formed (syntax, not semantics)."""
+    exit_code = 2
+    label = ""
 
 
 class IoError(FatKppError):
-    """Refusing to write an ill-formed artifact (e.g. empty plot)."""
+    """A file unreadable or unwritable, or an ill-formed artifact refused."""
+    exit_code = 4
+    label = ""

@@ -39,11 +39,13 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
 
 @contextlib.contextmanager
 def _timed():
-    """Add the time spent inside the block to write_s."""
+    """Add the time spent inside the block to write_s, raising or not."""
     global write_s
     t0 = time.perf_counter()
-    yield
-    write_s += time.perf_counter() - t0
+    try:
+        yield
+    finally:
+        write_s += time.perf_counter() - t0
 
 
 def _write_lines(path, lines, mode="w"):

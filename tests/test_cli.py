@@ -83,16 +83,30 @@ def test_kernel_parameters_the_family_does_not_read_are_refused(
 
 def test_every_error_class_has_an_exit_code():
     """Inadmissible input exits 2, a failed run 3, a malformed config 2
-    and an output failure 4; no package error reaches main unhandled."""
+    and an output failure 4; each class reads its code from itself."""
     classes = [c for c in vars(errors).values() if isinstance(c, type)
                and issubclass(c, errors.FatKppError)
                and c is not errors.FatKppError]
     assert len(classes) == 16
     for c in classes:
-        kinds = [issubclass(c, errors.InvalidParams),
-                 c in cli._RUNTIME_ERRORS,
-                 c is errors.ParseError, c is errors.IoError]
-        assert sum(kinds) == 1, c.__name__
+        if issubclass(c, errors.InvalidParams) or c is errors.ParseError:
+            assert c.exit_code == 2, c.__name__
+        elif c is errors.IoError:
+            assert c.exit_code == 4, c.__name__
+        else:
+            assert c.exit_code == 3, c.__name__
+
+
+def test_an_output_directory_under_a_file_exits_4(tmp_path, capsys):
+    doc = {"experiment": "KernelValidate",
+           "kernel": {"family": "LogLinear", "beta": 3}}
+    cfg = _cfg(tmp_path, doc)
+    (tmp_path / "file").write_text("")
+    before = sorted(os.listdir(tmp_path))
+    assert main(["--config", cfg, "--out",
+                 str(tmp_path / "file" / "out"), "--quiet"]) == 4
+    assert "cannot create" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_kernel_validate_writes_the_report(tmp_path):
@@ -213,6 +227,42 @@ def test_contaminated_run_exits_3_with_partial_outputs(tmp_path, capsys):
     assert "boundary density" in man["abort_reason"]
     assert os.path.exists(os.path.join(out, "monitors.csv"))
     assert man["write_s"] > 0.0         # the partial outputs took time
+
+
+_POLY4 = {"family": "Polynomial", "alpha": 4}
+
+
+@pytest.mark.parametrize("doc, blocked, code, written, message", [
+    ({"experiment": "Front", "kernel": _POLY4, "grid": {"L": 10, "N": 1024},
+      "solver": {"dt": 0.05, "t_end": 0.2, "snapshots": [0.1, 0.2]},
+      "output": {"plot": False}},
+     None, 2, ["front.csv"], "kernel support covers the whole grid"),
+    ({"experiment": "Front", "kernel": _POLY4,
+      "grid": {"L": 1000, "N": 16384},
+      "solver": {"t_end": 0, "snapshots": [0], "C": 0.1}},
+     None, 4, ["envelope.csv", "front.csv"], "nothing to plot"),
+    ({"experiment": "Simulate", "kernel": _POLY4,
+      "grid": {"L": 1000, "N": 16384},
+      "solver": {"dt": 0.05, "t_end": 1, "snapshots": [0.5, 1]},
+      "output": {"plot": False}},
+     "snapshot_t1.csv", 4, ["snapshot_t0.5.csv", "snapshot_t1.csv"],
+     "cannot write"),
+], ids=["grid-wide-kernel", "empty-plot", "unwritable-snapshot"])
+def test_a_late_failure_keeps_its_files_and_leaves_run_json(
+        tmp_path, capsys, doc, blocked, code, written, message):
+    """A failure after the output directory exists, whatever its class,
+    exits with its class's code, keeps what was written and leaves a
+    run.json naming the cause."""
+    out = tmp_path / "out"
+    if blocked is not None:     # a directory where the run writes a file
+        (out / blocked).mkdir(parents=True)
+    assert main(["--config", _cfg(tmp_path, doc), "--out", str(out),
+                 "--quiet"]) == code
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == sorted(written + ["run.json"])
+    man = _manifest(str(out))
+    assert man["aborted"] is True
+    assert message in man["abort_reason"]
 
 
 def test_run_json_reports_the_seconds_spent_writing(tmp_path, monkeypatch):

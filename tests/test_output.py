@@ -278,6 +278,19 @@ def test_write_s_counts_the_shared_column_rendering(tmp_path, monkeypatch):
     assert output.write_s - w0 >= 0.05
 
 
+def test_write_s_counts_a_write_that_fails(tmp_path):
+    """A write that ends in IoError still adds its time to write_s."""
+    def lines():
+        time.sleep(0.05)
+        yield "a\n"
+        raise OSError("device full")
+
+    w0 = output.write_s
+    with pytest.raises(IoError, match="device full"):
+        output._write_lines(str(tmp_path / "a.csv"), lines())
+    assert output.write_s - w0 >= 0.05
+
+
 def test_front_csv_schema_and_ratio_column(tmp_path):
     from fatkpp.kernels import build_kernel, KernelSpec
     k = build_kernel(KernelSpec(family="LogLinear", beta=3))
