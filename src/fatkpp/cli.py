@@ -113,7 +113,7 @@ def _do_hopf_cole(cfg, out):
     return manifest, None
 
 
-def _mutation_runs(cfg, out, u0, keep=lambda run: run):
+def _mutation_runs(cfg, out, u0, keep):
     """keep(run) of one rescaled run per eps, largest first, each run
     written as it ends."""
     kept = []
@@ -127,7 +127,9 @@ def _mutation_runs(cfg, out, u0, keep=lambda run: run):
 
 def _do_mutation(cfg, out):
     u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
-    small = _mutation_runs(cfg, out, u0)[-1]
+    # only the last run, of the smallest eps, is read
+    small = _mutation_runs(cfg, out, u0, keep=lambda run: (
+        run if run.eps == min(cfg.eps_list) else None))[-1]
     tol = 2.0 * small.eps * math.log(4.0)
     us = [(t, potential_of(fld.values, small.eps)[0])
           for t, fld in small.snapshots]
@@ -150,8 +152,7 @@ def _do_hj(cfg, out):
             + (inclusion_curves(H, cfg.A, t) if t > 0.0 else (0.0, 0.0))
             for t, fld in sol.snapshots]
     out_io.write_zeroset_csv(out, rows)
-    _plot(cfg, out, "hj.svg", [("t=%g" % t, fld.grid.x, fld.values)
-                               for t, fld in sol.snapshots[:5]],
+    _plot(cfg, out, "hj.svg", _snapshot_series(sol.snapshots),
           "constrained Hamilton-Jacobi solution", "x", "u")
     return dict(cfg.kernel.manifest(), **sol.meta), None
 

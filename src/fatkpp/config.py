@@ -299,16 +299,24 @@ def validate_config(raw):
             except InvalidParams as exc:
                 issues.append("solver.dt: %s at min(eps) = %g"
                               % (exc, min(eps_list)))
+        # the initial density at x = L - dx, the larger edge density and
+        # the first one cauchy.run observes: n0 = e^{-A f(|x|)/eps} of a
+        # rescaled run, which grows with eps, and min(C J(|x|), 1) of a
+        # Cauchy run
+        edge = None
         if rescaled and eps_list and None not in (kernel, grid, solver, A):
-            # n0 = e^{-A f(|x|)/eps} at x = L - dx, the larger edge density,
-            # grows with eps
             eps = max(eps_list)
             edge = math.exp(-A * float(kernel.f(grid.x[-1])) / eps)
-            if edge >= solver.boundary_guard:
-                issues.append(
-                    "grid.L: the initial edge density e^{-A f(L-dx)/eps} = "
-                    "%.3e (A = %g, eps = %g) reaches solver.boundary_guard"
-                    " = %g" % (edge, A, eps, solver.boundary_guard))
+            what = "e^{-A f(L-dx)/eps} = %.3e (A = %g, eps = %g)" % (
+                edge, A, eps)
+        elif "solver.C" in reads and None not in (kernel, grid, solver):
+            edge = min(C * kernel.J(grid.x[-1]), 1.0)
+            what = "min(C J(L-dx), 1) = %.3e (C = %g)" % (edge, C)
+        if edge is not None and edge >= solver.boundary_guard:
+            issues.append("grid.L: the initial edge density %s reaches "
+                          "solver.boundary_guard = %g"
+                          % (what, solver.boundary_guard))
+        if rescaled and edge is not None:
             try:
                 check_resolution(kernel, min(eps_list), grid)
             except GridTooCoarse as exc:

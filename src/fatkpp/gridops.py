@@ -164,10 +164,12 @@ def adaptive_integrate(g, a, b, tail=None, epsabs=1e-10, epsrel=1e-8):
 def invert_monotone(g, y):
     """Solve g(x) = y for a nondecreasing g on [0, inf).
 
-    Brackets by doubling from 2, then bisects the bracket until it is
-    narrower than 2e-12 + 1e-10 x.
-    Used as the generic fallback for inverses that have no closed form,
-    and as the independent route when testing the ones that do.
+    Brackets by doubling from 2, then bisects the bracket [lo, hi] until
+    it is narrower than 2e-12 + 1e-10 x, and returns hi: g(hi) >= y holds
+    there, so a radius found this way keeps the bound it was sought for.
+    Used for inverses that have no closed form, for the truncation radius
+    of a tail bound, and as the independent route when testing the
+    inverses that do have one.
     """
     hi = first_doubling(lambda h: g(h) >= y, 2.0,
                         "bracketing the inverse at y=%g" % y)
@@ -184,7 +186,7 @@ def invert_monotone(g, y):
         else:
             lo = mid
         mid = 0.5 * (lo + hi)
-    return float(mid)
+    return float(hi)
 
 
 # ----------------------------------------------------------------------
@@ -242,18 +244,22 @@ class Field:
 # discrete kernels
 
 
+def _smooth_above(n, top):
+    """For each 3^j 5^k <= top, its least multiple by a power of two that
+    is at least n."""
+    p5 = 1
+    while p5 <= top:
+        p = p5
+        while p <= top:
+            yield p << (-(-n // p) - 1).bit_length()
+            p *= 3
+        p5 *= 5
+
+
 def fast_len(n):
     """Smallest 5-smooth integer (2^i 3^j 5^k) >= n, a fast real FFT size."""
-    best = 1 << (n - 1).bit_length()
-    p35 = 1
-    while p35 < best:           # p35 runs over 3^j 5^k below best
-        p = p35
-        while p < best:
-            p2 = 1 << (-(-n // p) - 1).bit_length()
-            best = min(best, p2 * p)
-            p *= 3
-        p35 *= 5
-    return best
+    # the next power of two is a candidate, so no larger 3^j 5^k can win
+    return min(_smooth_above(n, 1 << (n - 1).bit_length()))
 
 
 def _passes(m):
@@ -284,18 +290,9 @@ def block_len(n):
     """
     base = fast_len(n)
     top = base * 21 // 20
-    cands = []
-    p5 = 1
-    while p5 <= top:
-        p = p5
-        while p <= top:
-            # p runs over 3^j 5^k; 2 base > top, so the least p 2^i >= base
-            # is the only one that can lie in [base, top]
-            m = p << (-(-base // p) - 1).bit_length()
-            if m <= top:
-                cands.append(m)
-            p *= 3
-        p5 *= 5
+    # 2 base > top, so of each 3^j 5^k's multiples by powers of two only
+    # the least one >= base can lie in [base, top]
+    cands = [m for m in _smooth_above(base, top) if m <= top]
     m = min(cands, key=lambda m: (m * _passes(m), m))
     return m if 10 * m * _passes(m) <= 9 * base * _passes(base) else base
 
@@ -347,9 +344,10 @@ class DiscreteKernel:
         # the blocks are overlapping windows of _buf, a view made once
         self._blocks = np.lib.stride_tricks.sliding_window_view(
             self._buf, B)[::tile]
-        # the block spectra and their inverse transforms; allocated per
-        # call, buffers this size are mapped afresh by malloc each time
-        # (about 170 page faults per apply on the front workload's blocks)
+        # the block spectra and their inverse transforms, kept for apply
+        # to write into: buffers this size, allocated per call, were
+        # mapped afresh by malloc each time (about 170 page faults per
+        # apply on the front workload's blocks)
         self._F = np.empty((nb, B // 2 + 1), dtype=complex)
         self._R = np.empty((nb, B))
 

@@ -69,6 +69,18 @@ def _certified_radius(kernel, lam, log_budget, quad_factor=False):
         % (lam, log_budget))
 
 
+def _s_integral(kernel, numer, lam, log_budget, epsabs, epsrel,
+                quad_factor=False):
+    """int_0^S numer(s) / (Z f'(f_inv(s))) ds by adaptive quadrature, the
+    integral over h >= 0 in s = f(h), cut at S = f(R) for the radius R
+    that _certified_radius gives (kernel, lam, log_budget, quad_factor)."""
+    k = kernel
+    R = _certified_radius(k, lam, log_budget, quad_factor)
+    return adaptive_integrate(
+        lambda s: numer(s) / (k.Z * k.f_prime(k.f_inv(s))),
+        0.0, float(k.f(R)), epsabs=epsabs, epsrel=epsrel)
+
+
 class Hamiltonian:
     """Cached evaluator for H(p) = 1 + int (e^{sign(h) f p/f'(0)} - 1) Jhat.
 
@@ -155,16 +167,10 @@ class Hamiltonian:
         k = self.kernel
         z = abs(p) / k.fprime0
         lam = 1.0 - z
-        R = _certified_radius(k, lam, math.log(0.5 * k.Z * 1e-12))
-        S = float(k.f(R))
-
-        def g(s):
-            return ((math.exp(-lam * s) + math.exp(-(1.0 + z) * s)
-                     - 2.0 * math.exp(-s))
-                    / (k.Z * k.f_prime(k.f_inv(s))))
-
-        return 1.0 + adaptive_integrate(g, 0.0, S, epsabs=1e-11,
-                                        epsrel=1e-10)
+        return 1.0 + _s_integral(
+            k, lambda s: (math.exp(-lam * s) + math.exp(-(1.0 + z) * s)
+                          - 2.0 * math.exp(-s)),
+            lam, math.log(0.5 * k.Z * 1e-12), epsabs=1e-11, epsrel=1e-10)
 
     def eval_H_prime(self, p):
         """dH/dp by central differences of eval_H, step 1e-4 * p_max."""
@@ -203,19 +209,11 @@ class Hamiltonian:
         if A in self._kappa_cache:
             return self._kappa_cache[A]
         fp0 = k.fprime0
-        vals = []
-        for lam in (1.0 + A / fp0, 1.0 - A / fp0):
-            R = _certified_radius(k, lam, math.log(2.5e-11 * k.Z),
-                                  quad_factor=True)
-            S = float(k.f(R))
-
-            def g(s, lam=lam):
-                return ((s / fp0) ** 2 * math.exp(-lam * s)
-                        / (k.Z * k.f_prime(k.f_inv(s))))
-
-            vals.append(adaptive_integrate(g, 0.0, S, epsabs=1e-10,
-                                           epsrel=1e-9))
-        pair = (vals[0], vals[1])
+        pair = tuple(
+            _s_integral(k, lambda s: (s / fp0) ** 2 * math.exp(-lam * s),
+                        lam, math.log(2.5e-11 * k.Z), epsabs=1e-10,
+                        epsrel=1e-9, quad_factor=True)
+            for lam in (1.0 + A / fp0, 1.0 - A / fp0))
         self._kappa_cache[A] = pair
         return pair
 

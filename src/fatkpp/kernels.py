@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import (DomainError, InvalidParams, NoConvergence,
                      NonIntegrableTail, NotMutationEligible, ThinTailedKernel)
-from .gridops import adaptive_integrate, first_doubling, invert_monotone
+from .gridops import adaptive_integrate, invert_monotone
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,8 @@ class KernelSpec:
 
 # ----------------------------------------------------------------------
 # family builders: each takes its parameters in the order of its _FAMILIES
-# row and returns the closures (all take r = |x| >= 0 as an ndarray and
-# vectorize), x_peak, the tail index mu and the fat-tail flag
+# row and returns f, f' and f_inv as closures (all take r = |x| >= 0 as an
+# ndarray and vectorize), x_peak, the tail index mu and the fat-tail flag
 
 
 def _build_subexponential(a):
@@ -62,24 +62,20 @@ def _build_subexponential(a):
     def fp(r):
         return a * r * np.exp((0.5 * a - 1.0) * np.log1p(r * r))
 
-    def fpp(r):
-        return (a * np.exp((0.5 * a - 2.0) * np.log1p(r * r))
-                * (1.0 + (a - 1.0) * r * r))
-
     def finv(y):
         return np.sqrt(np.expm1((2.0 / a) * np.log1p(y)))
 
-    x_star = 1.0 / math.sqrt(1.0 - a)    # where f' peaks and f'' changes sign
-    return dict(f=f, fp=fp, fpp=fpp, finv=finv,
+    x_star = 1.0 / math.sqrt(1.0 - a)    # where f' peaks
+    return dict(f=f, fp=fp, finv=finv,
                 x_peak=x_star, mu=math.inf, fat_tailed=True)
 
 
 _R_SQ_MAX = math.sqrt(np.finfo(float).max)     # r * r overflows past this
 
 
-def _far(r, near, far, top=_R_SQ_MAX):
-    """near(r), but far(r) past top, where near would overflow."""
-    big = r > top
+def _far(r, near, far):
+    """near(r), but far(r) past _R_SQ_MAX, where near would overflow."""
+    big = r > _R_SQ_MAX
     if not big.any():
         return near(r)
     return np.where(big, far(np.where(big, r, 1.0)),
@@ -97,18 +93,10 @@ def _build_polynomial(a):
         return _far(r, lambda r: (1.0 + a) * r / (1.0 + r * r),
                     lambda r: (1.0 + a) / (r + 1.0 / r))
 
-    def fpp(r):
-        def near(r):
-            rr = r * r
-            return (1.0 + a) * (1.0 - rr) / (1.0 + rr) ** 2
-        # (1 + r*r)^2 overflows past sqrt(_R_SQ_MAX)
-        return _far(r, near, lambda r: -(1.0 + a) * r ** -2.0,
-                    math.sqrt(_R_SQ_MAX))
-
     def finv(y):
         return np.sqrt(np.expm1(y / q))
 
-    return dict(f=f, fp=fp, fpp=fpp, finv=finv,
+    return dict(f=f, fp=fp, finv=finv,
                 x_peak=1.0, mu=1.0 + a, fat_tailed=True)
 
 
@@ -119,13 +107,10 @@ def _build_loglinear(b):
     def fp(r):
         return b / (1.0 + r)
 
-    def fpp(r):
-        return -b / (1.0 + r) ** 2
-
     def finv(y):
         return np.expm1(y / b)
 
-    return dict(f=f, fp=fp, fpp=fpp, finv=finv,
+    return dict(f=f, fp=fp, finv=finv,
                 x_peak=0.0, mu=b, fat_tailed=True)
 
 
@@ -136,13 +121,10 @@ def _build_powershift(b, a):
     def fp(r):
         return b * a * np.exp((a - 1.0) * np.log1p(r))
 
-    def fpp(r):
-        return b * a * (a - 1.0) * np.exp((a - 2.0) * np.log1p(r))
-
     def finv(y):
         return np.expm1(np.log1p(y / b) / a)
 
-    return dict(f=f, fp=fp, fpp=fpp, finv=finv,
+    return dict(f=f, fp=fp, finv=finv,
                 x_peak=0.0, mu=math.inf, fat_tailed=True)
 
 
@@ -155,14 +137,11 @@ def _build_gaussian(s):
     def fp(r):
         return r / s2
 
-    def fpp(r):
-        return np.full_like(np.asarray(r, dtype=float), 1.0 / s2)
-
     def finv(y):
         return s * np.sqrt(2.0 * y)
 
     # x f'/f = 2 for every x: exponential moments exist, tails are thin.
-    return dict(f=f, fp=fp, fpp=fpp, finv=finv,
+    return dict(f=f, fp=fp, finv=finv,
                 x_peak=math.inf, mu=math.inf, fat_tailed=False)
 
 
@@ -202,7 +181,7 @@ class Kernel:
         f'(0) (1 - 1/mu), the slope bound of the limit Hamiltonian and the
         ceiling on A where its quadratic (kappa) envelope is used.
     x_peak : float
-        Where f' peaks; f'' <= 0 beyond it.
+        Where f' peaks; f' is nonincreasing beyond it.
     """
 
     def __init__(self, family, params, impl, Z):
@@ -210,7 +189,6 @@ class Kernel:
         self.params = params
         self._fr = impl["f"]
         self._fpr = impl["fp"]
-        self._fppr = impl["fpp"]
         self._finv = impl["finv"]
         for name in ("x_peak", "mu", "fat_tailed"):
             setattr(self, name, impl[name])
@@ -280,9 +258,6 @@ class Kernel:
     def f_prime(self, x):
         """Radial derivative f'(|x|) >= 0 (one-sided slope fprime0 at 0)."""
         return self._radial(self._fpr, x)
-
-    def f_second(self, x):
-        return self._radial(self._fppr, x)
 
     def f_inv(self, y):
         """Inverse of f on [0, inf): f(f_inv(y)) = y."""
@@ -361,27 +336,18 @@ class Kernel:
         return math.exp(self.log_tail(R)) / self.Z
 
     def half_support(self, tail_tol):
-        """Smallest radius R with two-sided tail mass bound <= tail_tol.
+        """A radius R with two-sided tail mass bound <= tail_tol, within
+        invert_monotone's tolerance of the smallest one.
 
         The bound budgeted per side is tail_tol/2, so the total mass beyond
         |h| > R (what a truncation at R actually discards) stays below
-        tail_tol.
+        tail_tol.  The tail bound is nonincreasing in R, so R solves
+        -tail_bound(R) = -tail_tol/2, and invert_monotone returns a radius
+        at which the bound holds.
         """
         if tail_tol <= 0.0:
             raise InvalidParams("tail_tol must be positive")
-        side = 0.5 * tail_tol
-        R = first_doubling(lambda r: self.tail_bound(r) <= side,
-                           what="bounding the tail by %g" % side)
-        lo, hi = 0.5 * R, R
-        if R == 1.0:
-            lo = 1e-9
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if self.tail_bound(mid) <= side:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return invert_monotone(lambda r: -self.tail_bound(r), -0.5 * tail_tol)
 
 
 def build_kernel(spec):
@@ -452,8 +418,10 @@ def validate_hypotheses(kernel):
     of f, concavity beyond x_peak, the fat-tail ratio limsup x f'/f < 1,
     the tail index liminf x f' > 1, unit mass of Jhat (to 1e-8), inverse
     round trips (to 1e-9 relative), and (for mutation-eligible families)
-    the finite origin slope f(h)/h -> f'(0).  Failures are reported,
-    never raised.
+    the finite origin slope f(h)/h -> f'(0).  Concavity is read off f'
+    alone: its rise between neighbouring samples must stay below 1e-12
+    times their distance, which by the mean value theorem is f'' <= 1e-12
+    somewhere between them.  Failures are reported, never raised.
     """
     k = kernel
     xs = np.geomspace(1e-6, 1e8, 400)
@@ -479,7 +447,8 @@ def validate_hypotheses(kernel):
     if math.isfinite(k.x_peak):
         lo = max(k.x_peak, 1e-9)
         xc = np.geomspace(lo * (1.0 + 1e-9), 1e8, 200)
-        concavity_ok = bool(np.all(k.f_second(xc) <= 1e-12))
+        fpc = k.f_prime(xc)
+        concavity_ok = bool(np.all(np.diff(fpc) <= 1e-12 * np.diff(xc)))
     else:
         concavity_ok = not k.fat_tailed   # thin-tailed control: vacuous
 

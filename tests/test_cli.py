@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -229,6 +230,24 @@ def test_contaminated_run_exits_3_with_partial_outputs(tmp_path, capsys):
     assert man["write_s"] > 0.0         # the partial outputs took time
 
 
+def test_cauchy_data_past_the_guard_is_refused_before_any_output(
+        tmp_path, capsys):
+    """min(C J(L-dx), 1) = 1.081e-04 at the edge of this grid already
+    reaches the boundary guard, so the run could only abort at t = 0."""
+    out = str(tmp_path / "out")
+    doc = {"experiment": "Simulate",
+           "kernel": {"family": "LogLinear", "beta": 3},
+           "grid": {"L": 20, "N": 4096},
+           "solver": {"t_end": 1, "dt": 0.05},
+           "output": {"directory": out}}
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "fatkpp: invalid config:",
+        "  - grid.L: the initial edge density min(C J(L-dx), 1) = 1.081e-04 "
+        "(C = 1) reaches solver.boundary_guard = 0.0001"]
+    assert not os.path.exists(out)
+
+
 _POLY4 = {"family": "Polynomial", "alpha": 4}
 
 
@@ -369,6 +388,29 @@ def test_mutation_writes_density_and_limit_sets(tmp_path):
     n, u, flag = data[:, 2], data[:, 3], data[:, 4]
     assert np.array_equal(u, -0.25 * np.log(np.maximum(n, 1e-300)))
     assert np.array_equal(flag, (n < 1e-300).astype(float))
+
+
+def test_mutation_frees_each_run_it_does_not_read(tmp_path, monkeypatch):
+    """Mutation reads only its last run, of the smallest eps: the first
+    of three runs is gone by the time the third one steps."""
+    refs, first_alive = [], []
+
+    def tracked(kernel, eps, config, u0):
+        if len(refs) == 2:
+            first_alive.append(refs[0]() is not None)
+        run = mutation_run(kernel, eps, config, u0)
+        refs.append(weakref.ref(run))
+        return run
+
+    monkeypatch.setattr(cli, "mutation_run", tracked)
+    doc = {"experiment": "Mutation",
+           "kernel": {"family": "LogLinear", "beta": 3},
+           "grid": {"L": 50, "N": 16384},
+           "solver": {"method": "Euler", "t_end": 0.05, "dt": 0.005},
+           "analysis": {"eps": [0.3, 0.2, 0.1], "A": 0.25},
+           "output": {"directory": str(tmp_path / "out"), "plot": False}}
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 0
+    assert len(refs) == 3 and first_alive == [False]
 
 
 def test_aborted_mutation_run_names_its_eps(tmp_path, capsys):
@@ -590,6 +632,23 @@ def test_hj_writes_solution_and_zero_set(tmp_path):
     assert os.path.exists(os.path.join(out, "hj_solution.csv"))
 
 
+def test_hj_plot_spreads_its_curves_from_first_to_last(tmp_path):
+    """Of seven snapshots, hj.svg draws five from the first to the last,
+    as density.svg does."""
+    out = str(tmp_path / "out")
+    doc = {"experiment": "HJ",
+           "kernel": {"family": "LogLinear", "beta": 3},
+           "grid": {"L": 20, "N": 512},
+           "solver": {"t_end": 0.7, "snapshot_count": 7},
+           "analysis": {"A": 0.25},
+           "output": {"directory": out}}
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 0
+    svg = open(os.path.join(out, "hj.svg")).read()
+    drawn = [t for t in ("0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "0.7")
+             if ">t=%s</text>" % t in svg]
+    assert drawn == ["0.1", "0.3", "0.4", "0.5", "0.7"]
+
+
 def test_hj_refuses_the_solver_keys_it_ignores(tmp_path, capsys):
     """The HJ solver steps at its CFL bound from u0 = A f: it reads no
     method, boundary guard or initial amplitude, so a config setting them
@@ -611,7 +670,7 @@ def test_hj_refuses_the_solver_keys_it_ignores(tmp_path, capsys):
 
 # the keys of each experiment without a default, and a valid value for
 # every key some experiment reads
-_NEEDED = {"grid.L": 20, "grid.N": 4096, "solver.t_end": 0.5,
+_NEEDED = {"grid.L": 40, "grid.N": 4096, "solver.t_end": 0.5,
            "analysis.eps": [0.25]}
 _VALUES = dict(_NEEDED, **{
     "solver.dt": 0.01, "solver.snapshots": [0.5],

@@ -11,7 +11,8 @@ from scipy.special import gammaincc
 
 from fatkpp.errors import DomainError, InvalidParams
 from fatkpp.gridops import invert_monotone
-from fatkpp.kernels import KernelSpec, build_kernel, validate_hypotheses
+from fatkpp.kernels import (Kernel, KernelSpec, _build_subexponential,
+                            build_kernel, validate_hypotheses)
 
 
 def K(family, **p):
@@ -54,7 +55,7 @@ def test_Z_polynomial_exact(poly4):
 
 
 def test_Z_polynomial_past_the_square_overflow():
-    """r*r overflows past r = 1.3e154, and f, f', f'' take their large-r
+    """r*r overflows past r = 1.3e154, and f and f' take their large-r
     forms there: alpha=0.05, whose tail bound 20 R^-0.05 meets its
     budget only near R = 1e278, builds with its closed-form Z (the tail
     search used to read f' = 0 past 1.3e154 and fail).  Below the
@@ -65,12 +66,9 @@ def test_Z_polynomial_past_the_square_overflow():
     assert abs(k.Z - expect) < 1e-10 * expect
     r = np.array([1e77, 1.2e77, 1.3e154, 1.4e154, 1e200, 1e300])
     with np.errstate(over="raise", invalid="raise"):
-        f, fp, fpp = k.f(r), k.f_prime(r), k.f_second(r)
+        f, fp = k.f(r), k.f_prime(r)
     np.testing.assert_allclose(f, (1 + a) * np.log(r), rtol=1e-15)
     np.testing.assert_allclose(fp * r, 1 + a, rtol=1e-15)
-    np.testing.assert_allclose(fpp[:4] * r[:4] * r[:4], -(1 + a),
-                               rtol=1e-15)
-    assert np.all(fpp[4:] == 0.0)
     assert (K("Polynomial", alpha=0.5).Z, K("Polynomial", alpha=4.0).Z) \
         == (5.244115108583784, 1.3333333333328785)
 
@@ -165,20 +163,6 @@ def test_f_prime_matches_central_differences(family, params):
     h = 1e-6 * np.maximum(1.0, xs)
     fd = (k.f(xs + h) - k.f(xs - h)) / (2 * h)
     assert np.max(np.abs(fd - k.f_prime(xs)) / (1 + np.abs(fd))) < 1e-8
-
-
-@pytest.mark.parametrize("family,params", [
-    ("Polynomial", dict(alpha=4.0)),
-    ("SubExponential", dict(alpha=0.5)),
-    ("LogLinear", dict(beta=3.0)),
-    ("PowerShift", dict(b=1.0, alpha=0.5)),
-])
-def test_f_second_matches_second_differences(family, params):
-    k = K(family, **params)
-    xs = np.geomspace(0.05, 50.0, 30)
-    h = 1e-4 * np.maximum(1.0, xs)
-    fd = (k.f(xs + h) - 2 * k.f(xs) + k.f(xs - h)) / h ** 2
-    assert np.max(np.abs(fd - k.f_second(xs))) < 1e-5
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +344,18 @@ def test_validate_hypotheses_passes(family, params):
     assert rep.mass_error <= 1e-8
     assert rep.f_roundtrip_rel <= 1e-9
     assert rep.j_roundtrip_rel <= 1e-9
+
+
+def test_eventual_concavity_fails_below_the_peak_of_f_prime(subexp):
+    """SubExponential alpha=0.5 has f' rising up to its peak at sqrt(2):
+    the same closures with x_peak declared at 0.5 fail the concavity
+    check, and every other check keeps its value."""
+    impl = dict(_build_subexponential(0.5), x_peak=0.5)
+    early = Kernel(subexp.family, subexp.params, impl, subexp.Z)
+    want = validate_hypotheses(subexp).checks
+    got = validate_hypotheses(early).checks
+    assert want["eventual_concavity"] and not got["eventual_concavity"]
+    assert dict(got, eventual_concavity=True) == want
 
 
 def test_report_analytic_limits(subexp, loglin2, poly4):
