@@ -14,10 +14,10 @@ exits 0.
 CrossValidate solves the Hamilton-Jacobi limit on one worker thread
 while its rescaled runs step on the main thread, which alone writes
 files.  Each run is written as it ends and then dropped but for its
-potentials at the window nodes.  Aborts end as in a sequential run: a
-run that aborts propagates once the worker is joined, and the limit is
-discarded; a limit solve that fails surfaces, with its partial
-solution, only after every run is written.
+window potential (`propagation.read_window`).  Aborts end as in a
+sequential run: a run that aborts propagates once the worker is joined,
+and the limit is discarded; a limit solve that fails surfaces, with its
+partial solution, only after every run is written.
 """
 
 import argparse
@@ -27,18 +27,20 @@ import sys
 import time
 from dataclasses import asdict
 
+import numpy as np
+
 from .cauchy import initial_condition, run as run_cauchy
 from .config import READS, parse_config
 from .errors import FatKppError, IoError, ValidationError
 from .gridops import discretize_kernel
-from .hj import (HJSolution, Hamiltonian, hamiltonian_profile,
-                 inclusion_curves, solve_constrained_hj, sup_gap,
-                 window_potentials, zero_set_boundary)
+from .hj import (HJSolution, Hamiltonian, comparison_times,
+                 hamiltonian_profile, inclusion_curves, solve_constrained_hj,
+                 window_nodes, zero_set_boundary)
 from .kernels import validate_hypotheses
 from .mutation import classify_limit_sets, mutation_initial_data, \
     mutation_run
 from .propagation import (envelope_sandwich_report, hopf_cole_field,
-                          potential_of, track_level)
+                          potential_of, read_window, track_level)
 from . import output as out_io
 
 _MAX_SERIES = 5         # density curves in one plot
@@ -99,18 +101,18 @@ def _do_front(cfg, out):
 
 def _do_hopf_cole(cfg, out):
     sim = _simulate(cfg)
-    sup = {}
+    sup, floored = {}, {}
     es = sorted(cfg.eps_list, reverse=True)
     for eps in es:
         hc = hopf_cole_field(sim, eps, cfg.compact[:2], cfg.compact[2:])
         out_io.write_hopfcole_csv(out, hc)
         sup["%g" % eps] = hc.sup_error()
+        floored["%g" % eps] = int(hc.floored.sum())
     _plot(cfg, out, "hopfcole.svg",
           [("sup |u_eps - u|", es, [sup["%g" % e] for e in es])],
           "rescaled density vs its limit", "eps", "sup error")
-    manifest = dict(sim.manifest)
-    manifest["hopf_cole_sup_errors"] = sup
-    return manifest, None
+    return dict(sim.manifest, hopf_cole_sup_errors=sup,
+                hopf_cole_floored=floored), None
 
 
 def _mutation_runs(cfg, out, u0, keep):
@@ -175,16 +177,24 @@ def _do_cross_validate(cfg, out):
     from concurrent.futures import ThreadPoolExecutor
     H = Hamiltonian(cfg.kernel)
     u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
+    sel = window_nodes(cfg.grid, cfg.compact)
+    xs = cfg.grid.x[sel]
+    pairs = comparison_times(cfg.solver.snapshot_times)
     # the limit needs none of the runs, so it is solved on a second thread
-    # while they step; of each run only its window potentials are kept
+    # while they step; of each run only its window potential is kept
     with ThreadPoolExecutor(max_workers=1) as pool:
-        limit = pool.submit(solve_constrained_hj, H, cfg.solver, u0)
+        solve = pool.submit(solve_constrained_hj, H, cfg.solver, u0)
         kept = _mutation_runs(cfg, out, u0, keep=lambda run: (
-            window_potentials(run, cfg.compact), run.manifest))
-        sol = limit.result()
+            read_window(run, run.eps, xs, xs, pairs), run.manifest))
+        sol = solve.result()
     out_io.write_hj_solution_csv(out, sol, cfg.stride)
-    rows = [{"eps": pots.eps, "sup_error": sup_gap(pots, sol),
-             "wall_time_s": man["wall_time_s"]} for pots, man in kept]
+    limit = np.array([sol.snapshot_at(t).values[sel] for _, t in pairs])
+    rows = []
+    for pot, man in kept:
+        pot.limit = limit
+        rows.append({"eps": pot.eps, "sup_error": pot.sup_error(),
+                     "floored": int(pot.floored.sum()),
+                     "wall_time_s": man["wall_time_s"]})
     _plot(cfg, out, "crossval.svg",
           [("sup |u_eps - u|", [r["eps"] for r in rows],
             [r["sup_error"] for r in rows])],

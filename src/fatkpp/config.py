@@ -10,6 +10,7 @@ raising a single ValidationError, so a bad config is fixed in one pass.
 
 import json
 import math
+from dataclasses import dataclass
 
 from .cauchy import SolverConfig, _is_num, check_rate
 from .errors import (GridTooCoarse, InvalidParams, IoError, NoConvergence,
@@ -58,6 +59,7 @@ _REQUIRED = ("kernel.family", "grid.L", "grid.N", "solver.t_end",
 _BLOCKS = ("kernel", "grid", "solver", "analysis", "output")
 
 
+@dataclass
 class RunConfig:
     """Validated configuration with every default already filled in.
 
@@ -67,21 +69,19 @@ class RunConfig:
     JSON for the manifest.
     """
 
-    def __init__(self, experiment, kernel, grid, solver, C,
-                 levels, eps_list, A, compact, out_dir, plot, stride, raw):
-        self.experiment = experiment
-        self.kernel = kernel
-        self.grid = grid
-        self.solver = solver
-        self.C = C
-        self.levels = levels
-        self.eps_list = eps_list
-        self.A = A
-        self.compact = compact
-        self.out_dir = out_dir
-        self.plot = plot
-        self.stride = stride
-        self.raw = raw
+    experiment: str
+    kernel: object
+    grid: object
+    solver: object
+    C: float
+    levels: tuple
+    eps_list: tuple
+    A: float
+    compact: tuple
+    out_dir: str
+    plot: bool
+    stride: int
+    raw: dict
 
 
 def parse_config(path):

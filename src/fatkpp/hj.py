@@ -16,7 +16,9 @@ that slow tails (decay barely above 1/mu) do not overflow first.
 
 The solver is monotone Lax-Friedrichs with obstacle projection
 u <- max(u - dt*Hhat(D-u, D+u), 0), so u >= 0 holds to the last bit and
-the scheme converges to the viscosity solution.
+the scheme converges to the viscosity solution.  Cross-validation reads
+each rescaled run's potential -eps ln n with propagation.read_window, the
+reader the Hopf-Cole limit uses too, at the window's grid nodes.
 """
 
 import math
@@ -30,7 +32,7 @@ from .cauchy import Trajectory, _march
 from .errors import (CFLViolation, GradientOutOfRange, GridMismatch,
                      InvalidParams, NoConvergence)
 from .gridops import adaptive_integrate, first_doubling
-from .propagation import potential_of
+from .propagation import read_window
 
 _CFL_SAFETY = 0.9       # Lax-Friedrichs steps dt <= _CFL_SAFETY dx/sigma
 _ZERO_TOL = 1e-12       # roundoff that zero_set_boundary counts as zero
@@ -390,55 +392,32 @@ def window_nodes(grid, x_window):
 
 
 def comparison_times(times):
-    """The positive times among times, those at which cross-validation
-    compares a run with the limit; there must be one at least."""
-    kept = [t for t in times if t > _T_POS]
+    """(t, t) for the positive times t among times, the (run, limit)
+    times cross-validation compares at; there must be one at least."""
+    kept = [(t, t) for t in times if t > _T_POS]
     if not kept:
         raise InvalidParams("no positive comparison times")
     return kept
 
 
-@dataclass
-class WindowPotentials(Trajectory):
-    """A rescaled run's potential -eps ln n at its window nodes, one array
-    per positive snapshot time: all that cross-validation reads of a run."""
-
-    grid: object
-    eps: float
-    nodes: np.ndarray           # the window_nodes mask on grid
-
-
-def window_potentials(run, x_window):
-    """The potentials of run (a rescaled run, or any trajectory of
-    densities with grid and eps) on window_nodes(run.grid, x_window)."""
-    sel = window_nodes(run.grid, x_window)
-    return WindowPotentials(
-        [(t, potential_of(fld.values[sel], run.eps)[0])
-         for t, fld in run.snapshots if t > _T_POS], run.grid, run.eps, sel)
-
-
-def sup_gap(pots, hj):
-    """Sup of |u_eps - u| over the window nodes of pots and the positive
-    snapshot times of the limit solution hj, each of which pots must
-    hold; pots must live on hj's grid."""
-    if pots.grid != hj.grid:
-        raise GridMismatch("run potentials on %r, limit solution on %r"
-                           % (pots.grid, hj.grid))
-    worst = 0.0
-    for t in comparison_times(t for t, _ in hj.snapshots):
-        gap = float(np.max(np.abs(pots.snapshot_at(t)
-                                  - hj.snapshot_at(t).values[pots.nodes])))
-        worst = max(worst, gap)
-    return worst
-
-
 def cross_validate(runs, hj, x_window):
     """Sup gap between each rescaled run's potential and the limit solution.
 
-    Returns one row (eps, sup_error) per run, sorted by decreasing eps:
-    sup_gap of the run's window_potentials, so every run lives on the
-    limit solution's grid and holds each of its positive snapshot times.
-    Whether the errors fall with eps is the caller's verdict to make.
+    Returns one row (eps, sup_error) per run, sorted by decreasing eps.
+    Each run is read at window_nodes(hj.grid, x_window) and hj's
+    comparison_times, which it must hold, on hj's grid.  Whether the
+    errors fall with eps is the caller's verdict to make.
     """
-    return [(mr.eps, sup_gap(window_potentials(mr, x_window), hj))
-            for mr in sorted(runs, key=lambda m: -m.eps)]
+    sel = window_nodes(hj.grid, x_window)
+    xs = hj.grid.x[sel]
+    pairs = comparison_times([t for t, _ in hj.snapshots])
+    limit = np.array([hj.snapshot_at(t).values[sel] for _, t in pairs])
+    rows = []
+    for mr in sorted(runs, key=lambda m: -m.eps):
+        if mr.grid != hj.grid:
+            raise GridMismatch("run on %r, limit solution on %r"
+                               % (mr.grid, hj.grid))
+        pot = read_window(mr, mr.eps, xs, xs, pairs)
+        pot.limit = limit
+        rows.append((mr.eps, pot.sup_error()))
+    return rows

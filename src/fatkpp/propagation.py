@@ -7,8 +7,9 @@ The traveling quantity behind every check here is the logistic envelope
 which solves the spatially-decoupled ODE family exactly and tracks the
 accelerating front of the full dynamics up to a multiplicative error
 controlled by the residual theta(t) = sup_x |Jhat*phi - phi| / phi.
-The long-range potential u_eps = -eps ln n(t/eps, Psi_eps(x)) reads the
-run through the kernel's space map Psi_eps (Kernel.dilate).
+Both limit checks read u_eps = -eps ln n of a run on a compact window of
+(t, x) with read_window: hopf_cole_field through the kernel's space map
+Psi_eps (Kernel.dilate), hj.cross_validate at grid nodes.
 """
 
 from dataclasses import dataclass
@@ -26,8 +27,8 @@ _DEEP_FLOOR = 1e-8
 _DEEP_SAMPLES = 768
 _THETA1_ALPHA = 0.5     # theta1 reads the tail slope past f_inv(a t)
 _T_EARLY = 1e-3         # the sandwich integrates theta from here
-_GARNIER_DELTA = 0.2    # the front's bracket inv_J(e^{-(1-delta) t})
-_GARNIER_RHO = 2.0      # ... and inv_J(e^{-rho t})
+_GARNIER_DELTA = 0.2    # the front's bracket f_inv((1-delta) t)
+_GARNIER_RHO = 2.0      # ... and f_inv(rho t)
 _HC_NX = 101            # hopf_cole_field's x samples across the window
 
 
@@ -153,8 +154,8 @@ class FrontTrack:
     times: np.ndarray
     positions: np.ndarray       # NaN where the level is never reached
     predicted: np.ndarray       # f_inv(t)
-    garnier_lo: np.ndarray      # inv_J(e^{-(1-delta) t})
-    garnier_hi: np.ndarray      # inv_J(e^{-rho t})
+    garnier_lo: np.ndarray      # f_inv((1-delta) t)
+    garnier_hi: np.ndarray      # f_inv(rho t)
 
 
 def _rightmost_crossing(x, v, level):
@@ -178,8 +179,8 @@ def track_level(run, level):
     kernel = run.kernel
     x = run.grid.x
     rows = [(t, _rightmost_crossing(x, fld.values, level), kernel.f_inv(t),
-             kernel.J_inv(np.exp(-(1.0 - _GARNIER_DELTA) * t)),
-             kernel.J_inv(np.exp(-_GARNIER_RHO * t)))
+             kernel.f_inv((1.0 - _GARNIER_DELTA) * t),
+             kernel.f_inv(_GARNIER_RHO * t))
             for t, fld in run.snapshots]
     return FrontTrack(level, *(np.asarray(c) for c in zip(*rows)))
 
@@ -196,18 +197,31 @@ def potential_of(field_values, eps):
 
 
 @dataclass
-class HopfColeField:
-    """u_eps sampled on a compact window, one row per retained time."""
+class WindowPotential:
+    """u_eps of a run read on a compact window of (t, x), one row per
+    limit time, and the limit it is compared with on the same samples."""
 
     eps: float
-    times: np.ndarray           # slow times t = eps * snapshot time
+    times: np.ndarray           # the limit's times
     xs: np.ndarray
     u: np.ndarray               # shape (len(times), len(xs))
-    limit: np.ndarray           # max(f(x) - t, 0), same shape
     floored: np.ndarray         # True where n hit the log floor
+    limit: np.ndarray = None    # set by the caller, same shape as u
 
     def sup_error(self):
         return float(np.max(np.abs(self.u - self.limit)))
+
+
+def read_window(run, eps, xs, ys, pairs):
+    """u_eps of run at ys, the window points xs on its grid (linear
+    interpolation, exact at nodes), for each (run time, limit time) in
+    pairs; every run time must be a snapshot time of run."""
+    x = run.grid.x
+    u, floored = (np.array(c) for c in zip(*(
+        potential_of(np.interp(ys, x, run.snapshot_at(s).values), eps)
+        for s, _ in pairs)))
+    return WindowPotential(eps, np.array([t for _, t in pairs]), xs, u,
+                           floored)
 
 
 def dilated_window(kernel, grid, eps, x_span):
@@ -224,23 +238,21 @@ def dilated_window(kernel, grid, eps, x_span):
 
 
 def mapped_times(eps, times, t_span):
-    """The times s whose rescaled times eps*s fall in t_span (to 1e-12),
-    those hopf_cole_field samples; there must be one at least."""
+    """The (s, eps*s) pairs of the times s whose rescaled times eps*s fall
+    in t_span (to 1e-12), those hopf_cole_field reads; there must be one
+    at least."""
     t_lo, t_hi = t_span
-    kept = [s for s in times if t_lo - 1e-12 <= eps * s <= t_hi + 1e-12]
+    kept = [(s, eps * s) for s in times
+            if t_lo - 1e-12 <= eps * s <= t_hi + 1e-12]
     if not kept:
         raise InvalidParams("no snapshot maps into the requested t window")
     return kept
 
 
 def hopf_cole_field(run, eps, x_span, t_span):
-    """Sample u_eps = -eps ln n(t/eps, Psi_eps(x)) over a compact window.
-
-    Times are the rescaled snapshot times eps*s falling inside t_span;
-    runs hit every snapshot time exactly, so a schedule holding the
-    interesting t/eps samples them there.  x interpolates linearly
-    between grid nodes.
-    """
+    """u_eps = -eps ln n(t/eps, Psi_eps(x)) over a compact window, against
+    its long-range limit max(f(|x|) - t, 0), at the rescaled snapshot
+    times eps*s inside t_span."""
     if not (0.0 < eps <= 1.0):
         raise InvalidParams("hopf_cole_field needs eps in (0, 1]")
     if run.contaminated:
@@ -249,11 +261,9 @@ def hopf_cole_field(run, eps, x_span, t_span):
     t_lo, t_hi = t_span
     if not (x_lo < x_hi and t_lo <= t_hi):
         raise InvalidParams("empty compact window")
-    kernel, grid = run.kernel, run.grid
-    xs, ys = dilated_window(kernel, grid, eps, x_span)
-    kept = [(eps * s,) + potential_of(
-        np.interp(ys, grid.x, run.snapshot_at(s).values), eps)
-        for s in mapped_times(eps, [s for s, _ in run.snapshots], t_span)]
-    times, u, floored = (np.array(c) for c in zip(*kept))
-    limit = np.maximum(kernel.f(np.abs(xs))[None, :] - times[:, None], 0.0)
-    return HopfColeField(eps, times, xs, u, limit, floored)
+    kernel = run.kernel
+    xs, ys = dilated_window(kernel, run.grid, eps, x_span)
+    hc = read_window(run, eps, xs, ys, mapped_times(
+        eps, [s for s, _ in run.snapshots], t_span))
+    hc.limit = np.maximum(kernel.f(np.abs(xs)) - hc.times[:, None], 0.0)
+    return hc

@@ -903,3 +903,43 @@ def test_console_module_reports_usage_errors(tmp_path):
         capture_output=True, text=True, cwd=str(tmp_path), env=_child_env())
     assert proc.returncode == 2
     assert "--config" in proc.stderr
+
+
+def test_front_garnier_columns_past_the_subnormal_range(tmp_path):
+    """e^{-2t} is subnormal past t ~ 354 and 0 past t ~ 372.6; the Garnier
+    columns f_inv(0.8 t) and f_inv(2 t) do not go through it."""
+    out = str(tmp_path / "out")
+    doc = {"experiment": "Front",
+           "kernel": {"family": "Polynomial", "alpha": 4},
+           "grid": {"L": 100, "N": 1024},
+           "solver": {"method": "Euler", "dt": 0.3, "t_end": 400,
+                      "snapshots": [100, 400], "boundary_guard": 2.0},
+           "analysis": {"levels": [0.5]},
+           "output": {"directory": out}}
+    path = _cfg(tmp_path, doc)
+    assert main(["--config", path, "--quiet"]) == 0
+    kernel = parse_config(path).kernel
+    rows = np.loadtxt(os.path.join(out, "front.csv"), delimiter=",",
+                      skiprows=1)
+    assert rows[:, 0].tolist() == [100.0, 400.0]
+    assert rows[:, 5].tolist() == [kernel.f_inv(0.8 * t) for t in rows[:, 0]]
+    assert rows[:, 6].tolist() == [kernel.f_inv(2.0 * t) for t in rows[:, 0]]
+
+
+def test_small_runs_floor_no_window_sample(tmp_path):
+    """run.json counts the window samples at the 1e-300 log floor; the
+    small HopfCole and CrossValidate configs have none."""
+    hc, cv = str(tmp_path / "hc"), str(tmp_path / "cv")
+    doc = {"experiment": "HopfCole",
+           "kernel": {"family": "Polynomial", "alpha": 4},
+           "grid": {"L": 1000, "N": 16384},
+           "solver": {"t_end": 2, "dt": 0.05, "snapshots": [1, 2]},
+           "analysis": {"eps": [0.5, 0.25], "compact": [0.5, 3, 0.5, 1]},
+           "output": {"directory": hc, "plot": False}}
+    assert main(["--config", _cfg(tmp_path, doc, "hc.json"), "--quiet"]) == 0
+    assert _manifest(hc)["manifest"]["hopf_cole_floored"] == {
+        "0.5": 0, "0.25": 0}
+    assert main(["--config", _cfg(tmp_path, _crossval(cv), "cv.json"),
+                 "--quiet"]) == 0
+    rows = _manifest(cv)["cross_validation"]
+    assert [(r["eps"], r["floored"]) for r in rows] == [(0.25, 0), (0.2, 0)]

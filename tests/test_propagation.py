@@ -10,8 +10,8 @@ from fatkpp.errors import GridMismatch, InvalidParams, OutOfDomain
 from fatkpp.gridops import DiscreteKernel, Field, Grid1D, discretize_kernel
 from fatkpp.kernels import KernelSpec, build_kernel
 from fatkpp.propagation import (envelope_residual, envelope_sandwich_report,
-                                hopf_cole_field, phi_envelope, theta1,
-                                track_level)
+                                hopf_cole_field, phi_envelope, potential_of,
+                                read_window, theta1, track_level)
 
 
 @pytest.fixture(scope="module")
@@ -318,3 +318,23 @@ def test_hopf_cole_convergence_on_exact_envelope(loglin2):
         sup[eps] = hc.sup_error()
     assert sup[0.4] > sup[0.2] > sup[0.1]
     assert sup[0.1] <= 0.1 * math.log(2.0) + 1e-3
+
+
+def test_read_window_counts_floored_samples_and_reads_nodes_exactly(poly4):
+    """A window density below the 1e-300 log floor is flagged, not hidden,
+    and samples at grid nodes read the node values bit for bit."""
+    g = Grid1D(L=10.0, N=256)
+    vals = np.exp(-np.abs(g.x) - 0.3)
+    sel = (g.x >= -5.0) & (g.x <= 5.0)
+    vals[np.flatnonzero(sel)[7]] = 1e-310
+    run = synthetic_run(poly4, g, [0.5, 1.0], lambda t, x: vals)
+    xs = g.x[sel]
+    pot = read_window(run, 0.25, xs, xs, [(0.5, 2.0), (1.0, 4.0)])
+    assert pot.times.tolist() == [2.0, 4.0]
+    assert pot.u.shape == pot.floored.shape == (2, xs.size)
+    assert pot.floored.sum(axis=1).tolist() == [1, 1]
+    u, floored = potential_of(vals[sel], 0.25)
+    assert np.array_equal(pot.u[0], u) and np.array_equal(pot.u[1], u)
+    assert np.array_equal(pot.floored[0], floored)
+    pot.limit = np.zeros_like(pot.u)
+    assert pot.sup_error() == float(np.max(u))
