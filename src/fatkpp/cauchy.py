@@ -292,6 +292,7 @@ def run(kernel, config, n0, dk=None, eps=1.0):
         return SimulationRun(snapshots, kernel, grid, monitors, manifest,
                              contaminated, eps)
 
-    return _march(grid, np.clip(n0.values, 0.0, 1.0),
-                  config.snapshot_times, config.t_end, config.dt, advance,
-                  observe, finish)
+    v0 = np.clip(n0.values, 0.0, 1.0)
+    del n0      # a caller that passed its only reference frees it here
+    return _march(grid, v0, config.snapshot_times, config.t_end, config.dt,
+                  advance, observe, finish)

@@ -23,6 +23,7 @@ partial solution, only after every run is written.
 import argparse
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -47,8 +48,8 @@ _MAX_SERIES = 5         # density curves in one plot
 
 
 def _simulate(cfg, dk=None):
-    n0 = initial_condition(cfg.kernel, cfg.grid, cfg.C)
-    return run_cauchy(cfg.kernel, cfg.solver, n0, dk=dk)
+    return run_cauchy(cfg.kernel, cfg.solver,
+                      initial_condition(cfg.kernel, cfg.grid, cfg.C), dk=dk)
 
 
 def _plot(cfg, out, name, series, title, xlabel, ylabel, logy=False):
@@ -231,6 +232,13 @@ _DISPATCH = {
 }
 
 
+def _peak_rss_mb():
+    """The process's peak resident size so far, in MB (ru_maxrss counts
+    KB on Linux and bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def _fail(exc):
     """Print why the invocation failed; returns exc's exit code."""
     if isinstance(exc, ValidationError):
@@ -278,7 +286,8 @@ def main(argv=None):
         out_io.write_run_json(
             out, cfg.raw, manifest, aborted=abort is not None,
             abort_reason=None if abort is None else str(abort),
-            extra=dict(extra or {}, write_s=out_io.write_s - w0))
+            extra=dict(extra or {}, write_s=out_io.write_s - w0,
+                       peak_rss_mb=_peak_rss_mb()))
     except IoError as exc:
         return _fail(exc)
     if abort is not None:

@@ -372,6 +372,15 @@ class DiscreteKernel:
         out.reshape(self._nb, -1)[...] = R[:, 2 * K:2 * K + N // self._nb]
         return out
 
+    def direct(self, values, i):
+        """(J*v)[i] by the direct sum over the samples, for a node i at
+        least K nodes from either edge; the samples are symmetric, so no
+        flip is needed.  The products are summed by numpy's pairwise
+        reduction: a BLAS dot of over 10,000 terms is split across the
+        library's threads, and its last bits then follow their count."""
+        K = self.K
+        return float(np.add.reduce(values[i - K:i + K + 1] * self.samples))
+
 
 def discretize_kernel(kernel, grid):
     """Sample a continuum kernel's normalized density J_hat on grid offsets.

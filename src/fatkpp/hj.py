@@ -97,6 +97,7 @@ class Hamiltonian:
 
     _TABLE_AIM = 0.96
     _TABLE_N = 2049
+    _TABLE_ROWS = 64
     _GL_NODES = 48
 
     def __init__(self, kernel):
@@ -141,9 +142,18 @@ class Hamiltonian:
         ptab = np.linspace(0.0, self.p_table, self._TABLE_N)
         z = (ptab / k.fprime0)[:, None]
         s = ss[None, :]
-        paired = np.exp(-(1.0 - z) * s) + np.exp(-(1.0 + z) * s) \
-            - 2.0 * np.exp(-s)
-        H = 1.0 + paired @ dens
+        two_es = 2.0 * np.exp(-s)
+        # _TABLE_ROWS rows at a time.  The whole integrand matrix is 9 MB
+        # for LogLinear beta=3, and the process kept about that much
+        # resident after freeing it.  Its product with dens also moved an
+        # entry's last bits with OpenBLAS's thread count, where a block
+        # this size came out the same under one and two threads
+        H = np.empty(ptab.size)
+        for lo in range(0, ptab.size, self._TABLE_ROWS):
+            zb = z[lo:lo + self._TABLE_ROWS]
+            paired = np.exp(-(1.0 - zb) * s) + np.exp(-(1.0 + zb) * s) \
+                - two_es
+            H[lo:lo + self._TABLE_ROWS] = 1.0 + paired @ dens
         H[0] = 1.0              # the z = 0 integrand vanishes identically
         self._ptab = ptab
         self._Htab = H
@@ -250,11 +260,22 @@ def _lf_step(H, u, dx, dt, sigma):
     # the padded copy goes before the flux is formed: in a worker thread's
     # malloc arena, what the step holds at once stays resident after it
     d = np.diff(np.concatenate(
-        ([2.0 * u[0] - u[1]], u, [2.0 * u[-1] - u[-2]]))) / dx
+        ([2.0 * u[0] - u[1]], u, [2.0 * u[-1] - u[-2]])))
+    d /= dx
     pm = d[:-1]
     pp = d[1:]
-    hnum = H.table_eval(0.5 * (pm + pp)) - 0.5 * sigma * (pp - pm)
-    return np.maximum(u - dt * hnum, 0.0)
+    # max(u - dt (H(0.5 (pm + pp)) - 0.5 sigma (pp - pm)), 0), rounded
+    # as written but in place where it can be: each fresh grid-size array
+    # may be a fresh mapping from malloc, its pages faulted in anew
+    w = pm + pp
+    w *= 0.5
+    out = H.table_eval(w)
+    np.subtract(pp, pm, out=w)
+    w *= 0.5 * sigma
+    out -= w
+    out *= dt
+    np.subtract(u, out, out=out)
+    return np.maximum(out, 0.0, out=out)
 
 
 def solve_constrained_hj(H, config, u0, dt=None, sigma=None):

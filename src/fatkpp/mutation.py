@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.random     # numpy loads it on first use; keep that in the import
 
 from .cauchy import check_rate, run as cauchy_run
 from .errors import GridTooCoarse, InvalidParams
 from .gridops import Field, adaptive_integrate, discretize_kernel
 
-_FD_PAIRS = 10_000      # node pairs fd_condition samples
-_FD_SEED = 0            # fd_condition's fixed sampling seed
+_FD_ANCHORS = 100       # evenly spread nodes fd_condition pairs up
+_FD_GAPS = 50           # geometric gaps, 1 to N-1 cells, from each anchor
 _FD_TOL = 1e-8          # worst fd violation initial data may show
 
 
@@ -128,21 +127,29 @@ def growth_bound(kernel, A):
 
 
 def fd_condition(kernel, u0, A):
-    """Worst violation of u(x+h) - u(x) >= -A f(|h|) over random pairs.
+    """Worst violation of u(x+h) - u(x) >= -A f(|h|) over a fixed set of
+    node pairs.
 
-    u0 is a Field.  Returns the max over sampled pairs of
-    -A f(|x_j - x_i|) - (u_j - u_i); nonpositive (up to roundoff) means
-    the condition holds.
+    u0 is a Field.  The anchors are the middle nodes of _FD_ANCHORS equal
+    parts of the grid, and each is paired with the nodes _FD_GAPS
+    geometrically spaced gaps away, from one cell to N-1, on either side
+    where the grid reaches; both orders of a pair are read.  So every part
+    of the grid and every gap scale is sampled, one-cell gaps included.
+    Returns the max over the pairs of -A f(|x_j - x_i|) - (u_j - u_i);
+    nonpositive (up to roundoff) means the condition holds.
     """
     grid, u = u0.grid, u0.values
-    rng = np.random.default_rng(_FD_SEED)
-    i = rng.integers(0, grid.N, size=_FD_PAIRS)
-    j = rng.integers(0, grid.N, size=_FD_PAIRS)
-    keep = i != j
+    N = grid.N
+    anchors = ((np.arange(_FD_ANCHORS) + 0.5) * (N / _FD_ANCHORS)).astype(
+        np.intp)
+    gaps = np.geomspace(1, N - 1, _FD_GAPS).round().astype(np.intp)
+    gaps = gaps[np.diff(gaps, prepend=0) > 0]   # np.unique loads numpy.ma
+    i = np.repeat(anchors, 2 * gaps.size)
+    j = i + np.tile(np.concatenate([gaps, -gaps]), anchors.size)
+    keep = (j >= 0) & (j < N)
     i, j = i[keep], j[keep]
-    gap = u[j] - u[i]
     bound = -A * kernel.f(np.abs(grid.x[j] - grid.x[i]))
-    return float(np.max(bound - gap))
+    return float(np.max(bound + np.abs(u[j] - u[i])))
 
 
 def mutation_initial_data(kernel, grid, A):
@@ -178,8 +185,10 @@ def mutation_run(kernel, eps, config, u0):
     mk = MutationKernel(kernel, eps)
     check_rate(config.dt, eps)
     dk = discretize_mutation_kernel(mk, u0.grid)
-    n0 = Field(u0.grid, np.exp(-u0.values / eps))
-    return cauchy_run(kernel, config, n0, dk=dk, eps=eps)
+    # n0 is not bound here, so the run's clipped copy is its only copy
+    return cauchy_run(kernel, config,
+                      Field(u0.grid, np.exp(-u0.values / eps)), dk=dk,
+                      eps=eps)
 
 
 # ----------------------------------------------------------------------

@@ -413,7 +413,8 @@ def _thin(xs, ys, cols, width):
     order = np.lexsort((ys, col))           # by column, then by y
     first = np.flatnonzero(np.diff(col[order], prepend=-1))
     last = np.append(first[1:], order.size) - 1
-    keep = np.unique(order[np.concatenate((first, last))])
+    keep = np.sort(order[np.concatenate((first, last))])
+    keep = keep[np.diff(keep, prepend=-1) > 0]  # np.unique loads numpy.ma
     keep = keep[np.argsort(xs[keep], kind="stable")]
     return xs[keep], ys[keep]
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import threading
@@ -295,6 +296,19 @@ def test_run_json_reports_the_seconds_spent_writing(tmp_path, monkeypatch):
     assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 0
     elapsed = time.perf_counter() - t0
     assert 0.0 < _manifest(out)["write_s"] < elapsed
+
+
+def test_run_json_reports_the_peak_resident_size(tmp_path):
+    """peak_rss_mb is the process's peak resident size when the run ends:
+    no less than that peak before the call, no more than after it."""
+    def peak_mb():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+    out = str(tmp_path / "out")
+    doc = dict(SIMULATE, output={"directory": out})
+    before = peak_mb()
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 0
+    assert before <= _manifest(out)["peak_rss_mb"] <= peak_mb()
 
 
 def test_front_writes_tracks_envelope_and_plot(tmp_path):
@@ -895,6 +909,65 @@ def test_cli_imports_no_scipy(tmp_path):
         capture_output=True, text=True, cwd=str(tmp_path), env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_runs_load_neither_numpy_random_nor_numpy_ma(tmp_path):
+    """Each costs a process about 6 MB and 1.4 MB resident and 10-13 ms:
+    no experiment loads them, CrossValidate's decay-condition check and
+    the thinning of a Simulate plot denser than its pixels included."""
+    paths = []
+    for name, doc in (("crossval", CROSSVAL_SMALL),
+                      ("simulate", dict(SIMULATE, grid={"L": 50, "N": 2048}))):
+        out = str(tmp_path / name)
+        paths.append(_cfg(tmp_path, dict(doc, output={"directory": out}),
+                          name + ".json"))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, fatkpp.cli\n"
+         "for path in sys.argv[1:]:\n"
+         "    assert fatkpp.cli.main(['--config', path, '--quiet']) == 0\n"
+         "print(sorted({'numpy.random', 'numpy.ma'} & set(sys.modules)))"]
+        + paths, capture_output=True, text=True, cwd=str(tmp_path),
+        env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# the two reductions over many terms that could go through a threaded
+# BLAS call, each printed as the hex of its bytes
+_REDUCTIONS = {
+    "hamiltonian_table": (
+        "from fatkpp.hj import Hamiltonian; "
+        "print(Hamiltonian(build_kernel(KernelSpec('LogLinear', beta=3.0)))"
+        "._Htab.tobytes().hex())"),
+    # criterion 4's kernel cells, K = 5187: 10,375 terms a sum
+    "direct_sums": (
+        "from fatkpp.gridops import Grid1D, discretize_kernel; "
+        "from fatkpp.propagation import phi_envelope; "
+        "k = build_kernel(KernelSpec('Polynomial', alpha=4.0)); "
+        "g = Grid1D(1250.0, 2 ** 19); dk = discretize_kernel(k, g); "
+        "phi = phi_envelope(k, 5.0, g.x); "
+        "nodes = np.linspace(dk.K, g.N - dk.K - 1, 200).astype(int); "
+        "print(np.array([dk.direct(phi, i) for i in nodes]).tobytes().hex())"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REDUCTIONS))
+def test_reductions_do_not_follow_the_blas_thread_count(tmp_path, name):
+    """Reruns byte-reproduce every file whatever OPENBLAS_NUM_THREADS
+    says: the Hamiltonian table and the envelope residual's direct sums
+    come out the same under one and two BLAS threads."""
+    code = ("import numpy as np; "
+            "from fatkpp.kernels import KernelSpec, build_kernel; "
+            + _REDUCTIONS[name])
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(_child_env(), OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              cwd=str(tmp_path), env=env)
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert printed[0] == printed[1]
 
 
 def test_console_module_reports_usage_errors(tmp_path):

@@ -247,6 +247,30 @@ def test_fd_condition_detects_violation(loglin3):
     assert fd_condition(loglin3, Field(g, bad), 0.25) > 0.1
 
 
+def test_fd_condition_reads_one_cell_gaps(loglin3):
+    """A one-cell sawtooth of height s = A f(2 dx) on A f(|x|)/2 breaks
+    the condition at gaps of one and three cells only: f is subadditive,
+    so |u_j - u_i| <= (A/2) f(|h|) + s, which is at most A f(|h|) once
+    f(|h|) >= 2s/A, already at 8 cells.  A uniform random pair on 2^18
+    nodes has a gap under 8 cells with probability 5e-5."""
+    A = 0.25
+    g = Grid1D(L=600.0, N=2 ** 18)
+    s = A * float(loglin3.f(2.0 * g.dx))
+    assert float(loglin3.f(8.0 * g.dx)) >= 2.0 * s / A
+    u = 0.5 * A * loglin3.f(np.abs(g.x)) + s * (np.arange(g.N) % 2)
+    assert fd_condition(loglin3, Field(g, u), A) > 0.25 * s
+
+
+def test_fd_condition_reads_gaps_over_half_the_grid(loglin3):
+    """The ramp u = c x with c = A f(L)/L breaks the condition only at
+    gaps over L, half the grid: f(h)/h falls with h, so c |h| > A f(|h|)
+    exactly when |h| > L."""
+    A = 0.25
+    g = Grid1D(L=600.0, N=2 ** 18)
+    c = A * float(loglin3.f(g.L)) / g.L
+    assert fd_condition(loglin3, Field(g, c * g.x), A) > 0.1
+
+
 # ----------------------------------------------------------------------
 # rescaled runs
 
