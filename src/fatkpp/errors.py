@@ -64,10 +64,6 @@ class StabilityViolation(FatKppError):
     """Time stepping produced values outside the invariant region."""
 
 
-class CFLViolation(FatKppError):
-    """Requested time step exceeds the scheme's stability bound."""
-
-
 class GradientOutOfRange(FatKppError):
     """Numerical gradient left the range the Hamiltonian table covers."""
 

@@ -29,8 +29,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .cauchy import Trajectory, _march
-from .errors import (CFLViolation, GradientOutOfRange, GridMismatch,
-                     InvalidParams, NoConvergence)
+from .errors import (GradientOutOfRange, GridMismatch, InvalidParams,
+                     NoConvergence)
 from .gridops import adaptive_integrate, first_doubling
 from .propagation import read_window
 
@@ -278,21 +278,22 @@ def _lf_step(H, u, dx, dt, sigma):
     return np.maximum(out, 0.0, out=out)
 
 
-def solve_constrained_hj(H, config, u0, dt=None, sigma=None):
+def solve_constrained_hj(H, config, u0, sigma=None):
     """March min{u_t + H(u_x), u} = 0 on u0's grid to config.t_end and
     record exactly config.snapshot_times.
 
     The numerical flux is Hhat(pm, pp) = H((pm+pp)/2) - sigma (pp-pm)/2
     with sigma = 1.2 sup|H'| over the initial slope range (central
     differences of eval_H); by convexity and evenness that sup sits at
-    the initial Lipschitz constant.  The update is monotone under
-    dt <= _CFL_SAFETY*dx/sigma, enforced as a CFLViolation when dt is forced
-    by the caller; config.dt is not read.  Ghost values extend u
-    linearly, so boundary gradients are one-sided.  Snapshot times are
-    hit exactly (each gap is stepped with a uniform dt dividing it).
-    Passing sigma overrides the automatic bound; it must dominate
-    sup|H'| over every slope the run visits (property tests use this to
-    compare two runs under one scheme).  meta records the scheme's
+    the initial Lipschitz constant.  Passing sigma overrides the
+    automatic bound; it must dominate sup|H'| over every slope the run
+    visits (property tests use this to compare two runs under one
+    scheme).  sigma is the scheme's one parameter: the update is
+    monotone for dt <= _CFL_SAFETY*dx/sigma, and that bound (none when
+    sigma is 0) is the step cap; config.dt is not read.  Each gap
+    between snapshot times is crossed in ceil(gap/cap) equal steps, so
+    every time is hit exactly.  Ghost values extend u linearly, so
+    boundary gradients are one-sided.  meta records the scheme's
     constants, the steps taken and hj_wall_time_s, the seconds the call
     took.
     """
@@ -310,17 +311,7 @@ def solve_constrained_hj(H, config, u0, dt=None, sigma=None):
         sigma = 1.2 * abs(H.eval_H_prime(lip0)) if lip0 > 0.0 else 0.0
     elif sigma < 0.0:
         raise InvalidParams("sigma must be nonnegative")
-    dt_cfl = _CFL_SAFETY * dx / sigma if sigma > 0.0 else math.inf
-    if dt is not None:
-        if dt <= 0.0:
-            raise InvalidParams("dt must be positive")
-        if dt > dt_cfl * (1.0 + 1e-12):
-            raise CFLViolation(
-                "dt = %g exceeds the monotonicity bound %g = %g*dx/sigma"
-                % (dt, dt_cfl, _CFL_SAFETY))
-        dt_cap = dt
-    else:
-        dt_cap = dt_cfl
+    dt_cap = _CFL_SAFETY * dx / sigma if sigma > 0.0 else math.inf
 
     def advance(v, h):
         return _lf_step(H, v, dx, h, sigma)

@@ -235,7 +235,6 @@ def test_criterion_10_hj_exactness_controls(loglinear3):
     assert np.all(flat.snapshot_at(1.0).values == 0.0)
     rng = np.random.default_rng(11)
     sigma = 1.2 * abs(H.eval_H_prime(1.3))
-    dt = 0.9 * g.dx / sigma
     for _ in range(20):
         base = np.concatenate(
             ([0.0], np.cumsum(rng.uniform(-0.8, 0.8, g.N - 1) * g.dx)))
@@ -243,9 +242,9 @@ def test_criterion_10_hj_exactness_controls(loglinear3):
         bump = rng.uniform(0.0, 0.4) * np.exp(
             -((g.x - rng.uniform(-3.0, 3.0)) / 1.5) ** 2)
         lo = solve_constrained_hj(H, SolverConfig(t_end=0.3),
-                                  Field(g, base), dt=dt, sigma=sigma)
+                                  Field(g, base), sigma=sigma)
         hi = solve_constrained_hj(H, SolverConfig(t_end=0.3),
-                                  Field(g, base + bump), dt=dt, sigma=sigma)
+                                  Field(g, base + bump), sigma=sigma)
         assert np.all(hi.snapshot_at(0.3).values
                       >= lo.snapshot_at(0.3).values - 1e-12)
 

@@ -89,7 +89,7 @@ def test_every_error_class_has_an_exit_code():
     classes = [c for c in vars(errors).values() if isinstance(c, type)
                and issubclass(c, errors.FatKppError)
                and c is not errors.FatKppError]
-    assert len(classes) == 16
+    assert len(classes) == 15
     for c in classes:
         if issubclass(c, errors.InvalidParams) or c is errors.ParseError:
             assert c.exit_code == 2, c.__name__

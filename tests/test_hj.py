@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from fatkpp.errors import (CFLViolation, GradientOutOfRange, GridMismatch,
-                           InvalidParams, NonIntegrableTail,
-                           NotMutationEligible, ThinTailedKernel)
+from fatkpp.errors import (GradientOutOfRange, GridMismatch, InvalidParams,
+                           NonIntegrableTail, NotMutationEligible,
+                           ThinTailedKernel)
 from fatkpp.gridops import DiscreteKernel, Field, Grid1D
 from fatkpp.hj import (Hamiltonian, HJSolution, cross_validate,
                        hamiltonian_profile, inclusion_curves,
@@ -314,11 +314,11 @@ def test_cone_interior_residual(cone, H3):
 
 def test_scheme_monotone_in_data(H3):
     """Pointwise-larger initial data gives a pointwise-larger solution
-    when both runs share one sigma and dt (the flux is then monotone)."""
+    when both runs share one sigma, and with it one step (the flux is
+    then monotone)."""
     g = Grid1D(5.0, 256)
     rng = np.random.default_rng(11)
     sigma = 1.2 * abs(H3.eval_H_prime(1.3))
-    dt = 0.9 * g.dx / sigma
     for _ in range(20):
         base = np.concatenate(
             ([0.0], np.cumsum(rng.uniform(-0.8, 0.8, g.N - 1) * g.dx)))
@@ -326,9 +326,9 @@ def test_scheme_monotone_in_data(H3):
         x0 = rng.uniform(-3.0, 3.0)
         bump = rng.uniform(0.0, 0.4) * np.exp(-((g.x - x0) / 1.5) ** 2)
         lo = solve_constrained_hj(H3, SolverConfig(t_end=0.3),
-                                  Field(g, base), dt=dt, sigma=sigma)
+                                  Field(g, base), sigma=sigma)
         hi = solve_constrained_hj(H3, SolverConfig(t_end=0.3),
-                                  Field(g, base + bump), dt=dt, sigma=sigma)
+                                  Field(g, base + bump), sigma=sigma)
         assert np.all(hi.snapshot_at(0.3).values
                       >= lo.snapshot_at(0.3).values - 1e-12)
 
@@ -364,12 +364,25 @@ def test_solver_rejections(H3):
         solve_constrained_hj(H3, cfg, Field(g, 1.95 * np.abs(g.x)))
 
 
-def test_cfl_violation(H3):
-    g = Grid1D(10.0, 64)
-    u0 = Field(g, 0.2 * np.abs(g.x))
-    with pytest.raises(CFLViolation):
-        solve_constrained_hj(H3, SolverConfig(t_end=1.0), u0,
-                             dt=10.0 * g.dx)
+def test_solver_steps_at_the_cfl_bound_of_its_sigma(H3):
+    """The step cap is 0.9 dx/sigma, whether sigma is passed or not, and
+    each gap between snapshot times takes ceil(gap/cap) steps; flat data
+    has sigma 0 and no cap."""
+    g = Grid1D(10.0, 256)
+    u0 = Field(g, np.abs(g.x))          # sigma ~ 1.07: 2 + 4 steps
+    cfg = SolverConfig(t_end=0.3, snapshot_times=(0.1, 0.3))
+    auto = solve_constrained_hj(H3, cfg, u0)
+    wide = solve_constrained_hj(H3, cfg, u0, sigma=2.0 * auto.meta["sigma"])
+    for sol in (auto, wide):
+        sigma, cap = sol.meta["sigma"], sol.meta["dt_cap"]
+        assert sigma > 0.0 and cap == 0.9 * g.dx / sigma
+        assert sol.meta["steps"] == (math.ceil(0.1 / cap)
+                                     + math.ceil((0.3 - 0.1) / cap))
+    assert wide.meta["sigma"] == 2.0 * auto.meta["sigma"]
+    assert wide.meta["steps"] > auto.meta["steps"]
+    flat = solve_constrained_hj(H3, cfg, Field(g, np.zeros(g.N)))
+    assert flat.meta["sigma"] == 0.0 and flat.meta["dt_cap"] is None
+    assert flat.meta["steps"] == 2
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ from fatkpp.errors import (GridTooCoarse, InvalidParams, NonIntegrableTail,
                            NotMutationEligible)
 from fatkpp.gridops import Field, Grid1D
 from fatkpp.kernels import KernelSpec, build_kernel
-from fatkpp.mutation import (MutationKernel, check_resolution,
+from fatkpp.mutation import (_FD_GAPS, MutationKernel, check_resolution,
                              classify_limit_sets, discretize_mutation_kernel,
                              fd_condition, growth_bound,
                              mutation_initial_data, mutation_run)
@@ -313,10 +313,23 @@ def test_mutation_run_potential_bounds(small_run):
 
 
 def test_mutation_run_fd_persists(small_run):
+    """The decay condition holds at fd_condition's pairs, and at pairs
+    anchored on both ends of the band past the outer K cells that
+    test_mutation_run_lipschitz reads: nodes K and N-1-K, each paired
+    with the nodes fd_condition's geometric gaps away inside the band.
+    In the outer K cells the zero exterior inflates u and breaks it."""
     g, u0, mr = small_run
     k = mr.kernel
+    K = mr.manifest["kernel_cells"]
+    gaps = np.geomspace(1, g.N - 1, _FD_GAPS).round().astype(np.intp)
+    i = np.repeat([K, g.N - 1 - K], gaps.size)
+    j = np.concatenate([K + gaps, g.N - 1 - K - gaps])
+    keep = (j >= K) & (j < g.N - K)
+    i, j = i[keep], j[keep]
+    bound = -_A * k.f(np.abs(g.x[j] - g.x[i]))
     for t, u, mask in _potentials(mr):
         assert fd_condition(k, Field(g, u), _A) <= 1e-6
+        assert np.max(bound + np.abs(u[j] - u[i])) <= 1e-6, t
 
 
 def test_mutation_run_lipschitz(small_run):
