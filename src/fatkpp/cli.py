@@ -11,13 +11,13 @@ and reason set.  CrossValidate reports its sup errors in run.json and
 makes no verdict on them: a sup error that grows as eps falls still
 exits 0.
 
-CrossValidate solves the Hamilton-Jacobi limit on one worker thread
-while its rescaled runs step on the main thread, which alone writes
-files.  Each run is written as it ends and then dropped but for its
-window potential (`propagation.read_window`).  Aborts end as in a
-sequential run: a run that aborts propagates once the worker is joined,
-and the limit is discarded; a limit solve that fails surfaces, with its
-partial solution, only after every run is written.
+CrossValidate solves the Hamilton-Jacobi limit on one worker thread while
+its rescaled runs step on the main thread, which alone writes files.  Each
+run is written as it ends and then dropped but for its window potential
+(`propagation.read_window`), which `hj.cross_validate` compares with the
+limit.  Aborts end as in a sequential run: a run that aborts propagates once
+the worker is joined, and the limit is discarded; a limit solve that fails
+surfaces, with its partial solution, only after every run is written.
 """
 
 import argparse
@@ -28,13 +28,11 @@ import sys
 import time
 from dataclasses import asdict
 
-import numpy as np
-
 from .cauchy import initial_condition, run as run_cauchy
 from .config import READS, parse_config
 from .errors import FatKppError, IoError, ValidationError
 from .gridops import discretize_kernel
-from .hj import (HJSolution, Hamiltonian, comparison_times,
+from .hj import (HJSolution, Hamiltonian, comparison_times, cross_validate,
                  hamiltonian_profile, inclusion_curves, solve_constrained_hj,
                  window_nodes, zero_set_boundary)
 from .kernels import validate_hypotheses
@@ -178,8 +176,7 @@ def _do_cross_validate(cfg, out):
     from concurrent.futures import ThreadPoolExecutor
     H = Hamiltonian(cfg.kernel)
     u0 = mutation_initial_data(cfg.kernel, cfg.grid, A=cfg.A)
-    sel = window_nodes(cfg.grid, cfg.compact)
-    xs = cfg.grid.x[sel]
+    xs = window_nodes(cfg.grid, cfg.compact)
     pairs = comparison_times(cfg.solver.snapshot_times)
     # the limit needs none of the runs, so it is solved on a second thread
     # while they step; of each run only its window potential is kept
@@ -189,13 +186,10 @@ def _do_cross_validate(cfg, out):
             read_window(run, run.eps, xs, xs, pairs), run.manifest))
         sol = solve.result()
     out_io.write_hj_solution_csv(out, sol, cfg.stride)
-    limit = np.array([sol.snapshot_at(t).values[sel] for _, t in pairs])
-    rows = []
-    for pot, man in kept:
-        pot.limit = limit
-        rows.append({"eps": pot.eps, "sup_error": pot.sup_error(),
-                     "floored": int(pot.floored.sum()),
-                     "wall_time_s": man["wall_time_s"]})
+    sups = cross_validate([pot for pot, _ in kept], sol)    # in kept's order
+    rows = [{"eps": eps, "sup_error": sup, "floored": int(pot.floored.sum()),
+             "wall_time_s": man["wall_time_s"]}
+            for (eps, sup), (pot, man) in zip(sups, kept)]
     _plot(cfg, out, "crossval.svg",
           [("sup |u_eps - u|", [r["eps"] for r in rows],
             [r["sup_error"] for r in rows])],

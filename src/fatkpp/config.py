@@ -88,9 +88,9 @@ def parse_config(path):
     """Read and validate a JSON run configuration.
 
     An unreadable path raises IoError; syntax errors raise ParseError
-    carrying the line and column; a syntactically valid config that
-    breaks any constraint raises ValidationError whose .issues lists
-    all of them.
+    carrying the line and column, and a number that is not finite a
+    ParseError naming it; a syntactically valid config that breaks any
+    constraint raises ValidationError whose .issues lists all of them.
     """
     try:
         with open(path, "r") as fh:
@@ -98,7 +98,7 @@ def parse_config(path):
     except OSError as exc:
         raise IoError("cannot read config %s: %s" % (path, exc))
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite, parse_constant=_finite)
     except json.JSONDecodeError as exc:
         raise ParseError("invalid JSON at line %d column %d: %s"
                          % (exc.lineno, exc.colno, exc.msg))
@@ -106,6 +106,14 @@ def parse_config(path):
         raise ParseError("top level must be a JSON object, got %s"
                          % type(raw).__name__)
     return validate_config(raw)
+
+
+def _finite(text):
+    """A JSON float or constant as a float, refused unless finite: json
+    accepts NaN, Infinity and -Infinity, and reads 1e999 as inf."""
+    if not math.isfinite(float(text)):
+        raise ParseError("config number %s is not finite" % text)
+    return float(text)
 
 
 def _is_int(v):

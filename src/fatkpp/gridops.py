@@ -206,14 +206,17 @@ class Grid1D:
     def __init__(self, L, N):
         L = float(L)
         N = int(N)
-        if L <= 0.0:
-            raise InvalidParams("grid half-width L must be positive")
         if N < 16 or (N & (N - 1)) != 0:
             raise InvalidParams("N must be a power of two >= 16, got %d" % N)
         self.L = L
         self.N = N
         self.dx = 2.0 * L / N
-        self.x = -L + self.dx * np.arange(N)
+        if not 0.0 < self.dx < math.inf:
+            raise InvalidParams("need L > 0 and 2L/N finite, got L = %g" % L)
+        try:
+            self.x = -L + self.dx * np.arange(N)
+        except (MemoryError, ValueError) as exc:
+            raise InvalidParams("no memory for N = %d nodes: %s" % (N, exc))
 
     def __eq__(self, other):
         return (isinstance(other, Grid1D)

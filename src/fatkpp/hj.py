@@ -16,9 +16,9 @@ that slow tails (decay barely above 1/mu) do not overflow first.
 
 The solver is monotone Lax-Friedrichs with obstacle projection
 u <- max(u - dt*Hhat(D-u, D+u), 0), so u >= 0 holds to the last bit and
-the scheme converges to the viscosity solution.  Cross-validation reads
-each rescaled run's potential -eps ln n with propagation.read_window, the
-reader the Hopf-Cole limit uses too, at the window's grid nodes.
+the scheme converges to the viscosity solution.  Cross-validation
+compares it with the potentials -eps ln n that propagation.read_window,
+the Hopf-Cole limit's reader too, takes of rescaled runs at grid nodes.
 """
 
 import math
@@ -32,14 +32,13 @@ from .cauchy import Trajectory, _march
 from .errors import (GradientOutOfRange, GridMismatch, InvalidParams,
                      NoConvergence)
 from .gridops import adaptive_integrate, first_doubling
-from .propagation import read_window
 
 _CFL_SAFETY = 0.9       # Lax-Friedrichs steps dt <= _CFL_SAFETY dx/sigma
 _ZERO_TOL = 1e-12       # roundoff that zero_set_boundary counts as zero
 _N_R = 101              # inclusion_curves' scan points over r in [0, 1]
 _N_P = 257              # hamiltonian_profile's rows over the p band
-_MIN_CELLS = 10         # cross_validate's window margin from the edges
-_T_POS = 1e-12          # cross_validate compares at snapshot times above it
+_MIN_CELLS = 10         # window_nodes' margin from the grid's edges
+_T_POS = 1e-12          # comparison_times keeps the times above it
 
 
 def _tail_log(kernel, lam, R, quad_factor=False):
@@ -387,7 +386,7 @@ def inclusion_curves(H, A, t):
 
 
 def window_nodes(grid, x_window):
-    """Mask of the grid nodes in x_window = (x_lo, x_hi), which must hold
+    """The grid nodes in x_window = (x_lo, x_hi), which must hold
     one at least and stay _MIN_CELLS nodes away from the grid's edges
     (the ghost extrapolation pollutes the outermost cells)."""
     xlo, xhi = float(x_window[0]), float(x_window[1])
@@ -397,10 +396,10 @@ def window_nodes(grid, x_window):
         raise InvalidParams(
             "window [%g, %g] is closer than %d cells to the grid edge"
             % (xlo, xhi, _MIN_CELLS))
-    sel = (grid.x >= xlo) & (grid.x <= xhi)
-    if not sel.any():
+    xs = grid.x[(grid.x >= xlo) & (grid.x <= xhi)]
+    if not xs.size:
         raise InvalidParams("window contains no grid nodes")
-    return sel
+    return xs
 
 
 def comparison_times(times):
@@ -412,24 +411,19 @@ def comparison_times(times):
     return kept
 
 
-def cross_validate(runs, hj, x_window):
-    """Sup gap between each rescaled run's potential and the limit solution.
-
-    Returns one row (eps, sup_error) per run, sorted by decreasing eps.
-    Each run is read at window_nodes(hj.grid, x_window) and hj's
-    comparison_times, which it must hold, on hj's grid.  Whether the
-    errors fall with eps is the caller's verdict to make.
+def cross_validate(pots, hj):
+    """(eps, sup |u_eps - u|) for each rescaled run's window potential,
+    by decreasing eps.  pots are propagation.read_window's, read at nodes
+    of hj's grid and at times hj holds; each is given hj on its samples
+    as its limit.  Whether the errors fall with eps is the caller's
+    verdict to make.
     """
-    sel = window_nodes(hj.grid, x_window)
-    xs = hj.grid.x[sel]
-    pairs = comparison_times([t for t, _ in hj.snapshots])
-    limit = np.array([hj.snapshot_at(t).values[sel] for _, t in pairs])
-    rows = []
-    for mr in sorted(runs, key=lambda m: -m.eps):
-        if mr.grid != hj.grid:
-            raise GridMismatch("run on %r, limit solution on %r"
-                               % (mr.grid, hj.grid))
-        pot = read_window(mr, mr.eps, xs, xs, pairs)
-        pot.limit = limit
-        rows.append((mr.eps, pot.sup_error()))
+    x, rows = hj.grid.x, []
+    for pot in sorted(pots, key=lambda p: -p.eps):
+        idx = np.minimum(np.searchsorted(x, pot.xs), x.size - 1)
+        if not np.array_equal(x[idx], pot.xs):
+            raise GridMismatch("window off the nodes of %r" % hj.grid)
+        pot.limit = np.array([hj.snapshot_at(t).values[idx]
+                              for t in pot.times])
+        rows.append((pot.eps, pot.sup_error()))
     return rows

@@ -9,7 +9,7 @@ accelerating front of the full dynamics up to a multiplicative error
 controlled by the residual theta(t) = sup_x |Jhat*phi - phi| / phi.
 Both limit checks read u_eps = -eps ln n of a run on a compact window of
 (t, x) with read_window: hopf_cole_field through the kernel's space map
-Psi_eps (Kernel.dilate), hj.cross_validate at grid nodes.
+Psi_eps (Kernel.dilate), CrossValidate at grid nodes for hj.cross_validate.
 """
 
 from dataclasses import dataclass

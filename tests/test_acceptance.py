@@ -17,15 +17,16 @@ from fatkpp.cauchy import SolverConfig, initial_condition
 from fatkpp.cauchy import run as cauchy_run
 from fatkpp.cli import main as cli_main
 from fatkpp.gridops import Field, Grid1D, adaptive_integrate, discretize_kernel
-from fatkpp.hj import (Hamiltonian, cross_validate, inclusion_curves,
-                       solve_constrained_hj, zero_set_boundary)
+from fatkpp.hj import (Hamiltonian, comparison_times, cross_validate,
+                       inclusion_curves, solve_constrained_hj, window_nodes,
+                       zero_set_boundary)
 from fatkpp.kernels import KernelSpec, build_kernel, validate_hypotheses
 from fatkpp.mutation import (MutationKernel, classify_limit_sets,
                              fd_condition, growth_bound,
                              mutation_initial_data, mutation_run)
 from fatkpp.propagation import (envelope_sandwich_report, hopf_cole_field,
-                                phi_envelope, potential_of, theta1,
-                                track_level)
+                                phi_envelope, potential_of, read_window,
+                                theta1, track_level)
 
 
 def K(family, **p):
@@ -256,17 +257,19 @@ def test_criterion_11_cross_validation(loglinear3):
     k = loglinear3
     g = Grid1D(600.0, 2 ** 18)
     u0 = mutation_initial_data(k, g, A=0.25)
-    runs = []
+    xs = window_nodes(g, (-50.0, 50.0))
+    pairs = comparison_times((0.5, 1.0))
+    pots = []
     for eps in (0.4, 0.2, 0.1):
         cfg = SolverConfig(dt=0.025 * eps, t_end=1.0, method="Euler",
                            snapshot_times=(0.5, 1.0))
         mr = mutation_run(k, eps, cfg, u0)
         assert not mr.contaminated
-        runs.append(mr)
+        pots.append(read_window(mr, eps, xs, xs, pairs))
     hj = solve_constrained_hj(
         Hamiltonian(k), SolverConfig(t_end=1.0, snapshot_times=(0.5, 1.0)),
         u0)
-    rows = cross_validate(runs, hj, (-50.0, 50.0))
+    rows = cross_validate(pots, hj)
     assert [e for e, _ in rows] == [0.4, 0.2, 0.1]
     sups = [v for _, v in rows]
     assert sups[0] >= sups[1] >= sups[2]

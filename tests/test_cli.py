@@ -3,6 +3,7 @@
 import json
 import os
 import resource
+import shutil
 import subprocess
 import sys
 import threading
@@ -17,9 +18,10 @@ import fatkpp
 from fatkpp import cli, errors, output
 from fatkpp.cli import main
 from fatkpp.config import READS, parse_config
-from fatkpp.hj import (HJSolution, Hamiltonian, cross_validate,
-                       solve_constrained_hj)
+from fatkpp.hj import (HJSolution, Hamiltonian, comparison_times,
+                       cross_validate, solve_constrained_hj, window_nodes)
 from fatkpp.mutation import mutation_initial_data, mutation_run
+from fatkpp.propagation import read_window
 
 
 def _cfg(tmp_path, doc, name="run.json"):
@@ -627,6 +629,68 @@ def test_times_the_analysis_reads_are_checked_before_any_output(
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("block, key, literal", [
+    ("solver", "t_end", "1e999"), ("solver", "t_end", "Infinity"),
+    ("grid", "L", "NaN"), ("grid", "L", "-Infinity")])
+def test_a_number_that_is_not_finite_is_refused_when_parsed(
+        tmp_path, capsys, block, key, literal):
+    """json reads NaN, Infinity and -Infinity, and 1e999 as inf.  An
+    infinite t_end used to end the march in an OverflowError, and a NaN L
+    to fail after the output directory was made."""
+    out = str(tmp_path / "out")
+    doc = dict(SIMULATE, output={"directory": out})
+    doc[block] = dict(doc[block], **{key: "<literal>"})
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc).replace('"<literal>"', literal))
+    assert main(["--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err == (
+        "fatkpp: config number %s is not finite\n" % literal)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ({"L": 1e308, "N": 1024}, "need L > 0 and 2L/N finite, got L = 1e+308"),
+    ({"L": 50, "N": 2 ** 50}, "no memory for N = 1125899906842624 nodes"),
+    ({"L": 50, "N": 2 ** 64}, "no memory for N = 18446744073709551616"),
+], ids=["L=1e308", "N=2^50", "N=2^64"])
+def test_a_grid_that_cannot_be_built_is_a_config_issue(
+        tmp_path, capsys, grid, message):
+    """2L/N overflows at L = 1e308, and the node array of 2^50 or 2^64
+    nodes cannot be allocated: both lie beyond any address space, so
+    nothing is allocated.  The first used to fail after the output
+    directory was made, the others in a numpy traceback."""
+    out = str(tmp_path / "out")
+    doc = dict(SIMULATE, grid=grid, output={"directory": out})
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "fatkpp: invalid config:"
+    assert lines[1].startswith("  - grid: " + message)
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"grid": 5}, "grid: must be an object"),
+    ({"analysis": dict(CROSSVAL_SMALL["analysis"], compact=[1, 0])},
+     "analysis.compact: must be [x_lo, x_hi] or [x_lo, x_hi, t_lo, t_hi] "
+     "with lo < hi"),
+    ({"analysis": dict(CROSSVAL_SMALL["analysis"], compact=[-5, 0, 5])},
+     "analysis.compact: must be [x_lo, x_hi] or [x_lo, x_hi, t_lo, t_hi] "
+     "with lo < hi"),
+    # dx = 100/8192 = 0.0122: the window lies between the nodes 0 and dx
+    ({"analysis": dict(CROSSVAL_SMALL["analysis"], compact=[0.001, 0.002])},
+     "analysis.compact: window contains no grid nodes"),
+], ids=["block", "compact-order", "compact-length", "compact-between-nodes"])
+def test_malformed_blocks_and_windows_are_refused_before_any_output(
+        tmp_path, capsys, change, message):
+    out = str(tmp_path / "out")
+    doc = dict(CROSSVAL_SMALL, output={"directory": out}, **change)
+    assert main(["--config", _cfg(tmp_path, doc), "--quiet"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "fatkpp: invalid config:"
+    assert "  - " + message in lines[1:]
+    assert not os.path.exists(out)
+
+
 def test_hj_writes_solution_and_zero_set(tmp_path):
     out = str(tmp_path / "out")
     doc = {"experiment": "HJ",
@@ -814,13 +878,44 @@ def test_cross_validate_equals_the_sequential_reference(tmp_path):
             assert a.read() == b.read(), name
     doc = _manifest(out)
     rows = doc["cross_validation"]
-    assert [(r["eps"], r["sup_error"]) for r in rows] == \
-        cross_validate(runs, sol, cfg.compact)
+    xs = window_nodes(cfg.grid, cfg.compact)
+    pairs = comparison_times(cfg.solver.snapshot_times)
+    assert [(r["eps"], r["sup_error"]) for r in rows] == cross_validate(
+        [read_window(run, run.eps, xs, xs, pairs) for run in runs], sol)
     assert all(r["wall_time_s"] > 0.0 for r in rows)
     man = doc["manifest"]
     assert man["wall_time_s"] == rows[-1]["wall_time_s"]
     assert man["hj_wall_time_s"] > 0.0
     assert man["steps"] == sol.meta["steps"]
+
+
+def test_compare_outputs_checks_files_and_run_json(tmp_path):
+    """tools/compare_outputs.py finds a tree the same as itself, though
+    run.json's clock fields differ from run to run, and names the files a
+    changed HJ step rule moves."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    changed = tmp_path / "changed"
+    shutil.copytree(os.path.join(repo, "src", "fatkpp"),
+                    changed / "src" / "fatkpp",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    hj = changed / "src" / "fatkpp" / "hj.py"
+    text = hj.read_text()
+    assert text.count("_CFL_SAFETY = 0.9 ") == 1
+    hj.write_text(text.replace("_CFL_SAFETY = 0.9 ", "_CFL_SAFETY = 0.8 "))
+    config = _cfg(tmp_path, _crossval(str(tmp_path / "unused")))
+
+    def compare(head):
+        return subprocess.run(
+            [sys.executable, os.path.join(repo, "tools", "compare_outputs.py"),
+             repo, str(head), config], capture_output=True, text=True)
+
+    same = compare(repo)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout == "run: exit 0, 4 files, same bytes\n"
+    moved = compare(changed)
+    assert moved.returncode == 1, moved.stdout + moved.stderr
+    assert "  hj_solution.csv: differs" in moved.stdout.splitlines()
+    assert "  run.json: differs" in moved.stdout.splitlines()
 
 
 def test_a_failed_limit_solve_surfaces_after_every_run(

@@ -33,7 +33,8 @@ def test_grid_nodes():
     assert len(g.x) == 32
 
 
-@pytest.mark.parametrize("N", [0, 8, 17, 100, -32])
+# 2^50 and 2^64 nodes lie beyond any address space: nothing is allocated
+@pytest.mark.parametrize("N", [0, 8, 17, 100, -32, 2 ** 50, 2 ** 64])
 def test_grid_rejects_bad_sizes(N):
     with pytest.raises(InvalidParams):
         Grid1D(L=1.0, N=N)
@@ -42,6 +43,13 @@ def test_grid_rejects_bad_sizes(N):
 def test_grid_rejects_bad_length():
     with pytest.raises(InvalidParams):
         Grid1D(L=0.0, N=32)
+
+
+@pytest.mark.parametrize("L", [1e308, math.nan, math.inf])
+def test_grid_refuses_a_spacing_that_is_not_finite(L):
+    """2L/N overflows at L = 1e308, which used to give nan nodes."""
+    with pytest.raises(InvalidParams):
+        Grid1D(L=L, N=16)
 
 
 def test_field_shape_checked():

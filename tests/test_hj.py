@@ -22,12 +22,13 @@ from fatkpp.errors import (GradientOutOfRange, GridMismatch, InvalidParams,
                            NonIntegrableTail, NotMutationEligible,
                            ThinTailedKernel)
 from fatkpp.gridops import DiscreteKernel, Field, Grid1D
-from fatkpp.hj import (Hamiltonian, HJSolution, cross_validate,
-                       hamiltonian_profile, inclusion_curves,
-                       solve_constrained_hj, zero_set_boundary)
+from fatkpp.hj import (Hamiltonian, HJSolution, comparison_times,
+                       cross_validate, hamiltonian_profile, inclusion_curves,
+                       solve_constrained_hj, window_nodes, zero_set_boundary)
 from fatkpp.cauchy import SolverConfig, Trajectory, run as cauchy_run
 from fatkpp.kernels import KernelSpec, build_kernel
 from fatkpp.mutation import growth_bound, mutation_initial_data
+from fatkpp.propagation import read_window
 
 
 @pytest.fixture(scope="module")
@@ -438,10 +439,21 @@ def _fake_pair(g, shift_by_eps):
     return hj, runs
 
 
+def _windows(runs, hj, x_window):
+    """Each run's window potential at its own grid's nodes in x_window and
+    at hj's comparison times, read as the CLI reads it."""
+    pairs = comparison_times([t for t, _ in hj.snapshots])
+    pots = []
+    for run in runs:
+        xs = window_nodes(run.grid, x_window)
+        pots.append(read_window(run, run.eps, xs, xs, pairs))
+    return pots
+
+
 def test_cross_validate_monotone_table():
     g = Grid1D(10.0, 256)
     hj, runs = _fake_pair(g, {0.4: 0.3, 0.2: 0.2, 0.1: 0.05})
-    rows = cross_validate(runs, hj, (-5.0, 5.0))
+    rows = cross_validate(_windows(runs, hj, (-5.0, 5.0)), hj)
     assert [e for e, _ in rows] == [0.4, 0.2, 0.1]
     assert [v for _, v in rows] == pytest.approx([0.3, 0.2, 0.05])
 
@@ -451,7 +463,7 @@ def test_cross_validate_flags_growth():
     verdict is the caller's."""
     g = Grid1D(10.0, 256)
     hj, runs = _fake_pair(g, {0.4: 0.1, 0.2: 0.25})
-    rows = cross_validate(runs, hj, (-5.0, 5.0))
+    rows = cross_validate(_windows(runs, hj, (-5.0, 5.0)), hj)
     assert [e for e, _ in rows] == [0.4, 0.2]
     assert [v for _, v in rows] == pytest.approx([0.1, 0.25])
 
@@ -460,18 +472,18 @@ def test_cross_validate_window_margin():
     g = Grid1D(10.0, 256)
     hj, runs = _fake_pair(g, {0.4: 0.1})
     with pytest.raises(InvalidParams):
-        cross_validate(runs, hj, (-9.99, 5.0))
+        cross_validate(_windows(runs, hj, (-9.99, 5.0)), hj)
     with pytest.raises(InvalidParams):
-        cross_validate(runs, hj, (5.0, -5.0))
+        cross_validate(_windows(runs, hj, (5.0, -5.0)), hj)
 
 
 def test_cross_validate_needs_runs_on_the_limit_grid():
-    """Runs are read at the limit's own window nodes, not interpolated."""
+    """Potentials are compared at the limit's own nodes, not interpolated."""
     g = Grid1D(10.0, 256)
     hj, _ = _fake_pair(g, {})
     _, runs = _fake_pair(Grid1D(10.0, 512), {0.4: 0.1})
     with pytest.raises(GridMismatch):
-        cross_validate(runs, hj, (-5.0, 5.0))
+        cross_validate(_windows(runs, hj, (-5.0, 5.0)), hj)
 
 
 def test_cross_validate_locality():
@@ -479,8 +491,8 @@ def test_cross_validate_locality():
     g = Grid1D(10.0, 256)
     bump = 0.5 * np.exp(-((g.x - 4.0) / 0.3) ** 2)
     hj, runs = _fake_pair(g, {0.4: 0.01 + bump})
-    (_, near), = cross_validate(runs, hj, (-2.0, 2.0))
-    (_, wide), = cross_validate(runs, hj, (-2.0, 4.5))
+    (_, near), = cross_validate(_windows(runs, hj, (-2.0, 2.0)), hj)
+    (_, wide), = cross_validate(_windows(runs, hj, (-2.0, 4.5)), hj)
     assert near < 0.02 < wide
 
 
@@ -500,5 +512,5 @@ def test_cross_validate_identity_control(ll3, H3):
                        method="RK4")
     mr = cauchy_run(ll3, cfg, Field(g, np.exp(-u0.values)), dk=dk)
     hj = solve_constrained_hj(H3, cfg, u0)
-    (_, gap), = cross_validate([mr], hj, (28.0, 60.0))
+    (_, gap), = cross_validate(_windows([mr], hj, (28.0, 60.0)), hj)
     assert gap <= 0.05

@@ -9,23 +9,40 @@ count the benchmark uses).  The configs default to the three
 ``perfbench/configs/*.json`` next to this script; they are only read.
 
 For each config the two exit codes and the SHA-256 of every CSV and SVG
-under the two output directories are compared.  Every file that differs,
-or that only one side wrote, is printed, and the script exits 1 if there
-is any; otherwise it prints one line per config and exits 0.  Outputs go
-to a temporary directory that is removed afterwards.
+under the two output directories are compared, and so is each run.json
+less the fields that depend on the clock or the host: keys ending in
+``_s``, ``timestamp`` and ``peak_rss_mb``, at any depth.  Every file that
+differs, or that only one side wrote, is printed, and the script exits 1
+if there is any; otherwise it prints one line per config and exits 0.
+Outputs go to a temporary directory that is removed afterwards.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+_HOST_KEYS = ("timestamp", "peak_rss_mb")   # besides every key ending in _s
+
+
+def _steady(doc):
+    """A run.json document without its clock and host fields."""
+    if isinstance(doc, dict):
+        return {k: _steady(v) for k, v in doc.items()
+                if not (k.endswith("_s") or k in _HOST_KEYS)}
+    if isinstance(doc, list):
+        return [_steady(v) for v in doc]
+    return doc
+
+
 def _run(tree, config, out):
     """Run one config on one tree; returns its exit code and the SHA-256
-    of each CSV and SVG by path under out."""
+    of each CSV and SVG, and of each run.json's steady fields, by path
+    under out."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(tree).resolve() / "src"))
     proc = subprocess.run(
@@ -35,9 +52,17 @@ def _run(tree, config, out):
     digests = {}
     if out.is_dir():
         for path in sorted(out.rglob("*")):
-            if path.suffix in (".csv", ".svg") and path.is_file():
-                digests[str(path.relative_to(out))] = hashlib.sha256(
-                    path.read_bytes()).hexdigest()
+            if not path.is_file():
+                continue
+            if path.suffix in (".csv", ".svg"):
+                data = path.read_bytes()
+            elif path.name == "run.json":
+                data = json.dumps(_steady(json.loads(path.read_text())),
+                                  sort_keys=True).encode()
+            else:
+                continue
+            digests[str(path.relative_to(out))] = hashlib.sha256(
+                data).hexdigest()
     return proc.returncode, digests
 
 
@@ -69,7 +94,8 @@ def compare(base, head, configs, work):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(
-        description="Compare the CSV and SVG bytes two source trees write.")
+        description="Compare the CSV, SVG and run.json outputs two source "
+                    "trees write.")
     ap.add_argument("base", help="the reference tree")
     ap.add_argument("head", help="the tree under test")
     ap.add_argument("configs", nargs="*",
